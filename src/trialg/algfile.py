@@ -41,6 +41,11 @@ def algebra_to_dict(a: TriAlgebra) -> dict:
     return {"field": a.field.name, "dim": a.dim, "products": entries}
 
 
+def _is_index(x: Any) -> bool:
+    """A nonnegative JSON integer; ``true``/``false`` are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def algebra_from_dict(doc: Any) -> TriAlgebra:
     if not isinstance(doc, dict):
         raise AlgebraFileError("document must be a JSON object")
@@ -52,7 +57,7 @@ def algebra_from_dict(doc: Any) -> TriAlgebra:
     except ValueError as exc:
         raise AlgebraFileError(f"bad field tag: {exc}") from None
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_index(dim):
         raise AlgebraFileError(f"bad dim: {dim!r}")
     entries = doc["products"]
     if not isinstance(entries, list):
@@ -69,7 +74,7 @@ def algebra_from_dict(doc: Any) -> TriAlgebra:
         op, i, j, value = entry["op"], entry["i"], entry["j"], entry["value"]
         if op not in OPS:
             raise AlgebraFileError(f"{where}: unknown op {op!r}")
-        if not isinstance(i, int) or not isinstance(j, int) or not (0 <= i < dim and 0 <= j < dim):
+        if not (_is_index(i) and _is_index(j) and i < dim and j < dim):
             raise AlgebraFileError(f"{where}: indices ({i!r}, {j!r}) out of range for dim {dim}")
         if (op, i, j) in seen:
             raise AlgebraFileError(f"{where}: duplicate product entry ({op}, {i}, {j})")

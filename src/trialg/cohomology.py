@@ -278,8 +278,8 @@ def _scalar_cocycle_matrix(b: TriAlgebra) -> Matrix:
             row = [fld.zero] * ncols
             for col, v in sparse.items():
                 row[col] = v
-            dense.append(row)
-    return Matrix(fld, dense, cols=ncols)
+            dense.append(tuple(row))
+    return Matrix._trusted(fld, tuple(dense), ncols)
 
 
 def _expand_subspace(sub: Subspace, k: int) -> Subspace:

@@ -121,6 +121,8 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
             raise ValueError(f"modulus must be a prime >= 2, got {p!r}")
+        if p >= _PRIME_LIMIT:
+            raise ValueError(f"modulus {p} is too large: prime moduli must be below {_PRIME_LIMIT}")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
@@ -176,14 +178,33 @@ class PrimeField(Field):
         return hash(("Fp", self.p))
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every n below _PRIME_LIMIT (Sorenson & Webster 2015, psi_13).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality test, exact for ``n < _PRIME_LIMIT``."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

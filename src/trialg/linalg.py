@@ -1,17 +1,32 @@
 """Deterministic exact linear algebra over Q and F_p.
 
-Dense matrices with exact scalars, reduced row-echelon forms with a fixed
-pivot rule (leftmost column, first nonzero row), kernels, and a subspace
-lattice whose values are canonical: a subspace is stored as the unique RREF
-basis of its row space, so two subspaces are equal as sets exactly when
-their stored bases are identical entry-wise.  Everything downstream leans
-on that canonicity for exact equality tests.
+Matrices are dense tuples of exact scalars; elimination runs on sparse rows.
+Every reduction in this module -- ``rref``, ``kernel``, subspace spans,
+``complement_in`` and ``reduce_vector`` -- goes through one loop,
+``_eliminate``: a row held as a ``{column: nonzero}`` dict is cleared of the
+pivot columns of an echelon map ``pivot column -> normalised row``.  The
+constraint systems this package builds are well under 1 % nonzero, so the
+work follows the nonzeros instead of rows x columns.
+
+The outputs are canonical: a subspace is stored as the unique RREF basis of
+its row space, so two subspaces are equal as sets exactly when their stored
+bases are identical entry-wise, and ``rref`` returns the unique RREF of the
+row space with its pivot columns.  Because that RREF depends on the row
+space alone, the order in which rows are eliminated cannot change it; the
+forward pass takes the rows in input order, and a back-substitution pass
+then reduces every echelon row against the pivots to its right.  Everything
+downstream leans on that canonicity for exact equality tests.
+
+``Matrix(field, data)`` coerces every entry into the field.  Matrices built
+inside the package from scalars that are already field elements (elimination
+results, subspace bases, transposes, stacks, products) skip that step.
 
 All values are immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from .fields import Field, check_same_field
@@ -67,14 +82,27 @@ class Matrix:
         self.data = tup
 
     @classmethod
+    def _trusted(cls, field: Field, data: tuple[tuple, ...], cols: int) -> "Matrix":
+        """Package-internal constructor: ``data`` is a tuple of ``cols``-long
+        tuples of scalars that are already elements of ``field``, so nothing
+        is coerced or checked."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = len(data)
+        m.cols = cols
+        m.data = data
+        return m
+
+    @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls._trusted(
+            field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n
+        )
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        zero = field.zero
-        return cls(field, [[zero] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted(field, ((field.zero,) * cols,) * rows, cols)
 
     def row(self, i: int) -> tuple:
         return self.data[i]
@@ -83,30 +111,29 @@ class Matrix:
         return tuple(r[j] for r in self.data)
 
     def column_select(self, cols: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [[r[c] for c in cols] for r in self.data], cols=len(cols))
+        return Matrix._trusted(
+            self.field, tuple(tuple(r[c] for c in cols) for r in self.data), len(cols)
+        )
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return Matrix._trusted(self.field, data, self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(
+        return Matrix._trusted(
             self.field,
-            [a + b for a, b in zip(self.data, other.data)],
-            cols=self.cols + other.cols,
+            tuple(a + b for a, b in zip(self.data, other.data)),
+            self.cols + other.cols,
         )
 
     def vstack(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return Matrix(self.field, self.data + other.data, cols=self.cols)
+        return Matrix._trusted(self.field, self.data + other.data, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
@@ -122,8 +149,8 @@ class Matrix:
                 if a:
                     brow = ot[k]
                     acc = [add(x, mul(a, b)) for x, b in zip(acc, brow)]
-            out.append(acc)
-        return Matrix(f, out, cols=other.cols)
+            out.append(tuple(acc))
+        return Matrix._trusted(f, tuple(out), other.cols)
 
     def matvec(self, v: Sequence) -> tuple:
         """Column-vector action ``M v``; skips zero entries of ``v``."""
@@ -158,51 +185,92 @@ class Matrix:
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
 
 
+# ------------------------------------------------------- sparse elimination
+#
+# An echelon map sends each pivot column p to the tail of its row: a dict of
+# the nonzero entries right of p, the entry at p itself being an implicit 1.
+
+
+def _sparse(row: Sequence, zero) -> dict:
+    # The identity test skips the field's shared zero object cheaply; only
+    # other entries pay for a truth test, a Python call for a Fraction.
+    return {j: x for j, x in enumerate(row) if x is not zero and x}
+
+
+def _eliminate(row: dict, echelon: dict, field: Field) -> dict:
+    """Clear every pivot column of ``echelon`` from the sparse ``row``, in
+    place, and return it.
+
+    A tail has no entries left of its pivot, so subtracting one only touches
+    columns right of the one it clears: clearing pivots in ascending order
+    visits each at most once.
+    """
+    todo = [c for c in row if c in echelon]
+    if not todo:
+        return row
+    heapify(todo)
+    sub, mul, neg = field.sub, field.mul, field.neg
+    while todo:
+        c = heappop(todo)
+        t = row.pop(c, None)
+        if t is None:  # cancelled, or a repeated heap entry
+            continue
+        for j, e in echelon[c].items():
+            x = row.get(j)
+            if x is None:
+                row[j] = neg(mul(t, e))
+                if j in echelon:
+                    heappush(todo, j)
+            else:
+                x = sub(x, mul(t, e))
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+    return row
+
+
+def _insert(row: dict, echelon: dict, field: Field) -> bool:
+    """Reduce ``row`` against ``echelon`` and, if anything is left, add it as
+    a new pivot row; returns whether it was added."""
+    _eliminate(row, echelon, field)
+    if not row:
+        return False
+    p = min(row)
+    s = field.inv(row.pop(p))
+    if s != field.one:
+        mul = field.mul
+        row = {j: mul(s, x) for j, x in row.items()}
+    echelon[p] = row
+    return True
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row-echelon form with its pivot columns.
 
-    Deterministic: pivots are taken in the leftmost column with a nonzero
-    entry, using the topmost such row, then scaled to 1 with full
-    elimination above and below.
+    The result has ``m.rows`` rows: the nonzero rows in pivot order, then
+    zero rows.  The forward pass inserts the rows in order into an echelon
+    map; the backward pass, from the rightmost pivot down, clears each tail
+    of the pivots to its right, whose rows are final by then.
     """
     f = m.field
-    mul, sub, inv = f.mul, f.sub, f.inv
-    rows = [list(r) for r in m.data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        pivot_row = rows[r]
-        pv = pivot_row[c]
-        if pv != f.one:
-            s = inv(pv)
-            for cc in range(c, nc):
-                if pivot_row[cc]:
-                    pivot_row[cc] = mul(s, pivot_row[cc])
-        for i in range(nr):
-            if i == r:
-                continue
-            t = rows[i][c]
-            if t:
-                ri = rows[i]
-                for cc in range(c, nc):
-                    p = pivot_row[cc]
-                    if p:
-                        ri[cc] = sub(ri[cc], mul(t, p))
-        pivots.append(c)
-        r += 1
-    return Matrix(f, rows, cols=nc), tuple(pivots)
+    zero, one = f.zero, f.one
+    echelon: dict = {}
+    for row in m.data:
+        _insert(_sparse(row, zero), echelon, f)
+    final: dict = {}
+    for p in sorted(echelon, reverse=True):
+        final[p] = _eliminate(echelon[p], final, f)
+    pivots = tuple(sorted(final))
+    out = []
+    for p in pivots:
+        row = [zero] * m.cols
+        row[p] = one
+        for j, x in final[p].items():
+            row[j] = x
+        out.append(tuple(row))
+    out += [(zero,) * m.cols] * (m.rows - len(pivots))
+    return Matrix._trusted(f, tuple(out), m.cols), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -212,20 +280,19 @@ def rank(m: Matrix) -> int:
 def kernel(m: Matrix) -> "Subspace":
     """Canonical basis of the right null space of ``m``."""
     f = m.field
+    neg, zero = f.neg, f.zero
     red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    neg, zero, one = f.neg, f.zero, f.one
+    pivot_rows = list(zip(pivots, red.data))
     basis = []
-    for fc in free:
+    for fc in sorted(set(range(m.cols)) - set(pivots)):
         v = [zero] * m.cols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            e = red.data[r][fc]
-            if e:
+        v[fc] = f.one
+        for pc, row in pivot_rows:
+            e = row[fc]
+            if e is not zero:  # rref fills every zero entry with this object
                 v[pc] = neg(e)
-        basis.append(v)
-    return Subspace.from_rows(f, m.cols, basis)
+        basis.append(tuple(v))
+    return Subspace._span(Matrix._trusted(f, tuple(basis), m.cols))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -235,7 +302,7 @@ def inverse(m: Matrix) -> Matrix:
     red, pivots = rref(m.hstack(Matrix.identity(m.field, n)))
     if pivots != tuple(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix(m.field, [row[n:] for row in red.data], cols=n)
+    return Matrix._trusted(m.field, tuple(row[n:] for row in red.data), n)
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix:
@@ -247,12 +314,10 @@ def solve_right(a: Matrix, b: Matrix) -> Matrix:
     if any(p >= a.cols for p in pivots):
         raise InconsistentSystemError("system has no solution")
     f = a.field
-    zero = f.zero
-    out = [[zero] * b.cols for _ in range(a.cols)]
+    out = [(f.zero,) * b.cols] * a.cols
     for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            out[pc][j] = red.data[r][a.cols + j]
-    return Matrix(f, out, cols=b.cols)
+        out[pc] = red.data[r][a.cols :]
+    return Matrix._trusted(f, tuple(out), b.cols)
 
 
 def random_invertible(rng, n: int, field: Field) -> Matrix:
@@ -272,30 +337,33 @@ class Subspace:
     underlying sets.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_echelon")
 
     def __init__(self, field: Field, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self._echelon = None
+
+    @classmethod
+    def _span(cls, m: Matrix) -> "Subspace":
+        """Row space of ``m``."""
+        red, pivots = rref(m)
+        basis = Matrix._trusted(m.field, red.data[: len(pivots)], m.cols)
+        return cls(m.field, m.cols, basis, pivots)
 
     @classmethod
     def from_rows(cls, field: Field, ambient_dim: int, rows: Iterable[Iterable]) -> "Subspace":
-        m = Matrix(field, rows, cols=ambient_dim)
-        if m.cols != ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        red, pivots = rref(m)
-        basis = Matrix(field, red.data[: len(pivots)], cols=ambient_dim)
-        return cls(field, ambient_dim, basis, pivots)
+        return cls._span(Matrix(field, rows, cols=ambient_dim))
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls.from_rows(field, ambient_dim, [])
+        return cls(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls.from_rows(field, ambient_dim, Matrix.identity(field, ambient_dim).data)
+        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -304,30 +372,38 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def reduce_vector(self, v: Sequence) -> tuple:
-        """Residual of ``v`` after eliminating this subspace's pivots."""
-        f = self.field
-        coerce, sub, mul = f.coerce, f.sub, f.mul
+    def _tails(self) -> dict:
+        """The basis as an echelon map; its tails are shared, never modified."""
+        if self._echelon is None:
+            zero = self.field.zero
+            echelon = {}
+            for p, row in zip(self.pivots, self.basis.data):
+                echelon[p] = tail = _sparse(row, zero)
+                del tail[p]
+            self._echelon = echelon
+        return self._echelon
+
+    def _residual(self, v: Sequence) -> dict:
+        coerce = self.field.coerce
         w = [coerce(x) for x in v]
         if len(w) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        for r, pc in enumerate(self.pivots):
-            c = w[pc]
-            if c:
-                row = self.basis.data[r]
-                for j in range(pc, self.ambient_dim):
-                    e = row[j]
-                    if e:
-                        w[j] = sub(w[j], mul(c, e))
+        return _eliminate(_sparse(w, self.field.zero), self._tails(), self.field)
+
+    def reduce_vector(self, v: Sequence) -> tuple:
+        """Residual of ``v`` after eliminating this subspace's pivots."""
+        w = [self.field.zero] * self.ambient_dim
+        for j, x in self._residual(v).items():
+            w[j] = x
         return tuple(w)
 
     def contains_vector(self, v: Sequence) -> bool:
-        return all(not x for x in self.reduce_vector(v))
+        return not self._residual(v)
 
     def coordinates(self, v: Sequence) -> tuple:
         """Coefficients of ``v`` in the canonical basis; errors if outside."""
         coords = tuple(self.field.coerce(v[pc]) for pc in self.pivots)
-        if not all(not x for x in self.reduce_vector(v)):
+        if self._residual(v):
             raise ValueError("vector is not in the subspace")
         return coords
 
@@ -341,9 +417,7 @@ class Subspace:
         check_same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_rows(
-            self.field, self.ambient_dim, self.basis.data + other.basis.data
-        )
+        return Subspace._span(self.basis.vstack(other.basis))
 
     def annihilator(self) -> "Subspace":
         """Kernel of the basis matrix: functionals vanishing on the space."""
@@ -360,18 +434,28 @@ class Subspace:
 
     def complement_in(self, sup: "Subspace") -> "Subspace":
         """Deterministic complement: complete this space's pivots with the
-        enclosing basis rows, taken in pivot order."""
+        enclosing basis rows, taken in pivot order.
+
+        Each row of ``sup`` is reduced once against an echelon map that
+        grows by the rows kept so far.  The kept rows are rows of an RREF
+        basis, so they are already the RREF basis of their own span.
+        """
         if not sup.contains(self):
             raise ContainmentError("complement requires containment in the larger space")
-        kept: list[tuple] = []
-        current = self
-        for row in sup.basis.data:
-            if not current.contains_vector(row):
-                kept.append(row)
-                current = Subspace.from_rows(
-                    self.field, self.ambient_dim, current.basis.data + tuple([row])
-                )
-        return Subspace.from_rows(self.field, self.ambient_dim, kept)
+        echelon = dict(self._tails())
+        one = self.field.one
+        kept = [
+            r
+            for r, (p, tail) in enumerate(sup._tails().items())
+            if _insert({p: one, **tail}, echelon, self.field)
+        ]
+        basis = tuple(sup.basis.data[r] for r in kept)
+        return Subspace(
+            self.field,
+            self.ambient_dim,
+            Matrix._trusted(self.field, basis, self.ambient_dim),
+            tuple(sup.pivots[r] for r in kept),
+        )
 
     def quotient_map(self, sup: "Subspace") -> Matrix:
         """Matrix sending ``x`` in ``sup`` to its coordinates in ``sup/self``.
@@ -385,14 +469,14 @@ class Subspace:
         q = comp.dim
         if q == 0:
             return Matrix.zeros(f, 0, self.ambient_dim)
-        t = Matrix(f, [[row[pc] for pc in sup.pivots] for row in stacked], cols=sup.dim)
+        t = Matrix._trusted(f, tuple(tuple(row[pc] for pc in sup.pivots) for row in stacked), sup.dim)
         w = inverse(t.transpose())
         out = [[f.zero] * self.ambient_dim for _ in range(q)]
         for r in range(q):
             wrow = w.data[self.dim + r]
             for j, pc in enumerate(sup.pivots):
                 out[r][pc] = wrow[j]
-        return Matrix(f, out, cols=self.ambient_dim)
+        return Matrix._trusted(f, tuple(tuple(row) for row in out), self.ambient_dim)
 
     def basis_rows(self) -> tuple[tuple, ...]:
         return self.basis.data

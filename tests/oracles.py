@@ -134,3 +134,78 @@ def dense_cocycle_rows(base, k):
 def dense_z2_dim(base, k):
     rows = dense_cocycle_rows(base, k)
     return 3 * base.dim * base.dim * k - oracle_rank(base.field, rows)
+
+
+def dense_rref(field, rows, ncols):
+    """Dense Gauss-Jordan RREF of coerced row data: ``(rows, pivots)``.
+
+    The package's elimination before it moved to sparse rows, kept as the
+    reference: pivots in the leftmost column with a nonzero entry, taken
+    from the topmost such row, scaled to 1 with full elimination above and
+    below.  Zero rows stay, at the bottom.
+    """
+    mul, sub, inv = field.mul, field.sub, field.inv
+    rows = [list(r) for r in rows]
+    nr = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pivot_row = rows[r]
+        s = inv(pivot_row[c])
+        for cc in range(c, ncols):
+            pivot_row[cc] = mul(s, pivot_row[cc])
+        for i in range(nr):
+            t = rows[i][c]
+            if i != r and t:
+                rows[i] = [a if cc < c else sub(a, mul(t, pivot_row[cc]))
+                           for cc, a in enumerate(rows[i])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def dense_span(field, rows, ncols):
+    """Canonical basis (nonzero RREF rows) and pivots of a row span."""
+    red, pivots = dense_rref(field, rows, ncols)
+    return red[: len(pivots)], pivots
+
+
+def dense_kernel(field, rows, ncols):
+    """Canonical basis and pivots of the right null space."""
+    red, pivots = dense_rref(field, rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(red[r][fc])
+        basis.append(v)
+    return dense_span(field, basis, ncols)
+
+
+def dense_complement(field, sub_rows, sup_rows, ncols):
+    """Pivot-completion complement by repeated spans: keep each row of
+    ``sup_rows`` that raises the rank of the sub space plus the rows kept so
+    far; returns the canonical basis and pivots of the kept rows' span."""
+    kept = []
+    for row in sup_rows:
+        before = len(dense_rref(field, list(sub_rows) + kept, ncols)[1])
+        if len(dense_rref(field, list(sub_rows) + kept + [row], ncols)[1]) > before:
+            kept.append(row)
+    return dense_span(field, kept, ncols)
+
+
+def dense_residual(field, basis, pivots, v):
+    """Residual of ``v`` after subtracting multiples of RREF basis rows."""
+    w = list(v)
+    for row, pc in zip(basis, pivots):
+        c = w[pc]
+        if c:
+            w = [field.sub(a, field.mul(c, e)) for a, e in zip(w, row)]
+    return tuple(w)

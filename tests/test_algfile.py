@@ -78,3 +78,18 @@ def test_dim_zero_file():
     text = emit(TriAlgebra(0, QQ))
     alg = parse(text)
     assert alg.dim == 0
+
+
+def test_bool_dimension_and_indices_rejected():
+    with pytest.raises(AlgebraFileError, match="bad dim"):
+        parse('{"field": "Q", "dim": true, "products": []}')
+    for i, j in ((True, 0), (0, False)):
+        doc = {"field": "Q", "dim": 2, "products": [{"op": "vdash", "i": i, "j": j, "value": ["0", "1"]}]}
+        with pytest.raises(AlgebraFileError, match="out of range"):
+            parse(json.dumps(doc))
+
+
+def test_huge_prime_field_tag_rejected():
+    text = '{"field": "Fp:170141183460469231731687303715884105727", "dim": 1, "products": []}'
+    with pytest.raises(AlgebraFileError, match="too large"):
+        parse(text)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from trialg.fields import GF, QQ, parse_field
+from trialg.fields import GF, QQ, _is_prime, parse_field
 
 
 def test_rational_parse_and_format():
@@ -45,3 +45,27 @@ def test_parse_field_tags():
     for bad in ("R", "Fp:abc", "Fp:9"):
         with pytest.raises(ValueError):
             parse_field(bad)
+
+
+def test_primality_matches_trial_division_and_known_values():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(5000) if _is_prime(n)] == [n for n in range(5000) if trial(n)]
+    # Carmichael numbers, and the least strong pseudoprimes to the first 4, 9
+    # and 12 prime bases.
+    for composite in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(composite)
+    for prime in (998244353, 10**9 + 7, 2**31 - 1, 2**61 - 1):
+        assert _is_prime(prime)
+    assert not _is_prime(2**67 - 1)  # 193707721 * 761838257287
+
+
+def test_huge_prime_modulus_rejected_fast():
+    # 2^127 - 1 is prime but beyond the range where primality is decided exactly.
+    with pytest.raises(ValueError, match="too large"):
+        parse_field("Fp:170141183460469231731687303715884105727")
+    assert GF(2**61 - 1).p == 2**61 - 1
+    # The least strong pseudoprime to all 13 bases is the first modulus refused.
+    with pytest.raises(ValueError, match="too large"):
+        GF(3317044064679887385961981)

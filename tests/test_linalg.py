@@ -17,7 +17,7 @@ from trialg.linalg import (
     solve_right,
 )
 
-from oracles import oracle_rank
+from oracles import dense_complement, dense_kernel, dense_residual, dense_rref, dense_span, oracle_rank
 
 
 def mk(rows, field=QQ):
@@ -217,3 +217,70 @@ def test_subspace_ops_over_prime_field():
     comp = b.complement_in(total) if total.contains(b) else None
     if comp is not None:
         assert b.plus(comp) == total
+
+
+# ------------------------------------- sparse kernel vs dense reference
+
+
+@st.composite
+def field_matrices(draw):
+    """A field, a column count and coerced rows: dense or sparse, with zero
+    rows and columns, empty shapes, and rows that are combinations of others."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    ncols = draw(st.integers(0, 8))
+    nrows = draw(st.integers(0, 7))
+    if field is QQ:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    else:
+        scalar = st.integers(0, 6)
+    rows = [[field.zero] * ncols for _ in range(nrows)]
+    if draw(st.booleans()):
+        for row in rows:
+            row[:] = [field.coerce(x) for x in draw(st.lists(scalar, min_size=ncols, max_size=ncols))]
+    elif nrows and ncols:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1), scalar)
+        for i, j, x in draw(st.lists(cells, max_size=2 * ncols)):
+            rows[i][j] = field.coerce(x)
+    if nrows:
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
+            c = field.coerce(draw(scalar))
+            rows.append([field.add(x, field.mul(c, y)) for x, y in zip(rows[a], rows[b])])
+    return field, ncols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+def test_sparse_rref_and_kernel_match_dense_reference(case):
+    field, ncols, rows = case
+    m = Matrix(field, rows, cols=ncols)
+    red, pivots = rref(m)
+    assert (red.data, pivots) == dense_rref(field, rows, ncols)
+    assert red.rows == m.rows and red.cols == ncols
+    span = Subspace.from_rows(field, ncols, rows)
+    assert (span.basis.data, span.pivots) == dense_span(field, rows, ncols)
+    ker = kernel(m)
+    assert (ker.basis.data, ker.pivots) == dense_kernel(field, rows, ncols)
+    for v in rows + [list(r) for r in ker.basis_rows()]:
+        assert span.reduce_vector(v) == dense_residual(field, span.basis.data, span.pivots, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices(), st.data())
+def test_complement_matches_repeated_span_definition(case, data):
+    field, ncols, rows = case
+    sup = Subspace.from_rows(field, ncols, rows)
+    coeffs = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=sup.dim, max_size=sup.dim),
+                                max_size=3))
+    sub_rows = [
+        [sum((field.mul(field.coerce(c), r[j]) for c, r in zip(cs, sup.basis_rows())), field.zero)
+         for j in range(ncols)]
+        for cs in coeffs
+    ]
+    sub = Subspace.from_rows(field, ncols, sub_rows)
+    comp = sub.complement_in(sup)
+    assert (comp.basis.data, comp.pivots) == dense_complement(
+        field, sub.basis_rows(), sup.basis_rows(), ncols
+    )
+    assert comp == Subspace.from_rows(field, ncols, comp.basis_rows())
+    assert sub.plus(comp) == sup
