@@ -28,10 +28,12 @@ the cohomology module are aligned with them row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .fields import Field, QQ, check_same_field
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, _modulus, _residues, kernel
 
 __all__ = [
     "VDASH",
@@ -124,6 +126,77 @@ class AxiomReport:
         return tuple(sorted({v.axiom for v in self.violations}))
 
 
+def _cleared(field: Field, tables: Mapping[str, Mapping]) -> tuple[int, dict]:
+    """Sparse tables ``{op: {(i, j): {k: scalar}}}`` as ints, with the factor
+    they are scaled by: the lcm of all denominators over Q, 1 over F_p."""
+    if _modulus(field):
+        return 1, tables
+    d = lcm(*[x.denominator for t in tables.values() for vec in t.values() for x in vec.values()])
+    return d, {
+        op: {
+            key: {k: x.numerator * (d // x.denominator) for k, x in vec.items()}
+            for key, vec in t.items()
+        }
+        for op, t in tables.items()
+    }
+
+
+def _identity_defects(field: Field, left: dict, right: dict, scale: int, width: int) -> list:
+    """One sweep over the eleven identities on integer tables.
+
+    ``left`` holds an algebra's products and ``right`` a vector for each
+    basis pair, both as ``{op: {(i, j): {k: int}}}`` from :func:`_cleared`,
+    and ``scale`` is the product of their two factors.  For identity
+    (A, B, C, D) on the triple (i, j, l) the defect is
+
+        sum_m left_A[i, j][m] right_B[m, l] - sum_m left_D[j, l][m] right_C[i, m],
+
+    which is (e_i A e_j) B e_l - e_i C (e_j D e_l) when ``right`` is
+    ``left``, and the cocycle constraint family when ``right`` is a cochain.
+    Only triples that touch a nonzero entry of ``left`` are visited.
+    Returns ``(identity index, triple, defect)`` for each nonzero defect, in
+    that order, the defect a dense ``width``-vector of field scalars.
+    """
+    mod = _modulus(field)
+    zero = field.zero
+    by_first: dict = {op: {} for op in OPS}
+    by_second: dict = {op: {} for op in OPS}
+    for op in OPS:
+        for (i, j), vec in right[op].items():
+            by_first[op].setdefault(i, []).append((j, vec))
+            by_second[op].setdefault(j, []).append((i, vec))
+    out = []
+    for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
+        acc: dict[tuple[int, int, int], dict[int, int]] = {}
+        right_b = by_first[op_b]
+        for (i, j), vec_a in left[op_a].items():
+            for m, s in vec_a.items():
+                for l, vec in right_b.get(m, ()):  # noqa: E741
+                    slot = acc.get((i, j, l))
+                    if slot is None:
+                        slot = acc[(i, j, l)] = {}
+                    for k, v in vec.items():
+                        slot[k] = slot.get(k, 0) + s * v
+        right_c = by_second[op_c]
+        for (j, l), vec_d in left[op_d].items():  # noqa: E741
+            for m, s in vec_d.items():
+                for i, vec in right_c.get(m, ()):
+                    slot = acc.get((i, j, l))
+                    if slot is None:
+                        slot = acc[(i, j, l)] = {}
+                    for k, v in vec.items():
+                        slot[k] = slot.get(k, 0) - s * v
+        for triple in sorted(acc):
+            slot = _residues(acc[triple], mod) if mod else acc[triple]
+            if any(slot.values()):
+                dense = [zero] * width
+                for k, v in slot.items():
+                    if v:
+                        dense[k] = v if mod else Fraction(v, scale)
+                out.append((idx, triple, tuple(dense)))
+    return out
+
+
 class TriAlgebra:
     """Finite-dimensional algebra with three bilinear products.
 
@@ -140,8 +213,6 @@ class TriAlgebra:
         "_axiom_report",
         "_center",
         "_derived",
-        "_by_first",
-        "_by_second",
         "_cache",
     )
 
@@ -188,8 +259,6 @@ class TriAlgebra:
         self._axiom_report = None
         self._center = None
         self._derived = None
-        self._by_first = None
-        self._by_second = None
         self._cache = {}
 
     @classmethod
@@ -266,23 +335,12 @@ class TriAlgebra:
                 out[k] = add(out[k], mul(c, v))
         return tuple(out)
 
-    def _index_by_first(self, op: str) -> dict:
-        if self._by_first is None:
-            by_first = {o: {} for o in OPS}
-            for o in OPS:
-                for (i, j), vec in self.products[o].items():
-                    by_first[o].setdefault(i, []).append((j, vec))
-            self._by_first = by_first
-        return self._by_first[op]
-
-    def _index_by_second(self, op: str) -> dict:
-        if self._by_second is None:
-            by_second = {o: {} for o in OPS}
-            for o in OPS:
-                for (i, j), vec in self.products[o].items():
-                    by_second[o].setdefault(j, []).append((i, vec))
-            self._by_second = by_second
-        return self._by_second[op]
+    def _cleared_products(self) -> tuple[int, dict]:
+        """The product tables as ints, with the factor they are scaled by."""
+        cleared = self._cache.get("cleared_products")
+        if cleared is None:
+            cleared = self._cache["cleared_products"] = _cleared(self.field, self.products)
+        return cleared
 
     def axiom_report(self) -> AxiomReport:
         """Check all eleven identities on every basis triple.
@@ -290,37 +348,14 @@ class TriAlgebra:
         Only triples that touch a nonzero product can produce a nonzero
         defect, so the sweep runs over the sparse tables.
         """
-        if self._axiom_report is not None:
-            return self._axiom_report
-        f = self.field
-        add, sub, mul = f.add, f.sub, f.mul
-        violations = []
-        for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
-            acc: dict[tuple[int, int, int], dict[int, object]] = {}
-            by_first_b = self._index_by_first(op_b)
-            for (i, j), vab in self.products[op_a].items():
-                for m, s in vab.items():
-                    for l, vml in by_first_b.get(m, ()):  # noqa: E741
-                        slot = acc.setdefault((i, j, l), {})
-                        for k, v in vml.items():
-                            slot[k] = add(slot.get(k, f.zero), mul(s, v))
-            by_second_c = self._index_by_second(op_c)
-            for (j, l), vbc in self.products[op_d].items():  # noqa: E741
-                for m, s in vbc.items():
-                    for i, vim in by_second_c.get(m, ()):
-                        slot = acc.setdefault((i, j, l), {})
-                        for k, v in vim.items():
-                            slot[k] = sub(slot.get(k, f.zero), mul(s, v))
-            for triple in sorted(acc):
-                slot = acc[triple]
-                if any(v for v in slot.values()):
-                    dense = [f.zero] * self.dim
-                    for k, v in slot.items():
-                        dense[k] = v
-                    violations.append(AxiomViolation(idx, triple, tuple(dense)))
-        report = AxiomReport(ok=not violations, violations=tuple(violations))
-        self._axiom_report = report
-        return report
+        if self._axiom_report is None:
+            d, table = self._cleared_products()
+            violations = tuple(
+                AxiomViolation(idx, triple, defect)
+                for idx, triple, defect in _identity_defects(self.field, table, table, d * d, self.dim)
+            )
+            self._axiom_report = AxiomReport(ok=not violations, violations=violations)
+        return self._axiom_report
 
     @property
     def is_valid(self) -> bool:
@@ -353,7 +388,7 @@ class TriAlgebra:
                 for key in self.products[op]:
                     rows.append(self.product(op, *key))
             self._derived = AlgSubspace(
-                self, Subspace.from_rows(self.field, self.dim, rows)
+                self, Subspace._span(Matrix._trusted(self.field, tuple(rows), self.dim))
             )
         return self._derived
 
@@ -374,8 +409,8 @@ class TriAlgebra:
                         left[i] = add(left[i], s)
                         right = rows_map.setdefault((op, 1, i, k), [f.zero] * self.dim)
                         right[j] = add(right[j], s)
-            rows = [rows_map[key] for key in sorted(rows_map)]
-            mat = Matrix(f, rows, cols=self.dim)
+            rows = tuple(tuple(rows_map[key]) for key in sorted(rows_map))
+            mat = Matrix._trusted(f, rows, self.dim)
             self._center = AlgSubspace(self, kernel(mat))
         return self._center
 
@@ -436,7 +471,7 @@ def product_subspace(s: AlgSubspace, t: AlgSubspace) -> AlgSubspace:
                 p = a.multiply(u, v, op)
                 if any(p):
                     rows.append(p)
-    return AlgSubspace(a, Subspace.from_rows(a.field, a.dim, rows))
+    return AlgSubspace(a, Subspace._span(Matrix._trusted(a.field, tuple(rows), a.dim)))
 
 
 def is_ideal(s: AlgSubspace) -> bool:
@@ -470,7 +505,7 @@ def quotient_algebra(a: TriAlgebra, ideal) -> QuotientAlgebra:
     comp = space.complement_in(full)
     proj = space.quotient_map(full)
     q = comp.dim
-    section = Matrix(f, [[row[r] for row in comp.basis_rows()] for r in range(a.dim)], cols=q)
+    section = comp.basis.transpose()
     products: dict = {op: {} for op in OPS}
     comp_rows = comp.basis_rows()
     for r in range(q):
@@ -500,9 +535,9 @@ def hom_to_field(a: TriAlgebra, k: int) -> Subspace:
     for t in range(k):
         for w in ann.basis_rows():
             big = [zero] * (k * n)
-            big[t * n : (t + 1) * n] = list(w)
-            rows.append(big)
-    return Subspace.from_rows(a.field, k * n, rows)
+            big[t * n : (t + 1) * n] = w
+            rows.append(tuple(big))
+    return Subspace._span(Matrix._trusted(a.field, tuple(rows), k * n))
 
 
 @dataclass(frozen=True)

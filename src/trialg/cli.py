@@ -3,7 +3,8 @@
 Commands: validate, invariants, h2, multiplier, cover, zstar, unicentral,
 verify, gen, table.  Reports go to standard output as stable ``key = value``
 lines; ``--json`` emits the same content as one JSON object.  Exit codes:
-0 pass, 1 identity/theorem-check failure, 2 input error.
+0 pass, 1 identity/theorem-check failure, 2 input error, 3 internal error
+(any other exception: a bug, reported with its traceback on stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import algfile
@@ -25,7 +27,7 @@ from .cohomology import h2 as h2_of
 from .extensions import cover as build_cover
 from .extensions import is_unicentral, stem_center_image_check, z_star
 from .fields import QQ, FieldMismatchError, parse_field
-from .generators import abelian, cover_abelian, random_extension
+from .generators import NoCocyclesError, abelian, cover_abelian, random_extension
 from .linalg import Subspace
 from .sequences import (
     NotCentralIdealError,
@@ -39,6 +41,16 @@ from .sequences import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
+
+# Exceptions that report bad input rather than a bug.
+_INPUT_ERRORS = (
+    algfile.AlgebraFileError,
+    FieldMismatchError,
+    NotCentralIdealError,
+    NoCocyclesError,
+    OSError,
+)
 
 
 class _Report:
@@ -259,14 +271,13 @@ def cmd_gen(args) -> int:
     if args.kind in ("abelian", "cover-abelian"):
         if args.n is None:
             return _fail_input(f"gen {args.kind} requires -n")
-        field = parse_field(args.field)
-        alg = abelian(args.n, field) if args.kind == "abelian" else cover_abelian(args.n, field)
+        make = abelian if args.kind == "abelian" else cover_abelian
+        alg = make(args.n, args.field)
     else:  # random-ext
         if args.base is None:
             return _fail_input("gen random-ext requires --base")
-        if args.base.startswith("abelian"):
-            field = parse_field(args.field)
-            base = abelian(int(args.base[len("abelian"):]), field)
+        if isinstance(args.base, int):
+            base = abelian(args.base, args.field)
         else:
             base = _read_algebra(args.base)
         alg = random_extension(base, args.k, args.seed).total
@@ -285,6 +296,34 @@ def cmd_table(args) -> int:
         out.add(f"{cls_name}[{n}]", f"{d_bound},{k_bound}")
     out.print(args.json)
     return EXIT_OK
+
+
+def _count(minimum: int):
+    """argparse type: an integer >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _field_arg(text: str):
+    try:
+        return parse_field(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _base_arg(text: str):
+    """``abelian<N>`` as the int N; anything else is a file path."""
+    match = re.fullmatch(r"abelian(\d+)", text)
+    return int(match.group(1)) if match else text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -308,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("h2", cmd_h2, help="second cohomology dimensions")
     p.add_argument("path")
-    p.add_argument("-k", type=int, default=1, help="coefficient dimension (default 1)")
+    p.add_argument("-k", type=_count(1), default=1, help="coefficient dimension (default 1)")
     p.add_argument("--reps", action="store_true", help="dump class representatives")
 
     p = add("multiplier", cmd_h2, help="alias of h2 at k = 1")
@@ -333,15 +372,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("gen", cmd_gen, help="generate corpus algebras")
     p.add_argument("kind", choices=["abelian", "cover-abelian", "random-ext"])
-    p.add_argument("-n", type=int, help="dimension parameter")
-    p.add_argument("--field", default="Q", help="Q (default) or Fp:<prime>")
-    p.add_argument("--base", help="random-ext base: file path or abelian<N>")
-    p.add_argument("-k", type=int, default=1, help="random-ext kernel dimension")
+    p.add_argument("-n", type=_count(0), help="dimension parameter")
+    p.add_argument("--field", type=_field_arg, default=QQ, help="Q (default) or Fp:<prime>")
+    p.add_argument("--base", type=_base_arg, help="random-ext base: file path or abelian<N>")
+    p.add_argument("-k", type=_count(1), default=1, help="random-ext kernel dimension")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
 
     p = add("table", cmd_table, help="dimension-bound table rows")
-    p.add_argument("-n", type=int, default=10, help="largest n (default 10)")
+    p.add_argument("-n", type=_count(1), default=10, help="largest n (default 10)")
 
     return parser
 
@@ -351,15 +390,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (algfile.AlgebraFileError, FieldMismatchError, OSError) as exc:
-        return _fail_input(str(exc))
-    except NotCentralIdealError as exc:
+    except _INPUT_ERRORS as exc:
         return _fail_input(str(exc))
     except InvalidAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except ValueError as exc:
-        return _fail_input(str(exc))
+    except Exception:
+        import traceback  # only on this path: start-up time dominates short commands
+
+        print("internal error (a bug in trialg, not in the input):", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebra import IDENTITIES, OPS, TriAlgebra
+from .algebra import IDENTITIES, OPS, TriAlgebra, _cleared, _identity_defects
 from .fields import check_same_field
 from .linalg import Matrix, Subspace, inverse, kernel
 
@@ -212,37 +212,14 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
     is a cocycle exactly when every defect vanishes.
     """
     base = f.base
-    fld = base.field
-    add, sub, mul = fld.add, fld.sub, fld.mul
-    k = f.coeff_dim
-    by_first: dict[str, dict[int, list]] = {op: {} for op in OPS}
-    by_second: dict[str, dict[int, list]] = {op: {} for op in OPS}
-    for op in OPS:
-        for (i, j), val in f.forms[op].items():
-            by_first[op].setdefault(i, []).append((j, val))
-            by_second[op].setdefault(j, []).append((i, val))
-    violations = []
-    for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
-        acc: dict[tuple[int, int, int], list] = {}
-        for (i, j), vab in base.products[op_a].items():
-            for m, s in vab.items():
-                for l, val in by_first[op_b].get(m, ()):  # noqa: E741
-                    slot = acc.setdefault((i, j, l), [fld.zero] * k)
-                    for t, v in enumerate(val):
-                        if v:
-                            slot[t] = add(slot[t], mul(s, v))
-        for (j, l), vbc in base.products[op_d].items():  # noqa: E741
-            for m, s in vbc.items():
-                for i, val in by_second[op_c].get(m, ()):
-                    slot = acc.setdefault((i, j, l), [fld.zero] * k)
-                    for t, v in enumerate(val):
-                        if v:
-                            slot[t] = sub(slot[t], mul(s, v))
-        for triple in sorted(acc):
-            slot = acc[triple]
-            if any(slot):
-                violations.append(CocycleViolation(idx, triple, tuple(slot)))
-    return violations
+    d, products = base._cleared_products()
+    forms = {op: {key: {t: v for t, v in enumerate(val) if v} for key, val in table.items()}
+             for op, table in f.forms.items()}
+    e, forms = _cleared(base.field, forms)
+    return [
+        CocycleViolation(idx, triple, defect)
+        for idx, triple, defect in _identity_defects(base.field, products, forms, d * e, f.coeff_dim)
+    ]
 
 
 def _scalar_cocycle_matrix(b: TriAlgebra) -> Matrix:
@@ -295,8 +272,8 @@ def _expand_subspace(sub: Subspace, k: int) -> Subspace:
             for idx, v in enumerate(w):
                 if v:
                     big[idx * k + t] = v
-            rows.append(big)
-    return Subspace.from_rows(sub.field, n * k, rows)
+            rows.append(tuple(big))
+    return Subspace._span(Matrix._trusted(sub.field, tuple(rows), n * k))
 
 
 def _z2_scalar(b: TriAlgebra) -> Subspace:
@@ -332,8 +309,8 @@ def _b2_scalar(b: TriAlgebra) -> Subspace:
                     row[(o * n + i) * n + j] = fld.neg(s)
                     nonzero = True
         if nonzero:
-            rows.append(row)
-    result = Subspace.from_rows(fld, 3 * n * n, rows)
+            rows.append(tuple(row))
+    result = Subspace._span(Matrix._trusted(fld, tuple(rows), 3 * n * n))
     b._cache["b2_scalar"] = result
     return result
 
@@ -375,10 +352,10 @@ class CohomologyResult:
             return ()
         if self._solver is None:
             stacked = list(self.b2.basis_rows()) + [r.vectorize() for r in self.h2_reps]
-            t = Matrix(
+            t = Matrix._trusted(
                 self.z2.field,
-                [[row[pc] for pc in self.z2.pivots] for row in stacked],
-                cols=self.z2.dim,
+                tuple(tuple(row[pc] for pc in self.z2.pivots) for row in stacked),
+                self.z2.dim,
             )
             self._solver = inverse(t.transpose())
         w = self._solver.matvec(u)

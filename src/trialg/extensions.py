@@ -75,8 +75,8 @@ class CentralExtension:
 
     def center_image(self) -> Subspace:
         """Image of the total algebra's center under the projection."""
-        rows = [self.projection.matvec(z) for z in self.total.center().space.basis_rows()]
-        return Subspace.from_rows(self.base.field, self.base.dim, rows)
+        rows = tuple(self.projection.matvec(z) for z in self.total.center().space.basis_rows())
+        return Subspace._span(Matrix._trusted(self.base.field, rows, self.base.dim))
 
     def validate(self) -> None:
         """Check the structural invariants; raises on failure."""
@@ -138,15 +138,9 @@ def build_central_extension(b: TriAlgebra, k: int, f: CochainTriple) -> CentralE
     total = extension_algebra(b, f)
     fld = b.field
     n = b.dim
-    kernel_rows = [
-        [fld.one if c == n + t else fld.zero for c in range(n + k)] for t in range(k)
-    ]
-    kernel_space = Subspace.from_rows(fld, n + k, kernel_rows)
-    proj = Matrix(
-        fld,
-        [[fld.one if c == r else fld.zero for c in range(n + k)] for r in range(n)],
-        cols=n + k,
-    )
+    identity = Matrix.identity(fld, n + k).data
+    kernel_space = Subspace._span(Matrix._trusted(fld, identity[n:], n + k))
+    proj = Matrix._trusted(fld, identity[:n], n + k)
     return CentralExtension(total, b, AlgSubspace(total, kernel_space), proj, f)
 
 
@@ -164,8 +158,8 @@ def _stem_reduce(ext: CentralExtension) -> CentralExtension:
     quot = quotient_algebra(total, e_space)
     new_total = quot.algebra
     new_proj = ext.projection @ quot.section
-    new_kernel_rows = [quot.projection.matvec(v) for v in ext.kernel.space.basis_rows()]
-    new_kernel = Subspace.from_rows(new_total.field, new_total.dim, new_kernel_rows)
+    new_kernel_rows = tuple(quot.projection.matvec(v) for v in ext.kernel.space.basis_rows())
+    new_kernel = Subspace._span(Matrix._trusted(new_total.field, new_kernel_rows, new_total.dim))
     reduced = CentralExtension(
         new_total, ext.base, AlgSubspace(new_total, new_kernel), new_proj, None
     )

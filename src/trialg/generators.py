@@ -22,6 +22,7 @@ __all__ = [
     "random_cocycles",
     "random_extension",
     "random_valid_algebra",
+    "NoCocyclesError",
 ]
 
 
@@ -59,11 +60,15 @@ def unital_dim1(field: Field = QQ) -> TriAlgebra:
     )
 
 
+class NoCocyclesError(ValueError):
+    """The base algebra has no nonzero cocycle to extend it by."""
+
+
 def random_cocycles(base: TriAlgebra, k: int, rng: random.Random) -> list[CochainTriple]:
     """k nonzero cocycles sampled inside Z^2(base, F) with small coefficients."""
     z2 = z2_space(base, 1)
     if z2.dim == 0:
-        raise ValueError("base has no nonzero cocycles to sample")
+        raise NoCocyclesError("base has no nonzero cocycles to sample")
     fld = base.field
     out = []
     for _ in range(k):
@@ -105,7 +110,7 @@ def random_valid_algebra(rng: random.Random, field: Field = QQ, max_dim: int = 6
         k = rng.randint(1, min(2, room))
         try:
             cocycles = random_cocycles(alg, k, rng)
-        except ValueError:
+        except NoCocyclesError:
             break
         stacked = CochainTriple.stack(alg, cocycles)
         alg = build_central_extension(alg, k, stacked).total

@@ -1,21 +1,31 @@
 """Deterministic exact linear algebra over Q and F_p.
 
-Matrices are dense tuples of exact scalars; elimination runs on sparse rows.
-Every reduction in this module -- ``rref``, ``kernel``, subspace spans,
-``complement_in`` and ``reduce_vector`` -- goes through one loop,
-``_eliminate``: a row held as a ``{column: nonzero}`` dict is cleared of the
-pivot columns of an echelon map ``pivot column -> normalised row``.  The
+Matrices are dense tuples of exact scalars; elimination runs on sparse rows
+of plain ints.  Every reduction in this module -- ``rref``, ``kernel``,
+subspace spans, ``complement_in`` and ``reduce_vector`` -- goes through one
+loop, ``_eliminate``: a row held as a ``{column: int}`` dict is cleared of
+the pivot columns of an echelon map ``pivot column -> (lead, tail)``.  The
 constraint systems this package builds are well under 1 % nonzero, so the
 work follows the nonzeros instead of rows x columns.
+
+Field scalars are converted to ints on the way in and back once on the way
+out.  Over Q each row is multiplied by the lcm of its denominators and
+elimination is fraction-free (Bareiss 1968): clearing a pivot scales the row
+by ``lead / gcd(t, lead)`` instead of dividing, and every stored echelon row
+is divided by its content, so no ``Fraction`` arithmetic runs in the loop.
+Over F_p the same loop runs with every lead normalised to 1; entries are
+reduced mod p only when read as a pivot entry and once at the end of a row.
 
 The outputs are canonical: a subspace is stored as the unique RREF basis of
 its row space, so two subspaces are equal as sets exactly when their stored
 bases are identical entry-wise, and ``rref`` returns the unique RREF of the
 row space with its pivot columns.  Because that RREF depends on the row
-space alone, the order in which rows are eliminated cannot change it; the
-forward pass takes the rows in input order, and a back-substitution pass
-then reduces every echelon row against the pivots to its right.  Everything
-downstream leans on that canonicity for exact equality tests.
+space alone, neither the order in which rows are eliminated nor the integer
+multiples they are held as can change it: ``rref`` keeps its echelon map
+fully reduced while it inserts the rows in input order, and only at the
+end writes entry ``x`` of a row with lead ``lead`` as the field scalar
+``x / lead``.  Everything downstream leans on that canonicity for exact
+equality tests.
 
 ``Matrix(field, data)`` coerces every entry into the field.  Matrices built
 inside the package from scalars that are already field elements (elimination
@@ -26,10 +36,13 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import compress
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .fields import Field, check_same_field
+from .fields import Field, PrimeField, check_same_field
 
 __all__ = [
     "Matrix",
@@ -187,19 +200,55 @@ class Matrix:
 
 # ------------------------------------------------------- sparse elimination
 #
-# An echelon map sends each pivot column p to the tail of its row: a dict of
-# the nonzero entries right of p, the entry at p itself being an implicit 1.
+# A row is a ``{column: int}`` dict of its nonzero entries.  An echelon map
+# sends each pivot column p to ``(lead, tail)``: the row's entry at p and a
+# dict of its entries right of p.  Over Q every stored row is primitive
+# (content 1) with a positive lead; over F_p every lead is 1.  Clearing
+# pivot c from a row whose entry there is t is fraction-free:
+# ``row <- (lead/g) row - (t/g) tail`` for ``g = gcd(t, lead)``, which over
+# F_p is ``row <- row - t tail``.
 
 
-def _sparse(row: Sequence, zero) -> dict:
+def _modulus(field: Field) -> int:
+    """p over F_p, 0 over Q."""
+    return field.p if isinstance(field, PrimeField) else 0
+
+
+def _int_row(row: Sequence, zero, mod: int) -> tuple[dict, int]:
+    """The nonzero entries of a row of field scalars as ints, with the
+    factor they were scaled by: the lcm of the denominators over Q, 1 over
+    F_p."""
+    if mod:  # residues are ints, whose truth test compress runs in C
+        return {j: row[j] for j in compress(range(len(row)), row)}, 1
     # The identity test skips the field's shared zero object cheaply; only
     # other entries pay for a truth test, a Python call for a Fraction.
-    return {j: x for j, x in enumerate(row) if x is not zero and x}
+    r = {j: x for j, x in enumerate(row) if x is not zero and x}
+    if not r:
+        return r, 1
+    d = lcm(*[x.denominator for x in r.values()])
+    if d == 1:
+        return {j: x.numerator for j, x in r.items()}, 1
+    return {j: x.numerator * (d // x.denominator) for j, x in r.items()}, d
 
 
-def _eliminate(row: dict, echelon: dict, field: Field) -> dict:
-    """Clear every pivot column of ``echelon`` from the sparse ``row``, in
-    place, and return it.
+def _residues(row: dict, mod: int) -> dict:
+    return {j: r for j, x in row.items() if (r := x % mod)}
+
+
+def _primitive(lead: int, tail: dict) -> tuple[int, dict]:
+    """Divide a Q row by its content, signed so that the lead is positive."""
+    g = gcd(lead, *tail.values())
+    if lead < 0:
+        g = -g
+    if g == 1:
+        return lead, tail
+    return lead // g, {j: x // g for j, x in tail.items()}
+
+
+def _eliminate(row: dict, echelon: dict, mod: int) -> int:
+    """Clear every pivot column of ``echelon`` from the integer ``row``, in
+    place.  Returns the factor ``s`` the row was scaled by: the result is
+    ``s * row`` minus a combination of echelon rows (over F_p, s is 1).
 
     A tail has no entries left of its pivot, so subtracting one only touches
     columns right of the one it clears: clearing pivots in ascending order
@@ -207,67 +256,110 @@ def _eliminate(row: dict, echelon: dict, field: Field) -> dict:
     """
     todo = [c for c in row if c in echelon]
     if not todo:
-        return row
+        return 1
     heapify(todo)
-    sub, mul, neg = field.sub, field.mul, field.neg
+    scale = 1
+    get, pop = row.get, row.pop
     while todo:
         c = heappop(todo)
-        t = row.pop(c, None)
+        t = pop(c, None)
         if t is None:  # cancelled, or a repeated heap entry
             continue
-        for j, e in echelon[c].items():
-            x = row.get(j)
+        if mod:
+            t %= mod
+            if not t:
+                continue
+        lead, tail = echelon[c]
+        if lead != 1:
+            g = gcd(t, lead)
+            if g != lead:
+                a = lead // g
+                for j, x in row.items():
+                    row[j] = x * a
+                scale *= a
+            t //= g
+        for j, e in tail.items():
+            x = get(j)
             if x is None:
-                row[j] = neg(mul(t, e))
+                row[j] = -t * e
                 if j in echelon:
                     heappush(todo, j)
             else:
-                x = sub(x, mul(t, e))
+                x -= t * e
                 if x:
                     row[j] = x
                 else:
                     del row[j]
-    return row
+    return scale
 
 
-def _insert(row: dict, echelon: dict, field: Field) -> bool:
+def _insert(row: dict, echelon: dict, mod: int) -> int | None:
     """Reduce ``row`` against ``echelon`` and, if anything is left, add it as
-    a new pivot row; returns whether it was added."""
-    _eliminate(row, echelon, field)
+    a new pivot row; returns its pivot column, or None."""
+    _eliminate(row, echelon, mod)
+    if mod:
+        row = _residues(row, mod)
     if not row:
-        return False
+        return None
     p = min(row)
-    s = field.inv(row.pop(p))
-    if s != field.one:
-        mul = field.mul
-        row = {j: mul(s, x) for j, x in row.items()}
-    echelon[p] = row
-    return True
+    lead = row.pop(p)
+    if not mod:
+        echelon[p] = _primitive(lead, row)
+        return p
+    if lead != 1:
+        s = pow(lead, -1, mod)
+        row = {j: x * s % mod for j, x in row.items()}
+    echelon[p] = (1, row)
+    return p
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row-echelon form with its pivot columns.
 
     The result has ``m.rows`` rows: the nonzero rows in pivot order, then
-    zero rows.  The forward pass inserts the rows in order into an echelon
-    map; the backward pass, from the rightmost pivot down, clears each tail
-    of the pivots to its right, whose rows are final by then.
+    zero rows.  The rows are inserted in order into an echelon map that is
+    kept fully reduced: a new row is cleared of the pivots so far, and its
+    own pivot is then cleared from the earlier rows that hold it.  So tails
+    hold non-pivot columns only, a row costs one step per pivot column it
+    touches (most rows of a cocycle system reduce to zero), and the map
+    ends as the RREF.  Only then are the integer rows turned back into
+    field scalars, ``x / lead``.
     """
     f = m.field
     zero, one = f.zero, f.one
+    mod = _modulus(f)
     echelon: dict = {}
+    holders: dict = {}  # column -> pivots whose tail may hold it (stale ones included)
     for row in m.data:
-        _insert(_sparse(row, zero), echelon, f)
-    final: dict = {}
-    for p in sorted(echelon, reverse=True):
-        final[p] = _eliminate(echelon[p], final, f)
-    pivots = tuple(sorted(final))
+        p = _insert(_int_row(row, zero, mod)[0], echelon, mod)
+        if p is None:
+            continue
+        new = {p: echelon[p]}
+        cols = echelon[p][1].keys()
+        for q in holders.pop(p, ()):
+            lead, tail = echelon[q]
+            if p in tail:
+                s = _eliminate(tail, new, mod)
+                echelon[q] = (1, _residues(tail, mod)) if mod else _primitive(lead * s, tail)
+                for j in cols:
+                    holders.setdefault(j, []).append(q)
+        for j in cols:
+            holders.setdefault(j, []).append(p)
+    pivots = tuple(sorted(echelon))
     out = []
     for p in pivots:
+        lead, tail = echelon[p]
         row = [zero] * m.cols
         row[p] = one
-        for j, x in final[p].items():
-            row[j] = x
+        if mod:
+            for j, x in tail.items():
+                row[j] = x
+        elif lead == 1:
+            for j, x in tail.items():
+                row[j] = Fraction(x)
+        else:
+            for j, x in tail.items():
+                row[j] = Fraction(x, lead)
         out.append(tuple(row))
     out += [(zero,) * m.cols] * (m.rows - len(pivots))
     return Matrix._trusted(f, tuple(out), m.cols), pivots
@@ -376,34 +468,42 @@ class Subspace:
         """The basis as an echelon map; its tails are shared, never modified."""
         if self._echelon is None:
             zero = self.field.zero
+            mod = _modulus(self.field)
             echelon = {}
             for p, row in zip(self.pivots, self.basis.data):
-                echelon[p] = tail = _sparse(row, zero)
-                del tail[p]
+                tail = _int_row(row, zero, mod)[0]
+                echelon[p] = (tail.pop(p), tail)
             self._echelon = echelon
         return self._echelon
 
-    def _residual(self, v: Sequence) -> dict:
+    def _residual(self, v: Sequence) -> tuple[dict, int]:
+        """The residual of ``v`` after eliminating this subspace's pivots, as
+        nonzero ints and the factor they are scaled by."""
         coerce = self.field.coerce
         w = [coerce(x) for x in v]
         if len(w) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return _eliminate(_sparse(w, self.field.zero), self._tails(), self.field)
+        mod = _modulus(self.field)
+        row, d = _int_row(w, self.field.zero, mod)
+        d *= _eliminate(row, self._tails(), mod)
+        return (_residues(row, mod) if mod else row), d
 
     def reduce_vector(self, v: Sequence) -> tuple:
         """Residual of ``v`` after eliminating this subspace's pivots."""
+        row, d = self._residual(v)
+        mod = _modulus(self.field)
         w = [self.field.zero] * self.ambient_dim
-        for j, x in self._residual(v).items():
-            w[j] = x
+        for j, x in row.items():
+            w[j] = x if mod else Fraction(x, d)
         return tuple(w)
 
     def contains_vector(self, v: Sequence) -> bool:
-        return not self._residual(v)
+        return not self._residual(v)[0]
 
     def coordinates(self, v: Sequence) -> tuple:
         """Coefficients of ``v`` in the canonical basis; errors if outside."""
         coords = tuple(self.field.coerce(v[pc]) for pc in self.pivots)
-        if self._residual(v):
+        if self._residual(v)[0]:
             raise ValueError("vector is not in the subspace")
         return coords
 
@@ -443,11 +543,11 @@ class Subspace:
         if not sup.contains(self):
             raise ContainmentError("complement requires containment in the larger space")
         echelon = dict(self._tails())
-        one = self.field.one
+        mod = _modulus(self.field)
         kept = [
             r
-            for r, (p, tail) in enumerate(sup._tails().items())
-            if _insert({p: one, **tail}, echelon, self.field)
+            for r, (p, (lead, tail)) in enumerate(sup._tails().items())
+            if _insert({p: lead, **tail}, echelon, mod) is not None
         ]
         basis = tuple(sup.basis.data[r] for r in kept)
         return Subspace(

@@ -74,9 +74,7 @@ class SeqMap:
         return rank(self.matrix)
 
     def image(self) -> Subspace:
-        return Subspace.from_rows(
-            self.matrix.field, self.codomain_dim, self.matrix.transpose().data
-        )
+        return Subspace._span(self.matrix.transpose())
 
     def kernel_space(self) -> Subspace:
         return kernel(self.matrix)
@@ -107,7 +105,7 @@ class _CentralIdealContext:
     # --- unflatten helpers ---------------------------------------------
 
     def _unflatten(self, vec, width):
-        return [list(vec[t * width : (t + 1) * width]) for t in range(self.k)]
+        return tuple(tuple(vec[t * width : (t + 1) * width]) for t in range(self.k))
 
     def _flatten(self, mat_rows):
         out = []
@@ -122,8 +120,8 @@ class _CentralIdealContext:
         beta = self.quot.projection
         cols = []
         for basis_vec in self.hom_q.basis_rows():
-            chi = Matrix(self.alg.field, self._unflatten(basis_vec, self.quot.algebra.dim),
-                         cols=self.quot.algebra.dim)
+            chi = Matrix._trusted(self.alg.field, self._unflatten(basis_vec, self.quot.algebra.dim),
+                                  self.quot.algebra.dim)
             composed = chi @ beta
             cols.append(self.hom_l.coordinates(self._flatten(composed.data)))
         return SeqMap("inf1", _columns_matrix(self.alg.field, cols, self.hom_l.dim),
@@ -131,11 +129,11 @@ class _CentralIdealContext:
 
     def res(self) -> SeqMap:
         """Restriction along the inclusion Z -> L."""
-        zbasis_t = Matrix(self.alg.field, self.z.basis_rows(), cols=self.alg.dim).transpose()
+        zbasis_t = self.z.basis.transpose()
         cols = []
         for basis_vec in self.hom_l.basis_rows():
-            chi = Matrix(self.alg.field, self._unflatten(basis_vec, self.alg.dim),
-                         cols=self.alg.dim)
+            chi = Matrix._trusted(self.alg.field, self._unflatten(basis_vec, self.alg.dim),
+                                  self.alg.dim)
             restricted = chi @ zbasis_t
             cols.append(self.hom_z.coordinates(self._flatten(restricted.data)))
         return SeqMap("res", _columns_matrix(self.alg.field, cols, self.hom_z.dim),
@@ -243,8 +241,8 @@ class _CentralIdealContext:
 def _columns_matrix(field, cols, nrows) -> Matrix:
     if not cols:
         return Matrix.zeros(field, nrows, 0)
-    data = [[col[r] for col in cols] for r in range(nrows)]
-    return Matrix(field, data, cols=len(cols))
+    data = tuple(tuple(col[r] for col in cols) for r in range(nrows))
+    return Matrix._trusted(field, data, len(cols))
 
 
 def inf1(l: TriAlgebra, z, k: int = 1) -> SeqMap:

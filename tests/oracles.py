@@ -93,7 +93,8 @@ def unit_vector(field, n, i):
 
 
 def direct_identity_defects(alg):
-    """Evaluate both sides of every identity on every basis triple."""
+    """Evaluate both sides of every identity on every basis triple:
+    ``(identity, triple, lhs - rhs)`` wherever the two sides differ."""
     n = alg.dim
     basis = [unit_vector(alg.field, n, i) for i in range(n)]
     bad = []
@@ -102,15 +103,33 @@ def direct_identity_defects(alg):
             lhs = alg.multiply(alg.multiply(basis[i], basis[j], op_a), basis[l], op_b)
             rhs = alg.multiply(basis[i], alg.multiply(basis[j], basis[l], op_d), op_c)
             if lhs != rhs:
-                bad.append((idx, (i, j, l)))
+                bad.append((idx, (i, j, l), tuple(alg.field.sub(a, b) for a, b in zip(lhs, rhs))))
     return bad
 
 
 def dense_cocycle_rows(base, k):
     """All-triples constraint rows for the cocycle system, dense."""
+    return [row for _, _, _, row in _labelled_cocycle_rows(base, k)]
+
+
+def dense_cocycle_defects(f):
+    """Defects of a cochain as dense constraint rows times its vector:
+    ``(family, triple, k-vector)`` wherever that vector is nonzero."""
+    fld = f.base.field
+    vec = f.vectorize()
+    values = {}
+    for idx, triple, t, row in _labelled_cocycle_rows(f.base, f.coeff_dim):
+        acc = fld.zero
+        for a, x in zip(row, vec):
+            acc = fld.add(acc, fld.mul(a, x))
+        values.setdefault((idx, triple), [fld.zero] * f.coeff_dim)[t] = acc
+    return [(idx, triple, tuple(v)) for (idx, triple), v in values.items() if any(v)]
+
+
+def _labelled_cocycle_rows(base, k):
     n = base.dim
     rows = []
-    for op_a, op_b, op_c, op_d in IDENTITIES:
+    for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
         ob, oc = OPS.index(op_b), OPS.index(op_c)
         for i, j, l in product(range(n), repeat=3):  # noqa: E741
             ca = base.product(op_a, i, j)
@@ -127,7 +146,7 @@ def dense_cocycle_rows(base, k):
                     if cd[m]:
                         col = ((oc * n + i) * n + m) * k + t
                         row[col] = base.field.sub(row[col], cd[m])
-                rows.append(row)
+                rows.append((idx, (i, j, l), t, row))
     return rows
 
 

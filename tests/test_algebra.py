@@ -80,9 +80,45 @@ def test_axiom_report_matches_direct_evaluation_oracle(random_corpus):
             products[op] = table
         algebras.append(TriAlgebra(n, QQ, products))
     for alg in algebras:
-        expected = {(v_idx, triple) for v_idx, triple in direct_identity_defects(alg)}
+        expected = {(v_idx, triple) for v_idx, triple, _ in direct_identity_defects(alg)}
         got = {(v.axiom, v.triple) for v in alg.axiom_report().violations}
         assert got == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(11)])
+def test_axiom_defect_values_match_direct_evaluation(field):
+    """Full defect vectors, not just their positions, on constants with
+    denominators 2..9: random non-algebras and rebased valid algebras, each
+    also with one constant perturbed."""
+    rng = random.Random(2718)
+    algebras = []
+    for _ in range(6):
+        n = rng.randint(1, 3)
+        products = {
+            op: {
+                (rng.randrange(n), rng.randrange(n)): {
+                    rng.randrange(n): field.from_quotient(rng.choice([-7, -3, -1, 1, 2, 5]),
+                                                          rng.choice([2, 3, 4, 9]))
+                }
+                for _ in range(rng.randint(0, 3))
+            }
+            for op in OPS
+        }
+        algebras.append(TriAlgebra(n, field, products))
+    for _ in range(4):
+        alg = random_valid_algebra(rng, field, max_dim=4)
+        alg = change_basis(alg, random_invertible(rng, alg.dim, field))
+        algebras.append(alg)
+        products = {op: {key: dict(vec) for key, vec in alg.products[op].items()} for op in OPS}
+        vec = products[VDASH].setdefault((0, 0), {})
+        vec[0] = field.add(vec.get(0, field.zero), field.from_quotient(1, 3))
+        algebras.append(TriAlgebra(alg.dim, field, products))
+    fractional = 0
+    for alg in algebras:
+        got = [(v.axiom, v.triple, v.defect) for v in alg.axiom_report().violations]
+        assert got == direct_identity_defects(alg)
+        fractional += sum(1 for _, _, d in got for x in d if field is QQ and x.denominator > 1)
+    assert fractional > 0 or field is not QQ
 
 
 def test_malformed_rejected():

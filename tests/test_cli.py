@@ -81,6 +81,43 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["h2", "unused.json", "-k", "0"],
+        ["gen", "abelian", "-n", "-1"],
+        ["gen", "random-ext", "--base", "abelian2", "-k", "0"],
+        ["gen", "abelian", "-n", "2", "--field", "Fp:8"],
+        ["table", "-n", "0"],
+    ],
+)
+def test_bad_arguments_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_base_without_cocycles_exit_2(capsys):
+    code, _, err = run(capsys, "gen", "random-ext", "--base", "abelian0")
+    assert code == 2
+    assert "no nonzero cocycles" in err
+
+
+def test_internal_error_exit_3(capsys, monkeypatch, dim2_file):
+    """A library bug surfacing as ValueError is not reported as bad input."""
+
+    def broken(alg, k):
+        raise ValueError("invariant broken")
+
+    monkeypatch.setattr("trialg.cli.h2_of", broken)
+    code, out, err = run(capsys, "h2", dim2_file)
+    assert code == 3
+    assert out == ""
+    assert "internal error" in err
+    assert "Traceback" in err and "invariant broken" in err
+
+
 # ----------------------------------------------------------- invariants
 
 

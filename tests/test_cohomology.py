@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from trialg.algebra import DASHV, OPS, PERP, TriAlgebra, VDASH
+from trialg.algebra import DASHV, OPS, PERP, TriAlgebra, VDASH, change_basis
 from trialg.cohomology import (
     CochainTriple,
     CohomologyResult,
@@ -17,10 +17,16 @@ from trialg.cohomology import (
 )
 from trialg.extensions import build_central_extension, extension_algebra
 from trialg.fields import GF, QQ
-from trialg.generators import abelian, cover_abelian, dim2_single_product, unital_dim1
-from trialg.linalg import Matrix, Subspace
+from trialg.generators import (
+    abelian,
+    cover_abelian,
+    dim2_single_product,
+    random_valid_algebra,
+    unital_dim1,
+)
+from trialg.linalg import Matrix, Subspace, random_invertible
 
-from oracles import dense_z2_dim
+from oracles import dense_cocycle_defects, dense_z2_dim
 
 
 def random_cochain(base, k, rng, density=0.5):
@@ -174,6 +180,25 @@ def test_cocycle_membership_iff_extension_validates(dim2, example_cover_1):
         assert checked_valid > 5
         if base.products[VDASH] or base.products[DASHV] or base.products[PERP]:
             assert checked_invalid > 5
+
+
+@pytest.mark.parametrize("field", [QQ, GF(11)])
+def test_cocycle_defect_values_match_dense_rows(field):
+    """Defect vectors of fractional cochains on rebased (dense, fractional)
+    bases against the dense constraint rows times the cochain vector."""
+    rng = random.Random(31)
+    nonzero = 0
+    for _ in range(8):
+        base = random_valid_algebra(rng, field, max_dim=4)
+        base = change_basis(base, random_invertible(rng, base.dim, field))
+        k = rng.randint(1, 2)
+        vec = [field.from_quotient(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7]))
+               for _ in range(3 * base.dim * base.dim * k)]
+        f = CochainTriple.from_vector(base, k, vec)
+        got = [(v.axiom, v.triple, v.defect) for v in cocycle_defects(f)]
+        assert got == dense_cocycle_defects(f)
+        nonzero += len(got)
+    assert nonzero > 0
 
 
 # ------------------------------------------------------ section cocycles

@@ -222,17 +222,28 @@ def test_subspace_ops_over_prime_field():
 # ------------------------------------- sparse kernel vs dense reference
 
 
+SMALL_SCALARS = {
+    QQ: st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    GF(7): st.integers(0, 6),
+}
+
+# Numerators up to 10^6 over denominators up to 97, and a 61-bit prime:
+# negative leads, row contents above 1 and coefficient growth.
+MERSENNE_61 = GF(2**61 - 1)
+WIDE_SCALARS = {
+    QQ: st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 97)),
+    MERSENNE_61: st.integers(0, 2**61 - 2),
+}
+
+
 @st.composite
-def field_matrices(draw):
+def field_matrices(draw, scalars=SMALL_SCALARS):
     """A field, a column count and coerced rows: dense or sparse, with zero
     rows and columns, empty shapes, and rows that are combinations of others."""
-    field = draw(st.sampled_from([QQ, GF(7)]))
+    field = draw(st.sampled_from(list(scalars)))
     ncols = draw(st.integers(0, 8))
     nrows = draw(st.integers(0, 7))
-    if field is QQ:
-        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    else:
-        scalar = st.integers(0, 6)
+    scalar = scalars[field]
     rows = [[field.zero] * ncols for _ in range(nrows)]
     if draw(st.booleans()):
         for row in rows:
@@ -284,3 +295,30 @@ def test_complement_matches_repeated_span_definition(case, data):
     )
     assert comp == Subspace.from_rows(field, ncols, comp.basis_rows())
     assert sub.plus(comp) == sup
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(WIDE_SCALARS), st.data())
+def test_wide_coefficients_match_dense_reference(case, data):
+    field, ncols, rows = case
+    scalar = WIDE_SCALARS[field]
+    m = Matrix(field, rows, cols=ncols)
+    red, pivots = rref(m)
+    assert (red.data, pivots) == dense_rref(field, rows, ncols)
+    ker = kernel(m)
+    assert (ker.basis.data, ker.pivots) == dense_kernel(field, rows, ncols)
+    sup = Subspace.from_rows(field, ncols, rows)
+    probes = [[field.coerce(data.draw(scalar)) for _ in range(ncols)] for _ in range(2)]
+    for v in rows + probes:
+        assert sup.reduce_vector(v) == dense_residual(field, sup.basis.data, sup.pivots, v)
+    coeffs = data.draw(st.lists(st.lists(scalar, min_size=sup.dim, max_size=sup.dim), max_size=3))
+    sub_rows = [
+        [sum((field.mul(field.coerce(c), r[j]) for c, r in zip(cs, sup.basis_rows())), field.zero)
+         for j in range(ncols)]
+        for cs in coeffs
+    ]
+    sub = Subspace.from_rows(field, ncols, sub_rows)
+    comp = sub.complement_in(sup)
+    assert (comp.basis.data, comp.pivots) == dense_complement(
+        field, sub.basis_rows(), sup.basis_rows(), ncols
+    )
