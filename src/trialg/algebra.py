@@ -383,12 +383,10 @@ class TriAlgebra:
     def derived(self) -> "AlgSubspace":
         """Span of all products of basis pairs, over all three operations."""
         if self._derived is None:
-            rows = []
-            for op in OPS:
-                for key in self.products[op]:
-                    rows.append(self.product(op, *key))
+            d, products = self._cleared_products()
+            rows = tuple((vec, d) for op in OPS for vec in products[op].values())
             self._derived = AlgSubspace(
-                self, Subspace._span(Matrix._trusted(self.field, tuple(rows), self.dim))
+                self, Subspace._span(Matrix._from_ints(self.field, rows, self.dim))
             )
         return self._derived
 
@@ -396,22 +394,21 @@ class TriAlgebra:
         """Elements z with z * x = x * z = 0 for all x and all products.
 
         Computed as the kernel of the stacked left/right multiplication
-        constraints assembled from the sparse tables.
+        constraints assembled from the denominator-cleared sparse tables: row
+        (op, left, j, k) holds the coordinate k of e_i op e_j at column i, and
+        (op, right, i, k) that of e_i op e_j at column j, each entry from
+        one product.
         """
         if self._center is None:
-            f = self.field
-            add = f.add
-            rows_map: dict[tuple, list] = {}
+            d, products = self._cleared_products()
+            rows_map: dict[tuple, dict] = {}
             for op in OPS:
-                for (i, j), vec in self.products[op].items():
+                for (i, j), vec in products[op].items():
                     for k, s in vec.items():
-                        left = rows_map.setdefault((op, 0, j, k), [f.zero] * self.dim)
-                        left[i] = add(left[i], s)
-                        right = rows_map.setdefault((op, 1, i, k), [f.zero] * self.dim)
-                        right[j] = add(right[j], s)
-            rows = tuple(tuple(rows_map[key]) for key in sorted(rows_map))
-            mat = Matrix._trusted(f, rows, self.dim)
-            self._center = AlgSubspace(self, kernel(mat))
+                        rows_map.setdefault((op, 0, j, k), {})[i] = s
+                        rows_map.setdefault((op, 1, i, k), {})[j] = s
+            rows = tuple((rows_map[key], d) for key in sorted(rows_map))
+            self._center = AlgSubspace(self, kernel(Matrix._from_ints(self.field, rows, self.dim)))
         return self._center
 
     def __eq__(self, other):

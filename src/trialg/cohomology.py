@@ -18,11 +18,12 @@ makes that expansion exact, not a convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 from .algebra import IDENTITIES, OPS, TriAlgebra, _cleared, _identity_defects
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, inverse, kernel
+from .linalg import Matrix, Subspace, _modulus, _residues, _scalar_rows, inverse, kernel
 
 __all__ = [
     "CochainTriple",
@@ -101,6 +102,40 @@ class CochainTriple:
         self.forms = {op: dict(sorted(norm[op].items())) for op in OPS}
 
     @classmethod
+    def _trusted(cls, base: TriAlgebra, coeff_dim: int, forms: dict) -> "CochainTriple":
+        """Package-internal constructor: ``forms`` already has every
+        operation, in ``OPS`` order, each table sorted by basis pair and
+        holding ``coeff_dim``-tuples of field scalars, none all zero."""
+        c = object.__new__(cls)
+        c.base = base
+        c.coeff_dim = coeff_dim
+        c.forms = forms
+        return c
+
+    @classmethod
+    def _from_entries(cls, base: TriAlgebra, coeff_dim: int, entries: dict) -> "CochainTriple":
+        """The cochain whose vector (see :meth:`vectorize`) has the field
+        scalars ``entries`` ``{index: scalar}`` and zeros elsewhere."""
+        n, k = base.dim, coeff_dim
+        zero = base.field.zero
+        forms: dict = {op: {} for op in OPS}
+        for idx in sorted(entries):
+            x = entries[idx]
+            if not x:
+                continue
+            pair, t = divmod(idx, k)
+            o, ij = divmod(pair, n * n)
+            table = forms[OPS[o]]
+            key = divmod(ij, n)
+            val = table.get(key)
+            if val is None:
+                val = table[key] = [zero] * k
+            val[t] = x
+        return cls._trusted(
+            base, k, {op: {key: tuple(v) for key, v in table.items()} for op, table in forms.items()}
+        )
+
+    @classmethod
     def zero(cls, base: TriAlgebra, coeff_dim: int) -> "CochainTriple":
         return cls(base, coeff_dim, {})
 
@@ -109,15 +144,12 @@ class CochainTriple:
         n = base.dim
         if len(vec) != 3 * n * n * coeff_dim:
             raise ValueError("vector length does not match 3*n^2*k")
-        forms: dict = {op: {} for op in OPS}
-        for o, op in enumerate(OPS):
-            for i in range(n):
-                for j in range(n):
-                    start = ((o * n + i) * n + j) * coeff_dim
-                    val = tuple(vec[start : start + coeff_dim])
-                    if any(val):
-                        forms[op][(i, j)] = val
-        return cls(base, coeff_dim, forms)
+        if coeff_dim < 0:
+            raise ValueError("coefficient dimension must be >= 0")
+        coerce = base.field.coerce
+        return cls._from_entries(
+            base, coeff_dim, {i: coerce(vec[i]) for i in compress(range(len(vec)), vec)}
+        )
 
     @classmethod
     def stack(cls, base: TriAlgebra, components: Sequence["CochainTriple"]) -> "CochainTriple":
@@ -136,7 +168,9 @@ class CochainTriple:
                         cur = [zero] * k
                         forms[op][key] = cur
                     cur[t] = val[0]
-        return cls(base, k, forms)
+        return cls._trusted(
+            base, k, {op: {key: tuple(forms[op][key]) for key in sorted(forms[op])} for op in OPS}
+        )
 
     def entry(self, op: str, i: int, j: int) -> tuple:
         val = self.forms[op].get((i, j))
@@ -223,57 +257,56 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
 
 
 def _scalar_cocycle_matrix(b: TriAlgebra) -> Matrix:
-    """Constraint matrix of the k = 1 cocycle system.
+    """Constraint matrix of the k = 1 cocycle system, in the sparse form.
 
     Unknown (op, i, j) sits at column (o*n + i)*n + j; rows are ordered by
-    (family index, basis triple).
+    (family index, basis triple), and rows that vanish are left out.  The
+    rows are summed as ints from the algebra's denominator-cleared products,
+    D times the true constraints, and carry D as their denominator.
     """
     n = b.dim
-    fld = b.field
-    add, sub = fld.add, fld.sub
-    rows_map: dict[tuple, dict[int, object]] = {}
+    d, products = b._cleared_products()
+    mod = _modulus(b.field)
+    rows_map: dict[tuple, dict[int, int]] = {}
     for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
         ob = OPS.index(op_b)
         oc = OPS.index(op_c)
-        for (i, j), vab in b.products[op_a].items():
+        # Each key (idx, i, j, l) is set at most once here, before the loop below adds to it.
+        for (i, j), vab in products[op_a].items():
             for l in range(n):  # noqa: E741
-                row = rows_map.setdefault((idx, i, j, l), {})
-                for m, s in vab.items():
-                    col = (ob * n + m) * n + l
-                    row[col] = add(row.get(col, fld.zero), s)
-        for (j, l), vbc in b.products[op_d].items():  # noqa: E741
+                rows_map[(idx, i, j, l)] = {(ob * n + m) * n + l: s for m, s in vab.items()}
+        for (j, l), vbc in products[op_d].items():  # noqa: E741
             for i in range(n):
                 row = rows_map.setdefault((idx, i, j, l), {})
                 for m, s in vbc.items():
                     col = (oc * n + i) * n + m
-                    row[col] = sub(row.get(col, fld.zero), s)
-    ncols = 3 * n * n
-    dense = []
+                    row[col] = row.get(col, 0) - s
+    rows = []
     for key in sorted(rows_map):
-        sparse = rows_map[key]
-        if any(sparse.values()):
-            row = [fld.zero] * ncols
-            for col, v in sparse.items():
-                row[col] = v
-            dense.append(tuple(row))
-    return Matrix._trusted(fld, tuple(dense), ncols)
+        row = rows_map[key]
+        row = _residues(row, mod) if mod else {col: x for col, x in row.items() if x}
+        if row:
+            rows.append((row, d))
+    return Matrix._from_ints(b.field, tuple(rows), 3 * n * n)
 
 
 def _expand_subspace(sub: Subspace, k: int) -> Subspace:
-    """k-fold coordinate expansion: w -> w (x) e_t, coefficient-minor order."""
+    """k-fold coordinate expansion: w -> w (x) e_t, coefficient-minor order.
+
+    Built directly as an echelon map: row (w, t) of an RREF basis has its
+    pivot at p*k + t for w's pivot p, so the rows in (w, t) order have
+    ascending pivots, and a row is nonzero only in coordinate t of each
+    block, where w is zero at every other pivot.  That is the RREF of the
+    expanded span.
+    """
     if k == 1:
         return sub
-    n = sub.ambient_dim
-    zero = sub.field.zero
-    rows = []
-    for w in sub.basis_rows():
-        for t in range(k):
-            big = [zero] * (n * k)
-            for idx, v in enumerate(w):
-                if v:
-                    big[idx * k + t] = v
-            rows.append(tuple(big))
-    return Subspace._span(Matrix._trusted(sub.field, tuple(rows), n * k))
+    echelon = {
+        p * k + t: (lead, {j * k + t: x for j, x in tail.items()})
+        for p, (lead, tail) in sub._tails().items()
+        for t in range(k)
+    }
+    return Subspace._from_echelon(sub.field, sub.ambient_dim * k, echelon)
 
 
 def _z2_scalar(b: TriAlgebra) -> Subspace:
@@ -297,20 +330,15 @@ def _b2_scalar(b: TriAlgebra) -> Subspace:
     if cached is not None:
         return cached
     n = b.dim
-    fld = b.field
-    rows = []
-    for m in range(n):
-        row = [fld.zero] * (3 * n * n)
-        nonzero = False
-        for o, op in enumerate(OPS):
-            for (i, j), vec in b.products[op].items():
-                s = vec.get(m)
-                if s:
-                    row[(o * n + i) * n + j] = fld.neg(s)
-                    nonzero = True
-        if nonzero:
-            rows.append(tuple(row))
-    result = Subspace._span(Matrix._trusted(fld, tuple(rows), 3 * n * n))
+    d, products = b._cleared_products()
+    mod = _modulus(b.field)
+    rows_map: dict[int, dict[int, int]] = {}
+    for o, op in enumerate(OPS):
+        for (i, j), vec in products[op].items():
+            for m, s in vec.items():
+                rows_map.setdefault(m, {})[(o * n + i) * n + j] = mod - s if mod else -s
+    rows = tuple((rows_map[m], d) for m in sorted(rows_map))
+    result = Subspace._span(Matrix._from_ints(b.field, rows, 3 * n * n))
     b._cache["b2_scalar"] = result
     return result
 
@@ -370,7 +398,7 @@ def h2(b: TriAlgebra, k: int = 1) -> CohomologyResult:
     z2 = z2_space(b, k)
     b2 = b2_space(b, k)
     comp = b2.complement_in(z2)
-    reps = [CochainTriple.from_vector(b, k, row) for row in comp.basis_rows()]
+    reps = [CochainTriple._from_entries(b, k, row) for row in _scalar_rows(comp.basis)]
     return CohomologyResult(b, k, z2, b2, reps)
 
 

@@ -1,15 +1,21 @@
 """Deterministic exact linear algebra over Q and F_p.
 
-Matrices are dense tuples of exact scalars; elimination runs on sparse rows
-of plain ints.  Every reduction in this module -- ``rref``, ``kernel``,
-subspace spans, ``complement_in`` and ``reduce_vector`` -- goes through one
-loop, ``_eliminate``: a row held as a ``{column: int}`` dict is cleared of
-the pivot columns of an echelon map ``pivot column -> (lead, tail)``.  The
-constraint systems this package builds are well under 1 % nonzero, so the
-work follows the nonzeros instead of rows x columns.
+A ``Matrix`` is held in one of two forms.  The dense form, ``data``, is a
+tuple of row tuples of exact scalars; every matrix built from outside the
+package has it.  The sparse form holds each row as a ``{column: int}`` dict
+of its nonzero entries with a denominator.  Elimination results and the
+constraint systems this package assembles (cocycle, coboundary, center and
+derived systems, well under 1 % nonzero) are made in the sparse form, and
+``data`` is built from it only when something reads it, so they never pay
+for their zero cells.
 
-Field scalars are converted to ints on the way in and back once on the way
-out.  Over Q each row is multiplied by the lcm of its denominators and
+Every reduction in this module -- ``rref``, ``kernel``, subspace spans,
+``contains``, ``complement_in`` and ``reduce_vector`` -- goes through one
+loop, ``_eliminate``: a row held as a ``{column: int}`` dict is cleared of
+the pivot columns of an echelon map ``pivot column -> (lead, tail)``.
+Sparse rows enter it as they are; dense rows are converted by ``_int_row``.
+
+Over Q each dense row is multiplied by the lcm of its denominators and
 elimination is fraction-free (Bareiss 1968): clearing a pivot scales the row
 by ``lead / gcd(t, lead)`` instead of dividing, and every stored echelon row
 is divided by its content, so no ``Fraction`` arithmetic runs in the loop.
@@ -22,10 +28,12 @@ bases are identical entry-wise, and ``rref`` returns the unique RREF of the
 row space with its pivot columns.  Because that RREF depends on the row
 space alone, neither the order in which rows are eliminated nor the integer
 multiples they are held as can change it: ``rref`` keeps its echelon map
-fully reduced while it inserts the rows in input order, and only at the
-end writes entry ``x`` of a row with lead ``lead`` as the field scalar
-``x / lead``.  Everything downstream leans on that canonicity for exact
-equality tests.
+fully reduced while it inserts the rows in input order, and returns each
+row as its ints over its lead, whose dense form reads ``x / lead``.  So a
+constraint system may be handed over as D times its rows, for the common
+denominator D of an algebra's structure constants, with no change to any
+result.  Everything downstream leans on that canonicity for exact equality
+tests.
 
 ``Matrix(field, data)`` coerces every entry into the field.  Matrices built
 inside the package from scalars that are already field elements (elimination
@@ -72,9 +80,18 @@ class InconsistentSystemError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix over one exact field."""
+    """Immutable matrix over one exact field.
 
-    __slots__ = ("field", "rows", "cols", "data")
+    ``data`` is the dense form: a tuple of row tuples of field scalars.
+    Matrices built inside the package from elimination results and sparse
+    constraint systems are held in the sparse form ``_sparse`` instead: for
+    each row, a ``{column: int}`` dict of its nonzero entries and a
+    denominator ``d``, the row being the ints divided by ``d``.  Over F_p the
+    ints are residues in ``[1, p)`` and ``d`` is 1.  A sparse matrix builds
+    ``data`` the first time it is read; a dense one has ``_sparse`` None.
+    """
+
+    __slots__ = ("field", "rows", "cols", "data", "_sparse")
 
     def __init__(self, field: Field, data: Iterable[Iterable], cols: int | None = None):
         coerce = field.coerce
@@ -93,6 +110,7 @@ class Matrix:
         self.rows = nrows
         self.cols = cols
         self.data = tup
+        self._sparse = None
 
     @classmethod
     def _trusted(cls, field: Field, data: tuple[tuple, ...], cols: int) -> "Matrix":
@@ -104,7 +122,36 @@ class Matrix:
         m.rows = len(data)
         m.cols = cols
         m.data = data
+        m._sparse = None
         return m
+
+    @classmethod
+    def _from_ints(cls, field: Field, rows: tuple[tuple[dict, int], ...], cols: int) -> "Matrix":
+        """Package-internal constructor of the sparse form: ``rows`` holds a
+        ``({column: int}, denominator)`` pair per row, as described on the
+        class.  The dicts are shared, never modified."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = len(rows)
+        m.cols = cols
+        m._sparse = rows
+        return m
+
+    def __getattr__(self, name):
+        # Called only when normal lookup fails, as for the unset ``data``
+        # slot of a sparse matrix, which is built here once.
+        if name != "data":
+            raise AttributeError(name)
+        zero = self.field.zero
+        mod = _modulus(self.field)
+        out = []
+        for row, d in self._sparse:
+            dense = [zero] * self.cols
+            for j, x in _scalars(row, d, mod).items():
+                dense[j] = x
+            out.append(tuple(dense))
+        self.data = data = tuple(out)
+        return data
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -231,6 +278,31 @@ def _int_row(row: Sequence, zero, mod: int) -> tuple[dict, int]:
     return {j: x.numerator * (d // x.denominator) for j, x in r.items()}, d
 
 
+def _int_rows(m: Matrix):
+    """Each row of ``m`` as a fresh ``({column: int}, denominator)`` pair
+    that the caller may modify: copies of the sparse form, or dense rows
+    converted by :func:`_int_row`."""
+    if m._sparse is not None:
+        return ((dict(row), d) for row, d in m._sparse)
+    zero, mod = m.field.zero, _modulus(m.field)
+    return (_int_row(row, zero, mod) for row in m.data)
+
+
+def _scalars(row: dict, d: int, mod: int) -> dict:
+    """The field scalars ``x / d`` of an int row; over F_p the residues."""
+    if mod:
+        return row
+    if d == 1:
+        return {j: Fraction(x) for j, x in row.items()}
+    return {j: Fraction(x, d) for j, x in row.items()}
+
+
+def _scalar_rows(m: Matrix) -> list[dict]:
+    """Each row of ``m`` as a ``{column: scalar}`` dict of its nonzero entries."""
+    mod = _modulus(m.field)
+    return [_scalars(row, d, mod) for row, d in _int_rows(m)]
+
+
 def _residues(row: dict, mod: int) -> dict:
     return {j: r for j, x in row.items() if (r := x % mod)}
 
@@ -322,16 +394,14 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     own pivot is then cleared from the earlier rows that hold it.  So tails
     hold non-pivot columns only, a row costs one step per pivot column it
     touches (most rows of a cocycle system reduce to zero), and the map
-    ends as the RREF.  Only then are the integer rows turned back into
-    field scalars, ``x / lead``.
+    ends as the RREF.  It is returned in the sparse form, each row with its
+    lead as denominator, so its pivot entry reads 1.
     """
-    f = m.field
-    zero, one = f.zero, f.one
-    mod = _modulus(f)
+    mod = _modulus(m.field)
     echelon: dict = {}
     holders: dict = {}  # column -> pivots whose tail may hold it (stale ones included)
-    for row in m.data:
-        p = _insert(_int_row(row, zero, mod)[0], echelon, mod)
+    for row, _ in _int_rows(m):
+        p = _insert(row, echelon, mod)
         if p is None:
             continue
         new = {p: echelon[p]}
@@ -345,24 +415,9 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
                     holders.setdefault(j, []).append(q)
         for j in cols:
             holders.setdefault(j, []).append(p)
-    pivots = tuple(sorted(echelon))
-    out = []
-    for p in pivots:
-        lead, tail = echelon[p]
-        row = [zero] * m.cols
-        row[p] = one
-        if mod:
-            for j, x in tail.items():
-                row[j] = x
-        elif lead == 1:
-            for j, x in tail.items():
-                row[j] = Fraction(x)
-        else:
-            for j, x in tail.items():
-                row[j] = Fraction(x, lead)
-        out.append(tuple(row))
-    out += [(zero,) * m.cols] * (m.rows - len(pivots))
-    return Matrix._trusted(f, tuple(out), m.cols), pivots
+    out = [({p: lead, **tail}, lead) for p, (lead, tail) in sorted(echelon.items())]
+    out += [({}, 1)] * (m.rows - len(echelon))
+    return Matrix._from_ints(m.field, tuple(out), m.cols), tuple(sorted(echelon))
 
 
 def rank(m: Matrix) -> int:
@@ -370,21 +425,28 @@ def rank(m: Matrix) -> int:
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Canonical basis of the right null space of ``m``."""
-    f = m.field
-    neg, zero = f.neg, f.zero
+    """Canonical basis of the right null space of ``m``.
+
+    Free column c gives the vector with 1 at c and ``-row[c]`` at the pivot
+    of each RREF row; over Q it is held as ints over the lcm of those rows'
+    leads.
+    """
+    mod = _modulus(m.field)
     red, pivots = rref(m)
-    pivot_rows = list(zip(pivots, red.data))
+    column: dict = {}  # column -> (pivot, entry, lead) of the RREF rows holding it
+    for p, (row, lead) in zip(pivots, red._sparse):
+        for j, x in row.items():
+            if j != p:
+                column.setdefault(j, []).append((p, x, lead))
     basis = []
-    for fc in sorted(set(range(m.cols)) - set(pivots)):
-        v = [zero] * m.cols
-        v[fc] = f.one
-        for pc, row in pivot_rows:
-            e = row[fc]
-            if e is not zero:  # rref fills every zero entry with this object
-                v[pc] = neg(e)
-        basis.append(tuple(v))
-    return Subspace._span(Matrix._trusted(f, tuple(basis), m.cols))
+    for c in sorted(set(range(m.cols)) - set(pivots)):
+        held = column.get(c, ())
+        if mod:
+            basis.append(({c: 1, **{p: mod - x for p, x, _ in held}}, 1))
+        else:
+            d = lcm(*[lead for _, _, lead in held])
+            basis.append(({c: d, **{p: -x * (d // lead) for p, x, lead in held}}, d))
+    return Subspace._span(Matrix._from_ints(m.field, tuple(basis), m.cols))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -442,8 +504,17 @@ class Subspace:
     def _span(cls, m: Matrix) -> "Subspace":
         """Row space of ``m``."""
         red, pivots = rref(m)
-        basis = Matrix._trusted(m.field, red.data[: len(pivots)], m.cols)
+        basis = Matrix._from_ints(m.field, red._sparse[: len(pivots)], m.cols)
         return cls(m.field, m.cols, basis, pivots)
+
+    @classmethod
+    def _from_echelon(cls, field: Field, ambient_dim: int, echelon: dict) -> "Subspace":
+        """The subspace whose RREF basis is the echelon map ``echelon``,
+        given in ascending pivot order; its tails become shared."""
+        rows = tuple(({p: lead, **tail}, lead) for p, (lead, tail) in echelon.items())
+        sub = cls(field, ambient_dim, Matrix._from_ints(field, rows, ambient_dim), tuple(echelon))
+        sub._echelon = echelon
+        return sub
 
     @classmethod
     def from_rows(cls, field: Field, ambient_dim: int, rows: Iterable[Iterable]) -> "Subspace":
@@ -467,11 +538,8 @@ class Subspace:
     def _tails(self) -> dict:
         """The basis as an echelon map; its tails are shared, never modified."""
         if self._echelon is None:
-            zero = self.field.zero
-            mod = _modulus(self.field)
             echelon = {}
-            for p, row in zip(self.pivots, self.basis.data):
-                tail = _int_row(row, zero, mod)[0]
+            for p, (tail, _) in zip(self.pivots, _int_rows(self.basis)):
                 echelon[p] = (tail.pop(p), tail)
             self._echelon = echelon
         return self._echelon
@@ -511,7 +579,14 @@ class Subspace:
         check_same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(row) for row in other.basis.data)
+        tails = self._tails()
+        mod = _modulus(self.field)
+        for p, (lead, tail) in other._tails().items():
+            row = {p: lead, **tail}
+            _eliminate(row, tails, mod)
+            if _residues(row, mod) if mod else row:
+                return False
+        return True
 
     def plus(self, other: "Subspace") -> "Subspace":
         check_same_field(self.field, other.field)
@@ -544,18 +619,12 @@ class Subspace:
             raise ContainmentError("complement requires containment in the larger space")
         echelon = dict(self._tails())
         mod = _modulus(self.field)
-        kept = [
-            r
-            for r, (p, (lead, tail)) in enumerate(sup._tails().items())
+        kept = {
+            p: (lead, tail)
+            for p, (lead, tail) in sup._tails().items()
             if _insert({p: lead, **tail}, echelon, mod) is not None
-        ]
-        basis = tuple(sup.basis.data[r] for r in kept)
-        return Subspace(
-            self.field,
-            self.ambient_dim,
-            Matrix._trusted(self.field, basis, self.ambient_dim),
-            tuple(sup.pivots[r] for r in kept),
-        )
+        }
+        return Subspace._from_echelon(self.field, self.ambient_dim, kept)
 
     def quotient_map(self, sup: "Subspace") -> Matrix:
         """Matrix sending ``x`` in ``sup`` to its coordinates in ``sup/self``.

@@ -150,6 +150,20 @@ def _labelled_cocycle_rows(base, k):
     return rows
 
 
+def dense_center_rows(alg):
+    """Dense rows whose kernel is the center: for each operation, basis
+    vector e_j and coordinate k, the coordinate k of z op e_j and of
+    e_j op z as functionals of z."""
+    n = alg.dim
+    rows = []
+    for op in OPS:
+        for j in range(n):
+            for k in range(n):
+                rows.append([alg.product(op, i, j)[k] for i in range(n)])
+                rows.append([alg.product(op, j, i)[k] for i in range(n)])
+    return rows
+
+
 def dense_z2_dim(base, k):
     rows = dense_cocycle_rows(base, k)
     return 3 * base.dim * base.dim * k - oracle_rank(base.field, rows)

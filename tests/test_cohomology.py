@@ -8,6 +8,7 @@ from trialg.cohomology import (
     CochainTriple,
     CohomologyResult,
     NotASectionError,
+    _expand_subspace,
     b2_space,
     cocycle_defects,
     h2,
@@ -21,12 +22,19 @@ from trialg.generators import (
     abelian,
     cover_abelian,
     dim2_single_product,
+    random_extension,
     random_valid_algebra,
     unital_dim1,
 )
 from trialg.linalg import Matrix, Subspace, random_invertible
 
-from oracles import dense_cocycle_defects, dense_z2_dim
+from oracles import (
+    dense_center_rows,
+    dense_cocycle_defects,
+    dense_cocycle_rows,
+    dense_kernel,
+    dense_z2_dim,
+)
 
 
 def random_cochain(base, k, rng, density=0.5):
@@ -293,3 +301,74 @@ def test_h2_over_prime_fields(dim2):
         assert h2(abelian(2, fp), 1).h2_dim == 12
         assert h2(dim2_single_product(fp), 1).h2_dim == 2
         assert h2(cover_abelian(1, fp), 1).h2_dim == h2(cover_abelian(1), 1).h2_dim
+
+
+# ------------------------------- sparse assembly against the dense path
+
+MERSENNE_61 = GF(2**61 - 1)
+
+
+def _rebased_extensions(field, seed):
+    """Central extensions of abelian algebras in a random basis: dense
+    constants, over Q with denominators.  The last one, e0 |- e1 = e2, has
+    different left and right annihilators."""
+    rng = random.Random(seed)
+    totals = [random_extension(abelian(n, field), k, rng.randrange(2**31)).total
+              for n, k in ((2, 1), (2, 2), (3, 1))]
+    base = abelian(2, field)
+    totals.append(extension_algebra(base, CochainTriple(base, 1, {VDASH: {(0, 1): [1]}})))
+    return [change_basis(t, random_invertible(rng, t.dim, field)) for t in totals]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), MERSENNE_61])
+def test_sparse_systems_match_dense_kernels(field):
+    algs = _rebased_extensions(field, 5)
+    if field == QQ:
+        assert any(x.denominator > 1 for a in algs for t in a.products.values()
+                   for vec in t.values() for x in vec.values())
+    for alg in algs + [cover_abelian(1, field)]:
+        n = alg.dim
+        z2 = z2_space(alg, 1)
+        assert (z2.basis.data, z2.pivots) == dense_kernel(field, dense_cocycle_rows(alg, 1), 3 * n * n)
+        center = alg.center().space
+        assert (center.basis.data, center.pivots) == dense_kernel(field, dense_center_rows(alg), n)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_expanded_subspace_is_span_of_dense_expansion(field, k):
+    for alg in _rebased_extensions(field, 11)[:2] + [dim2_single_product(field)]:
+        for sub in (z2_space(alg, 1), b2_space(alg, 1), alg.center().space):
+            n = sub.ambient_dim
+            rows = []
+            for w in sub.basis_rows():
+                for t in range(k):
+                    big = [field.zero] * (n * k)
+                    big[t::k] = w
+                    rows.append(big)
+            expanded = _expand_subspace(sub, k)
+            span = Subspace.from_rows(field, n * k, rows)
+            assert (expanded.basis.data, expanded.pivots) == (span.basis.data, span.pivots)
+            assert expanded.contains(span) and span.contains(expanded)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_from_vector_matches_the_coercing_constructor(field):
+    base = dim2_single_product(field)
+    k = 2
+    rng = random.Random(2)
+    raw = [rng.choice([0, 0, 0, 1, -3, 7, 8, 14, Fraction(5, 7)]) for _ in range(3 * 4 * k)]
+    if field != QQ:
+        raw = [x if isinstance(x, int) else 5 for x in raw]
+    forms = {op: {} for op in OPS}
+    for idx, x in enumerate(raw):
+        pair, t = divmod(idx, k)
+        o, ij = divmod(pair, 4)
+        forms[OPS[o]].setdefault(divmod(ij, 2), [0] * k)[t] = x
+    f = CochainTriple.from_vector(base, k, raw)
+    assert f == CochainTriple(base, k, forms)
+    assert all(list(t) == sorted(t) for t in f.forms.values())
+    assert all(any(v) for t in f.forms.values() for v in t.values())
+    assert f.vectorize() == tuple(field.coerce(x) for x in raw)
+    with pytest.raises(ValueError):
+        CochainTriple.from_vector(base, k, raw[:-1])

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -322,3 +323,37 @@ def test_wide_coefficients_match_dense_reference(case, data):
     assert (comp.basis.data, comp.pivots) == dense_complement(
         field, sub.basis_rows(), sup.basis_rows(), ncols
     )
+
+
+def _sparse_twin(field, rows, ncols, scale):
+    """The same matrix in the package's sparse form: each row's nonzero
+    entries as ints over a denominator, here ``scale`` times the lcm of
+    their denominators over Q (1 over F_p, residues as they are)."""
+    out = []
+    for row in rows:
+        entries = {j: x for j, x in enumerate(row) if x}
+        if isinstance(field.zero, Fraction):
+            d = scale * lcm(*[x.denominator for x in entries.values()])
+            entries = {j: int(x * d) for j, x in entries.items()}
+        else:
+            d = 1
+        out.append((entries, d))
+    return Matrix._from_ints(field, tuple(out), ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices(), st.integers(1, 6), st.booleans())
+def test_sparse_matrix_behaves_like_its_dense_twin(case, scale, zero_row):
+    field, ncols, rows = case
+    if zero_row:
+        rows = rows + [[field.zero] * ncols]
+    dense = Matrix(field, rows, cols=ncols)
+    sparse = _sparse_twin(field, rows, ncols, scale)
+    assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols)
+    assert hash(sparse) == hash(dense)
+    assert sparse == dense and dense == sparse
+    assert sparse.data == dense.data
+    assert _sparse_twin(field, rows, ncols, scale).transpose() == dense.transpose()
+    assert rref(_sparse_twin(field, rows, ncols, scale)) == rref(dense)
+    ker, dense_ker = kernel(_sparse_twin(field, rows, ncols, scale)), kernel(dense)
+    assert (ker.basis.data, ker.pivots) == (dense_ker.basis.data, dense_ker.pivots)
