@@ -201,20 +201,13 @@ class TriAlgebra:
     """Finite-dimensional algebra with three bilinear products.
 
     ``products[op][(i, j)]`` is a sparse vector {k: scalar} giving the
-    nonzero coordinates of e_i op e_j.  Instances are immutable; validation
-    and the common subspaces are computed once and cached.
+    nonzero coordinates of e_i op e_j.  Instances are immutable, so every
+    invariant -- the axiom report, center, derived subalgebra, H^2, cover,
+    Z* and the analysis of each central ideal -- is computed once and kept
+    in the one memo ``_cache`` (see :meth:`_memo`).
     """
 
-    __slots__ = (
-        "dim",
-        "field",
-        "products",
-        "name",
-        "_axiom_report",
-        "_center",
-        "_derived",
-        "_cache",
-    )
+    __slots__ = ("dim", "field", "products", "name", "_cache")
 
     def __init__(
         self,
@@ -256,9 +249,6 @@ class TriAlgebra:
                 if sparse:
                     norm[op][(i, j)] = sparse
         self.products = {op: dict(sorted(norm[op].items())) for op in OPS}
-        self._axiom_report = None
-        self._center = None
-        self._derived = None
         self._cache = {}
 
     @classmethod
@@ -335,12 +325,17 @@ class TriAlgebra:
                 out[k] = add(out[k], mul(c, v))
         return tuple(out)
 
+    def _memo(self, key, build):
+        """``build()``, run the first time ``key`` is asked for and kept in
+        the memo; a build that raises stores nothing."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
     def _cleared_products(self) -> tuple[int, dict]:
         """The product tables as ints, with the factor they are scaled by."""
-        cleared = self._cache.get("cleared_products")
-        if cleared is None:
-            cleared = self._cache["cleared_products"] = _cleared(self.field, self.products)
-        return cleared
+        return self._memo("cleared_products", lambda: _cleared(self.field, self.products))
 
     def axiom_report(self) -> AxiomReport:
         """Check all eleven identities on every basis triple.
@@ -348,14 +343,16 @@ class TriAlgebra:
         Only triples that touch a nonzero product can produce a nonzero
         defect, so the sweep runs over the sparse tables.
         """
-        if self._axiom_report is None:
+
+        def build():
             d, table = self._cleared_products()
             violations = tuple(
                 AxiomViolation(idx, triple, defect)
                 for idx, triple, defect in _identity_defects(self.field, table, table, d * d, self.dim)
             )
-            self._axiom_report = AxiomReport(ok=not violations, violations=violations)
-        return self._axiom_report
+            return AxiomReport(ok=not violations, violations=violations)
+
+        return self._memo("axiom_report", build)
 
     @property
     def is_valid(self) -> bool:
@@ -382,13 +379,13 @@ class TriAlgebra:
 
     def derived(self) -> "AlgSubspace":
         """Span of all products of basis pairs, over all three operations."""
-        if self._derived is None:
+
+        def build():
             d, products = self._cleared_products()
             rows = tuple((vec, d) for op in OPS for vec in products[op].values())
-            self._derived = AlgSubspace(
-                self, Subspace._span(Matrix._from_ints(self.field, rows, self.dim))
-            )
-        return self._derived
+            return AlgSubspace(self, Subspace._span(Matrix._from_ints(self.field, rows, self.dim)))
+
+        return self._memo("derived", build)
 
     def center(self) -> "AlgSubspace":
         """Elements z with z * x = x * z = 0 for all x and all products.
@@ -399,7 +396,8 @@ class TriAlgebra:
         (op, right, i, k) that of e_i op e_j at column j, each entry from
         one product.
         """
-        if self._center is None:
+
+        def build():
             d, products = self._cleared_products()
             rows_map: dict[tuple, dict] = {}
             for op in OPS:
@@ -408,8 +406,9 @@ class TriAlgebra:
                         rows_map.setdefault((op, 0, j, k), {})[i] = s
                         rows_map.setdefault((op, 1, i, k), {})[j] = s
             rows = tuple((rows_map[key], d) for key in sorted(rows_map))
-            self._center = AlgSubspace(self, kernel(Matrix._from_ints(self.field, rows, self.dim)))
-        return self._center
+            return AlgSubspace(self, kernel(Matrix._from_ints(self.field, rows, self.dim)))
+
+        return self._memo("center", build)
 
     def __eq__(self, other):
         return (

@@ -309,26 +309,15 @@ def _expand_subspace(sub: Subspace, k: int) -> Subspace:
     return Subspace._from_echelon(sub.field, sub.ambient_dim * k, echelon)
 
 
-def _z2_scalar(b: TriAlgebra) -> Subspace:
-    cached = b._cache.get("z2_scalar")
-    if cached is None:
-        cached = kernel(_scalar_cocycle_matrix(b))
-        b._cache["z2_scalar"] = cached
-    return cached
-
-
 def z2_space(b: TriAlgebra, k: int = 1) -> Subspace:
     """Canonical basis of the cocycle space Z^2(B, F^k)."""
     if k < 1:
         raise ValueError("coefficient dimension must be >= 1")
     b.require_valid()
-    return _expand_subspace(_z2_scalar(b), k)
+    return _expand_subspace(b._memo("z2_scalar", lambda: kernel(_scalar_cocycle_matrix(b))), k)
 
 
 def _b2_scalar(b: TriAlgebra) -> Subspace:
-    cached = b._cache.get("b2_scalar")
-    if cached is not None:
-        return cached
     n = b.dim
     d, products = b._cleared_products()
     mod = _modulus(b.field)
@@ -338,16 +327,14 @@ def _b2_scalar(b: TriAlgebra) -> Subspace:
             for m, s in vec.items():
                 rows_map.setdefault(m, {})[(o * n + i) * n + j] = mod - s if mod else -s
     rows = tuple((rows_map[m], d) for m in sorted(rows_map))
-    result = Subspace._span(Matrix._from_ints(b.field, rows, 3 * n * n))
-    b._cache["b2_scalar"] = result
-    return result
+    return Subspace._span(Matrix._from_ints(b.field, rows, 3 * n * n))
 
 
 def b2_space(b: TriAlgebra, k: int = 1) -> Subspace:
     """Coboundary space: image of eps -> (-eps(x*y)) over linear eps."""
     if k < 1:
         raise ValueError("coefficient dimension must be >= 1")
-    return _expand_subspace(_b2_scalar(b), k)
+    return _expand_subspace(b._memo("b2_scalar", lambda: _b2_scalar(b)), k)
 
 
 class CohomologyResult:
@@ -394,12 +381,17 @@ class CohomologyResult:
 
 
 def h2(b: TriAlgebra, k: int = 1) -> CohomologyResult:
-    """Second cohomology with coefficients in F^k."""
-    z2 = z2_space(b, k)
-    b2 = b2_space(b, k)
-    comp = b2.complement_in(z2)
-    reps = [CochainTriple._from_entries(b, k, row) for row in _scalar_rows(comp.basis)]
-    return CohomologyResult(b, k, z2, b2, reps)
+    """Second cohomology with coefficients in F^k, computed once per
+    algebra and k and memoised on the algebra."""
+
+    def build():
+        z2 = z2_space(b, k)
+        b2 = b2_space(b, k)
+        comp = b2.complement_in(z2)
+        reps = [CochainTriple._from_entries(b, k, row) for row in _scalar_rows(comp.basis)]
+        return CohomologyResult(b, k, z2, b2, reps)
+
+    return b._memo(("h2", k), build)
 
 
 def section_cocycle(

@@ -16,7 +16,7 @@ covering projection; L is unicentral when that image is all of Z(L).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     AlgSubspace,
@@ -32,7 +32,7 @@ from .cohomology import (
     h2,
     section_cocycle,
 )
-from .linalg import Matrix, Subspace, random_invertible, solve_right
+from .linalg import Matrix, Subspace, _modulus, _scalars, random_invertible, solve_right
 
 __all__ = [
     "CentralExtension",
@@ -74,9 +74,20 @@ class CentralExtension:
         return section_cocycle(self.total, self.base, self.projection, self.kernel.space, section)
 
     def center_image(self) -> Subspace:
-        """Image of the total algebra's center under the projection."""
-        rows = tuple(self.projection.matvec(z) for z in self.total.center().space.basis_rows())
-        return Subspace._span(Matrix._trusted(self.base.field, rows, self.base.dim))
+        """Image of the total algebra's center under the projection, taken
+        from the nonzero entries of the center's sparse basis rows."""
+        f = self.base.field
+        add, mul, mod = f.add, f.mul, _modulus(f)
+        proj = self.projection.data
+        rows = []
+        for p, (lead, tail) in self.total.center().space._tails().items():
+            acc = [f.zero] * self.base.dim
+            for j, x in _scalars({p: lead, **tail}, lead, mod).items():
+                for i, e in enumerate(proj):
+                    if e[j]:
+                        acc[i] = add(acc[i], mul(e[j], x))
+            rows.append(tuple(acc))
+        return Subspace._span(Matrix._trusted(f, tuple(rows), self.base.dim))
 
     def validate(self) -> None:
         """Check the structural invariants; raises on failure."""
@@ -160,16 +171,8 @@ def _stem_reduce(ext: CentralExtension) -> CentralExtension:
     new_proj = ext.projection @ quot.section
     new_kernel_rows = tuple(quot.projection.matvec(v) for v in ext.kernel.space.basis_rows())
     new_kernel = Subspace._span(Matrix._trusted(new_total.field, new_kernel_rows, new_total.dim))
-    reduced = CentralExtension(
-        new_total, ext.base, AlgSubspace(new_total, new_kernel), new_proj, None
-    )
-    return CentralExtension(
-        new_total,
-        ext.base,
-        reduced.kernel,
-        new_proj,
-        reduced.section_cocycle(),
-    )
+    reduced = CentralExtension(new_total, ext.base, AlgSubspace(new_total, new_kernel), new_proj)
+    return replace(reduced, cocycle=reduced.section_cocycle())
 
 
 @dataclass(frozen=True)
@@ -183,21 +186,22 @@ def cover(l: TriAlgebra) -> CoverResult:
 
     Built by extending along the stacked canonical H^2 representatives and
     stem-reducing.  The kernel then has the multiplier dimension and sits
-    inside both the center and the derived subalgebra of the cover.
+    inside both the center and the derived subalgebra of the cover.  Built
+    once per algebra and memoised on it.
     """
     l.require_valid()
-    res = h2(l, 1)
-    m = res.h2_dim
-    stacked = CochainTriple.stack(l, list(res.h2_reps))
-    ext = build_central_extension(l, m, stacked)
-    return CoverResult(_stem_reduce(ext), m)
+
+    def build():
+        res = h2(l, 1)
+        return CoverResult(_cover_from_reps(l, res.h2_reps), res.h2_dim)
+
+    return l._memo("cover", build)
 
 
 def _cover_from_reps(l: TriAlgebra, reps) -> CentralExtension:
     """Cover-style construction from an explicit list of scalar cocycles."""
     stacked = CochainTriple.stack(l, list(reps))
-    ext = build_central_extension(l, len(reps), stacked)
-    return _stem_reduce(ext)
+    return _stem_reduce(build_central_extension(l, len(reps), stacked))
 
 
 def cover_fingerprint(l: TriAlgebra, reps=None) -> tuple[int, int, int, int, int, int]:
@@ -224,9 +228,9 @@ def cover_fingerprint(l: TriAlgebra, reps=None) -> tuple[int, int, int, int, int
 
 
 def z_star(l: TriAlgebra) -> AlgSubspace:
-    """Image of the cover's center in ``l``; always inside the center."""
-    ext = cover(l).extension
-    return AlgSubspace(l, ext.center_image())
+    """Image of the cover's center in ``l``; always inside the center.
+    Memoised on ``l``, like the cover it is read from."""
+    return l._memo("z_star", lambda: AlgSubspace(l, cover(l).extension.center_image()))
 
 
 def is_unicentral(l: TriAlgebra) -> bool:

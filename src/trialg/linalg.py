@@ -367,10 +367,12 @@ def _eliminate(row: dict, echelon: dict, mod: int) -> int:
 
 def _insert(row: dict, echelon: dict, mod: int) -> int | None:
     """Reduce ``row`` against ``echelon`` and, if anything is left, add it as
-    a new pivot row; returns its pivot column, or None."""
-    _eliminate(row, echelon, mod)
-    if mod:
-        row = _residues(row, mod)
+    a new pivot row; returns its pivot column, or None.  Over F_p rows come
+    in as residues, so a row that meets no pivot is stored as it is."""
+    if not echelon.keys().isdisjoint(row):
+        _eliminate(row, echelon, mod)
+        if mod:
+            row = _residues(row, mod)
     if not row:
         return None
     p = min(row)

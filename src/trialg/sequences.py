@@ -10,6 +10,14 @@ map from H^2(L, F) into the paired blocks (L/L' (x) Z + Z (x) L/L')^3.
 Exactness and the dimension statements they imply are checked by exact
 subspace equality; every report is computed, never assumed.
 
+All of them read from one analysis of (L, Z, k), made the first time any
+map or report asks for it and memoised on L under the canonical basis of
+Z: the quotient L/Z, the three Hom spaces, H^2(L) and H^2(L/Z) (each also
+memoised on its algebra) are built once, and each map, L' n Z and the
+five-term report once, on first read.  The report functions and the
+module-level maps are views of that analysis; only ``tra`` with an
+explicit section builds a map afresh.
+
 Coordinates: a Hom node is a subspace of flattened k x dim matrices; an
 H^2 node uses coset coordinates against the stored complement of B^2 in
 Z^2, which is canonical, so kernels and images at a node live in one fixed
@@ -19,11 +27,12 @@ coordinate system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import TriAlgebra, as_subspace, hom_to_field, quotient_algebra, OPS
 from .cohomology import CochainTriple, h2, section_cocycle
 from .extensions import z_star
-from .linalg import Matrix, Subspace, kernel, rank
+from .linalg import Matrix, Subspace, kernel
 
 __all__ = [
     "NotCentralIdealError",
@@ -62,207 +71,192 @@ def _require_central(l: TriAlgebra, z: Subspace) -> None:
 
 @dataclass(frozen=True)
 class SeqMap:
-    """A linear map between two canonical coordinate spaces."""
+    """A linear map between two canonical coordinate spaces.
+
+    Its image and kernel are each computed once, the first time they are
+    read; its rank is the dimension of the image.
+    """
 
     label: str
     matrix: Matrix          # codomain_dim x domain_dim
     domain_dim: int
     codomain_dim: int
 
-    @property
-    def rank(self) -> int:
-        return rank(self.matrix)
-
-    def image(self) -> Subspace:
+    @cached_property
+    def _image(self) -> Subspace:
         return Subspace._span(self.matrix.transpose())
 
-    def kernel_space(self) -> Subspace:
+    @cached_property
+    def _kernel(self) -> Subspace:
         return kernel(self.matrix)
+
+    @property
+    def rank(self) -> int:
+        return self._image.dim
+
+    def image(self) -> Subspace:
+        return self._image
+
+    def kernel_space(self) -> Subspace:
+        return self._kernel
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
 
 
-class _CentralIdealContext:
-    """Shared scaffolding for the maps attached to (L, Z, k)."""
+def _analysis(l: TriAlgebra, z, k: int = 1) -> "_CentralIdealAnalysis":
+    """The analysis of (l, z, k), memoised on ``l`` under the canonical
+    basis of ``z``; checks validity and centrality before the first build."""
+    if k < 1:
+        raise ValueError("coefficient dimension must be >= 1")
+    l.require_valid()
+    space = as_subspace(l, z)
 
-    def __init__(self, l: TriAlgebra, z, k: int = 1):
-        if k < 1:
-            raise ValueError("coefficient dimension must be >= 1")
-        l.require_valid()
-        space = as_subspace(l, z)
+    def build():
         _require_central(l, space)
+        return _CentralIdealAnalysis(l, space, k)
+
+    return l._memo(("central_ideal", space, k), build)
+
+
+class _CentralIdealAnalysis:
+    """The quotient, Hom spaces, H^2 groups, maps and five-term report of
+    one central ideal ``z`` of ``alg`` with coefficients F^k.
+
+    The quotient, Hom spaces and both H^2 results are made on construction;
+    each map, L' n Z and the five-term report the first time it is read.
+    """
+
+    def __init__(self, l: TriAlgebra, z: Subspace, k: int):
         self.alg = l
-        self.z = space
+        self.z = z
         self.k = k
-        self.quot = quotient_algebra(l, space)
+        self.quot = quotient_algebra(l, z)
         self.hom_l = hom_to_field(l, k)
         self.hom_q = hom_to_field(self.quot.algebra, k)
-        self.hom_z = Subspace.full(l.field, k * space.dim)
+        self.hom_z = Subspace.full(l.field, k * z.dim)
         self.coh_l = h2(l, k)
         self.coh_q = h2(self.quot.algebra, k)
 
-    # --- unflatten helpers ---------------------------------------------
+    def _unflatten(self, vec, width: int) -> Matrix:
+        """A Hom-space vector as the k x ``width`` matrix it flattens."""
+        rows = tuple(vec[t * width : (t + 1) * width] for t in range(self.k))
+        return Matrix._trusted(self.alg.field, rows, width)
 
-    def _unflatten(self, vec, width):
-        return tuple(tuple(vec[t * width : (t + 1) * width]) for t in range(self.k))
+    def _precompose(self, hom: Subspace, width: int, right: Matrix, target: Subspace) -> list:
+        """Coordinates in ``target`` of ``chi @ right`` for each basis vector
+        ``chi`` of ``hom``, a k x ``width`` matrix."""
+        cols = []
+        for vec in hom.basis_rows():
+            composed = self._unflatten(vec, width) @ right
+            cols.append(target.coordinates(tuple(x for row in composed.data for x in row)))
+        return cols
 
-    def _flatten(self, mat_rows):
-        out = []
-        for row in mat_rows:
-            out.extend(row)
-        return tuple(out)
-
-    # --- the five maps --------------------------------------------------
-
+    @cached_property
     def inf1(self) -> SeqMap:
         """Precomposition with the canonical projection L -> L/Z."""
-        beta = self.quot.projection
-        cols = []
-        for basis_vec in self.hom_q.basis_rows():
-            chi = Matrix._trusted(self.alg.field, self._unflatten(basis_vec, self.quot.algebra.dim),
-                                  self.quot.algebra.dim)
-            composed = chi @ beta
-            cols.append(self.hom_l.coordinates(self._flatten(composed.data)))
-        return SeqMap("inf1", _columns_matrix(self.alg.field, cols, self.hom_l.dim),
-                      self.hom_q.dim, self.hom_l.dim)
+        cols = self._precompose(self.hom_q, self.quot.algebra.dim, self.quot.projection, self.hom_l)
+        return _seq_map("inf1", self.alg.field, cols, self.hom_l.dim)
 
+    @cached_property
     def res(self) -> SeqMap:
         """Restriction along the inclusion Z -> L."""
-        zbasis_t = self.z.basis.transpose()
+        cols = self._precompose(self.hom_l, self.alg.dim, self.z.basis.transpose(), self.hom_z)
+        return _seq_map("res", self.alg.field, cols, self.hom_z.dim)
+
+    @cached_property
+    def tra(self) -> SeqMap:
+        """Transgression along the cocycle of the canonical pivot section."""
+        return self.transgression(self.quot.section)
+
+    def transgression(self, section: Matrix) -> SeqMap:
+        """Compose each map on Z with the cocycle of the extension
+        0 -> Z -> L -> L/Z -> 0 for ``section`` (valued in Z coordinates)
+        and take its class in H^2(L/Z, A)."""
+        cochain = section_cocycle(self.alg, self.quot.algebra, self.quot.projection, self.z, section)
         cols = []
-        for basis_vec in self.hom_l.basis_rows():
-            chi = Matrix._trusted(self.alg.field, self._unflatten(basis_vec, self.alg.dim),
-                                  self.alg.dim)
-            restricted = chi @ zbasis_t
-            cols.append(self.hom_z.coordinates(self._flatten(restricted.data)))
-        return SeqMap("res", _columns_matrix(self.alg.field, cols, self.hom_z.dim),
-                      self.hom_l.dim, self.hom_z.dim)
+        for vec in self.hom_z.basis_rows():
+            chi = self._unflatten(vec, self.z.dim)
+            forms = {op: {key: chi.matvec(val) for key, val in table.items()}
+                     for op, table in cochain.forms.items()}
+            cols.append(self.coh_q.class_of(CochainTriple(self.quot.algebra, self.k, forms)))
+        return _seq_map("tra", self.alg.field, cols, self.coh_q.h2_dim)
 
-    def section_cochain(self) -> CochainTriple:
-        """Cocycle of the extension 0 -> Z -> L -> L/Z -> 0 for the
-        canonical pivot section; valued in Z coordinates."""
-        return section_cocycle(
-            self.alg, self.quot.algebra, self.quot.projection, self.z, self.quot.section
-        )
-
-    def tra(self, section: Matrix | None = None) -> SeqMap:
-        """Transgression: compose a map on Z with the section cocycle and
-        take its class in H^2(L/Z, A)."""
-        if section is None:
-            cochain = self.section_cochain()
-        else:
-            cochain = section_cocycle(
-                self.alg, self.quot.algebra, self.quot.projection, self.z, section
-            )
-        d = self.z.dim
-        cols = []
-        for basis_vec in self.hom_z.basis_rows():
-            chi = self._unflatten(basis_vec, d)
-            forms: dict = {op: {} for op in OPS}
-            f = self.alg.field
-            for op in OPS:
-                for key, val in cochain.forms[op].items():
-                    out = []
-                    for t in range(self.k):
-                        acc = f.zero
-                        for s, v in zip(chi[t], val):
-                            if s and v:
-                                acc = f.add(acc, f.mul(s, v))
-                        out.append(acc)
-                    if any(out):
-                        forms[op][key] = tuple(out)
-            composed = CochainTriple(self.quot.algebra, self.k, forms)
-            cols.append(self.coh_q.class_of(composed))
-        return SeqMap("tra", _columns_matrix(self.alg.field, cols, self.coh_q.h2_dim),
-                      self.hom_z.dim, self.coh_q.h2_dim)
-
+    @cached_property
     def inf2(self) -> SeqMap:
         """Pull classes on L/Z back along the projection."""
-        beta = self.quot.projection
-        n = self.alg.dim
-        f = self.alg.field
+        images = self.quot.projection.transpose().data  # of the basis vectors of L
         cols = []
         for rep in self.coh_q.h2_reps:
-            forms: dict = {op: {} for op in OPS}
-            for op in OPS:
-                for (r, s), val in rep.forms[op].items():
-                    for i in range(n):
-                        bri = beta.data[r][i]
-                        if not bri:
-                            continue
-                        for j in range(n):
-                            bsj = beta.data[s][j]
-                            if not bsj:
-                                continue
-                            c = f.mul(bri, bsj)
-                            cur = forms[op].get((i, j))
-                            if cur is None:
-                                cur = [f.zero] * self.k
-                                forms[op][(i, j)] = cur
-                            for t, v in enumerate(val):
-                                if v:
-                                    cur[t] = f.add(cur[t], f.mul(c, v))
-            pulled = CochainTriple(self.alg, self.k, forms)
-            cols.append(self.coh_l.class_of(pulled))
-        return SeqMap("inf2", _columns_matrix(self.alg.field, cols, self.coh_l.h2_dim),
-                      self.coh_q.h2_dim, self.coh_l.h2_dim)
+            forms = {op: {(i, j): rep.evaluate(x, y, op)
+                          for i, x in enumerate(images) for j, y in enumerate(images)}
+                     for op in OPS}
+            cols.append(self.coh_l.class_of(CochainTriple(self.alg, self.k, forms)))
+        return _seq_map("inf2", self.alg.field, cols, self.coh_l.h2_dim)
 
+    @cached_property
     def delta(self) -> SeqMap:
         """Evaluate H^2(L, F) classes on (L/L' coset basis) x (Z basis)
         pairs, both orders, per operation (k = 1 only)."""
         if self.k != 1:
             raise ValueError("the pairing-block map is defined for k = 1")
-        derived = self.alg.derived().space
-        comp = derived.complement_in(Subspace.full(self.alg.field, self.alg.dim))
-        qprime = comp.dim
-        d = self.z.dim
-        block = 2 * qprime * d
-        total_dim = 3 * block
+        comp = self.alg.derived().space.complement_in(Subspace.full(self.alg.field, self.alg.dim))
+        us, ws = comp.basis_rows(), self.z.basis_rows()
         cols = []
         for rep in self.coh_l.h2_reps:
             col = []
             for op in OPS:
-                for a in range(qprime):
-                    u = comp.basis_rows()[a]
-                    for b in range(d):
-                        w = self.z.basis_rows()[b]
-                        col.append(rep.evaluate(u, w, op)[0])
-                for b in range(d):
-                    w = self.z.basis_rows()[b]
-                    for a in range(qprime):
-                        u = comp.basis_rows()[a]
-                        col.append(rep.evaluate(w, u, op)[0])
+                col += [rep.evaluate(u, w, op)[0] for u in us for w in ws]
+                col += [rep.evaluate(w, u, op)[0] for w in ws for u in us]
             cols.append(tuple(col))
-        return SeqMap("delta", _columns_matrix(self.alg.field, cols, total_dim),
-                      self.coh_l.h2_dim, total_dim)
+        return _seq_map("delta", self.alg.field, cols, 6 * len(us) * len(ws))
+
+    @cached_property
+    def derived_cap_z(self) -> Subspace:
+        return self.alg.derived().space.intersection(self.z)
+
+    @cached_property
+    def five_term(self) -> "FiveTermReport":
+        m1, m2, m3, m4 = self.inf1, self.res, self.tra, self.inf2
+        dims = (self.hom_q.dim, self.hom_l.dim, self.hom_z.dim, self.coh_q.h2_dim, self.coh_l.h2_dim)
+        ranks = (m1.rank, m2.rank, m3.rank, m4.rank)
+        return FiveTermReport(
+            dims=dims,
+            ranks=ranks,
+            inf1_injective=ranks[0] == dims[0],
+            exact_at_hom_l=m1.image() == m2.kernel_space(),
+            exact_at_hom_z=m2.image() == m3.kernel_space(),
+            exact_at_h2_q=m3.image() == m4.kernel_space(),
+        )
 
 
-def _columns_matrix(field, cols, nrows) -> Matrix:
-    if not cols:
-        return Matrix.zeros(field, nrows, 0)
-    data = tuple(tuple(col[r] for col in cols) for r in range(nrows))
-    return Matrix._trusted(field, data, len(cols))
+def _seq_map(label: str, field, cols: list, codomain_dim: int) -> SeqMap:
+    """The map whose matrix has the columns ``cols``, one per basis vector
+    of the domain."""
+    data = tuple(tuple(col[r] for col in cols) for r in range(codomain_dim))
+    return SeqMap(label, Matrix._trusted(field, data, len(cols)), len(cols), codomain_dim)
 
 
 def inf1(l: TriAlgebra, z, k: int = 1) -> SeqMap:
-    return _CentralIdealContext(l, z, k).inf1()
+    return _analysis(l, z, k).inf1
 
 
 def res(l: TriAlgebra, z, k: int = 1) -> SeqMap:
-    return _CentralIdealContext(l, z, k).res()
+    return _analysis(l, z, k).res
 
 
 def tra(l: TriAlgebra, z, k: int = 1, section: Matrix | None = None) -> SeqMap:
-    return _CentralIdealContext(l, z, k).tra(section=section)
+    """Transgression; with an explicit ``section`` it is built afresh."""
+    an = _analysis(l, z, k)
+    return an.tra if section is None else an.transgression(section)
 
 
 def inf2(l: TriAlgebra, z, k: int = 1) -> SeqMap:
-    return _CentralIdealContext(l, z, k).inf2()
+    return _analysis(l, z, k).inf2
 
 
 def delta_map(l: TriAlgebra, z) -> SeqMap:
-    return _CentralIdealContext(l, z, 1).delta()
+    return _analysis(l, z).delta
 
 
 @dataclass(frozen=True)
@@ -297,18 +291,7 @@ class FiveTermReport:
 
 def verify_five_term(l: TriAlgebra, z, k: int = 1) -> FiveTermReport:
     """Exactness of the five-term sequence for the central ideal ``z``."""
-    ctx = _CentralIdealContext(l, z, k)
-    m1, m2, m3, m4 = ctx.inf1(), ctx.res(), ctx.tra(), ctx.inf2()
-    dims = (ctx.hom_q.dim, ctx.hom_l.dim, ctx.hom_z.dim, ctx.coh_q.h2_dim, ctx.coh_l.h2_dim)
-    ranks = (m1.rank, m2.rank, m3.rank, m4.rank)
-    return FiveTermReport(
-        dims=dims,
-        ranks=ranks,
-        inf1_injective=ranks[0] == dims[0],
-        exact_at_hom_l=m1.image() == m2.kernel_space(),
-        exact_at_hom_z=m2.image() == m3.kernel_space(),
-        exact_at_h2_q=m3.image() == m4.kernel_space(),
-    )
+    return _analysis(l, z, k).five_term
 
 
 @dataclass(frozen=True)
@@ -337,16 +320,14 @@ class InfDeltaReport:
 
 def verify_inf_delta(l: TriAlgebra, z) -> InfDeltaReport:
     """im(Inf2) = ker(delta) inside H^2(L, F)."""
-    ctx = _CentralIdealContext(l, z, 1)
-    m4 = ctx.inf2()
-    d = ctx.delta()
+    an = _analysis(l, z)
     return InfDeltaReport(
-        h2_quotient_dim=ctx.coh_q.h2_dim,
-        h2_dim=ctx.coh_l.h2_dim,
-        block_dim=d.codomain_dim,
-        inf2_rank=m4.rank,
-        delta_rank=d.rank,
-        exact=m4.image() == d.kernel_space(),
+        h2_quotient_dim=an.coh_q.h2_dim,
+        h2_dim=an.coh_l.h2_dim,
+        block_dim=an.delta.codomain_dim,
+        inf2_rank=an.inf2.rank,
+        delta_rank=an.delta.rank,
+        exact=an.inf2.image() == an.delta.kernel_space(),
     )
 
 
@@ -369,9 +350,8 @@ class TraImageReport:
 
 def tra_image_check(l: TriAlgebra, z) -> TraImageReport:
     """dim im(Tra) equals dim(L' intersect Z) for F coefficients."""
-    ctx = _CentralIdealContext(l, z, 1)
-    cap = l.derived().space.intersection(ctx.z)
-    return TraImageReport(tra_rank=ctx.tra().rank, derived_cap_z_dim=cap.dim)
+    an = _analysis(l, z)
+    return TraImageReport(tra_rank=an.tra.rank, derived_cap_z_dim=an.derived_cap_z.dim)
 
 
 @dataclass(frozen=True)
@@ -413,16 +393,12 @@ class UnicentralityReport:
 
 
 def unicentrality_criteria(l: TriAlgebra, z) -> UnicentralityReport:
-    ctx = _CentralIdealContext(l, z, 1)
-    d = ctx.delta()
-    m4 = ctx.inf2()
-    cap = l.derived().space.intersection(ctx.z)
-    zs = z_star(l)
+    an = _analysis(l, z)
     return UnicentralityReport(
-        delta_trivial=d.is_zero(),
-        inf2_surjective=m4.rank == ctx.coh_l.h2_dim,
-        multiplier_dims_match=ctx.coh_l.h2_dim == ctx.coh_q.h2_dim - cap.dim,
-        z_in_z_star=zs.space.contains(ctx.z),
+        delta_trivial=an.delta.is_zero(),
+        inf2_surjective=an.inf2.rank == an.coh_l.h2_dim,
+        multiplier_dims_match=an.coh_l.h2_dim == an.coh_q.h2_dim - an.derived_cap_z.dim,
+        z_in_z_star=z_star(l).space.contains(an.z),
     )
 
 
@@ -466,14 +442,14 @@ class StallingsReport:
 
 
 def stallings_check(l: TriAlgebra, z) -> StallingsReport:
-    ctx = _CentralIdealContext(l, z, 1)
-    five = verify_five_term(l, ctx.z, 1)
+    an = _analysis(l, z)
+    five = an.five_term
     derived = l.derived().space
-    z_plus_derived = ctx.z.plus(derived)
+    z_plus_derived = an.z.plus(derived)
     node_dims = (
-        ctx.coh_l.h2_dim,
-        ctx.coh_q.h2_dim,
-        ctx.z.dim,
+        an.coh_l.h2_dim,
+        an.coh_q.h2_dim,
+        an.z.dim,
         l.dim - derived.dim,
         l.dim - z_plus_derived.dim,
     )
@@ -482,6 +458,6 @@ def stallings_check(l: TriAlgebra, z) -> StallingsReport:
         dual_exact=five.ok,
         tail_surjective=five.ranks[0] == node_dims[4],
         res_rank_matches=five.ranks[1] == z_plus_derived.dim - derived.dim,
-        tra_rank_matches=five.ranks[2] == derived.intersection(ctx.z).dim,
+        tra_rank_matches=five.ranks[2] == an.derived_cap_z.dim,
         ranks=five.ranks,
     )

@@ -245,6 +245,44 @@ def test_verify_requires_ideal_spec(capsys, dim2_file):
     assert code == 2
 
 
+def test_verify_all_central_builds_each_quotient_and_the_cover_once(capsys, monkeypatch, tmp_path):
+    import trialg.extensions
+    import trialg.sequences
+    from trialg.algebra import as_subspace
+    from trialg.cli import _central_ideal_samples
+    from trialg.generators import random_extension
+
+    alg = random_extension(abelian(2), 2, seed=0).total
+    path = tmp_path / "ext.json"
+    path.write_text(emit(alg))
+    samples = [z for _, z in _central_ideal_samples(alg, 0)]
+    assert alg.dim == 4 and len(samples) >= 3
+
+    quotients, covers = [], []
+    real_quotient = trialg.sequences.quotient_algebra
+    real_build = trialg.extensions.build_central_extension
+
+    def counting_quotient(a, ideal):
+        quotients.append(as_subspace(a, ideal))
+        return real_quotient(a, ideal)
+
+    def counting_build(b, k, f):
+        covers.append(b)
+        return real_build(b, k, f)
+
+    monkeypatch.setattr(trialg.sequences, "quotient_algebra", counting_quotient)
+    monkeypatch.setattr(trialg.extensions, "build_central_extension", counting_build)
+    code, out, _ = run(capsys, "verify", str(path), "--all-central")
+    assert code == 0 and kv(out)["ok"] == "true"
+    assert set(quotients) == set(samples) and len(quotients) == len(set(samples))
+    assert len(covers) == 1
+
+    # A second command reads a fresh algebra, so it builds everything again.
+    code, again, _ = run(capsys, "verify", str(path), "--all-central")
+    assert again == out
+    assert len(quotients) == 2 * len(set(samples)) and len(covers) == 2
+
+
 # ------------------------------------------------------------------- gen
 
 

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trialg.algebra import OPS, product_subspace, quotient_algebra
+from trialg.algebra import OPS, change_basis, product_subspace, quotient_algebra
 from trialg.cohomology import CochainTriple, NotACocycleError, h2, is_cohomologous
 from trialg.extensions import (
     build_central_extension,
@@ -14,8 +16,14 @@ from trialg.extensions import (
     z_star,
 )
 from trialg.fields import GF, QQ
-from trialg.generators import abelian, cover_abelian, dim2_single_product, unital_dim1
-from trialg.linalg import Subspace
+from trialg.generators import (
+    abelian,
+    cover_abelian,
+    dim2_single_product,
+    random_valid_algebra,
+    unital_dim1,
+)
+from trialg.linalg import Subspace, inverse, random_invertible
 from trialg.algebra import TriAlgebra
 
 
@@ -223,3 +231,30 @@ def test_cover_works_over_prime_fields():
         d2 = dim2_single_product(fp)
         assert is_unicentral(d2)
         assert z_star(d2).dim == 1
+
+
+# ------------------------------------------------------ change of basis
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(0, 2**32 - 1))
+def test_invariants_survive_a_change_of_basis(field, seed):
+    """H^2, Z*, the center, the derived subalgebra and the cover fingerprint
+    do not depend on the basis; the rebased copy computes and memoises its
+    own, so nothing memoised on one algebra answers for the other."""
+    rng = random.Random(seed)
+    alg = random_valid_algebra(rng, field, max_dim=4)
+    p = random_invertible(rng, alg.dim, field)
+    moved = change_basis(alg, p)
+    pinv = inverse(p)
+
+    def rebased(space):  # coordinates against the new basis, the rows of p
+        return Subspace.from_rows(field, alg.dim, (space.basis @ pinv).data)
+
+    assert h2(moved, 1).h2_dim == h2(alg, 1).h2_dim
+    assert moved.center().space == rebased(alg.center().space)
+    assert moved.derived().space == rebased(alg.derived().space)
+    assert z_star(moved).space == rebased(z_star(alg).space)
+    assert cover_fingerprint(moved) == cover_fingerprint(alg)
+    assert h2(moved, 1).base is moved and cover(moved).extension.base is moved
+    assert z_star(moved).parent is moved and moved.center().parent is moved

@@ -146,6 +146,15 @@ def test_maps_require_central_ideal(dim2):
         verify_five_term(dim2, line(2, 0), 1)
 
 
+def test_reports_repeat_on_equal_inputs():
+    alg = random_extension(abelian(2), 2, seed=0).total
+    rows = alg.center().space.basis_rows()[:1]
+    for report in (verify_five_term, verify_inf_delta, tra_image_check,
+                   unicentrality_criteria, stallings_check):
+        first = report(alg, Subspace.from_rows(QQ, alg.dim, rows))
+        assert report(alg, Subspace.from_rows(QQ, alg.dim, rows)) == first
+
+
 # ------------------------------------------------------------ five term
 
 
