@@ -33,7 +33,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .fields import Field, QQ, check_same_field
-from .linalg import Matrix, Subspace, _modulus, _residues, kernel
+from .linalg import Matrix, Subspace, _complement_coordinates, _modulus, _residues, inverse, kernel
 
 __all__ = [
     "VDASH",
@@ -354,10 +354,6 @@ class TriAlgebra:
 
         return self._memo("axiom_report", build)
 
-    @property
-    def is_valid(self) -> bool:
-        return self.axiom_report().ok
-
     def require_valid(self) -> None:
         report = self.axiom_report()
         if not report.ok:
@@ -499,7 +495,7 @@ def quotient_algebra(a: TriAlgebra, ideal) -> QuotientAlgebra:
     f = a.field
     full = Subspace.full(f, a.dim)
     comp = space.complement_in(full)
-    proj = space.quotient_map(full)
+    proj = _complement_coordinates(space, comp, full)
     q = comp.dim
     section = comp.basis.transpose()
     products: dict = {op: {} for op in OPS}
@@ -520,20 +516,24 @@ def hom_to_field(a: TriAlgebra, k: int) -> Subspace:
     """Space of homomorphisms into the k-dimensional trivial module.
 
     Such a map is a k x n matrix whose rows annihilate the derived
-    subalgebra; matrices are flattened row-major into F^(k*n).
+    subalgebra; matrices are flattened row-major into F^(k*n).  The basis is
+    built as an echelon map: block t holds the RREF basis of the annihilator
+    shifted by t*n, so the rows in (t, pivot) order are already an RREF.
     """
     if k < 1:
         raise ValueError("coefficient dimension must be >= 1")
-    ann = a.derived().space.annihilator()
-    n = a.dim
-    zero = a.field.zero
-    rows = []
-    for t in range(k):
-        for w in ann.basis_rows():
-            big = [zero] * (k * n)
-            big[t * n : (t + 1) * n] = w
-            rows.append(tuple(big))
-    return Subspace._span(Matrix._trusted(a.field, tuple(rows), k * n))
+
+    def build():
+        n = a.dim
+        ann = a.derived().space.annihilator()
+        echelon = {
+            t * n + p: (lead, {t * n + j: x for j, x in tail.items()})
+            for t in range(k)
+            for p, (lead, tail) in ann._tails().items()
+        }
+        return Subspace._from_echelon(a.field, k * n, echelon)
+
+    return a._memo(("hom_to_field", k), build)
 
 
 @dataclass(frozen=True)
@@ -604,12 +604,10 @@ def dimension_bound_table(n_max: int) -> list[tuple[str, int, int, int]]:
 
 def change_basis(a: TriAlgebra, p: Matrix) -> TriAlgebra:
     """Re-express the algebra in the basis whose i-th vector is row i of ``p``."""
-    from .linalg import inverse
-
     if p.rows != a.dim or p.cols != a.dim:
         raise ValueError("basis matrix must be square of the algebra dimension")
     check_same_field(p.field, a.field)
-    pinv = inverse(p)
+    to_new = inverse(p).transpose()  # old coordinates -> new, as a column action
     n = a.dim
     products: dict = {op: {} for op in OPS}
     for op in OPS:
@@ -617,14 +615,7 @@ def change_basis(a: TriAlgebra, p: Matrix) -> TriAlgebra:
             for j in range(n):
                 v = a.multiply(p.row(i), p.row(j), op)
                 if any(v):
-                    w = [a.field.zero] * n
-                    for m, x in enumerate(v):
-                        if x:
-                            for kk in range(n):
-                                e = pinv.data[m][kk]
-                                if e:
-                                    w[kk] = a.field.add(w[kk], a.field.mul(x, e))
-                    sparse = {k: x for k, x in enumerate(w) if x}
+                    sparse = {k: x for k, x in enumerate(to_new.matvec(v)) if x}
                     if sparse:
                         products[op][(i, j)] = sparse
     return TriAlgebra(n, a.field, products, name=a.name)

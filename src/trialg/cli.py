@@ -25,10 +25,10 @@ from .algebra import (
 )
 from .cohomology import h2 as h2_of
 from .extensions import cover as build_cover
-from .extensions import is_unicentral, stem_center_image_check, z_star
+from .extensions import is_unicentral, z_star
 from .fields import QQ, FieldMismatchError, parse_field
 from .generators import NoCocyclesError, abelian, cover_abelian, random_extension
-from .linalg import Subspace
+from .linalg import Subspace, random_combination
 from .sequences import (
     NotCentralIdealError,
     stallings_check,
@@ -218,14 +218,8 @@ def _central_ideal_samples(alg: TriAlgebra, seed: int) -> list[tuple[str, Subspa
     for t in range(2):
         if center.dim < 2:
             break
-        acc = [fld.zero] * alg.dim
-        nonzero = False
-        for row in center.basis_rows():
-            c = fld.random_scalar(rng)
-            if c:
-                nonzero = True
-                acc = [fld.add(a, fld.mul(c, x)) for a, x in zip(acc, row)]
-        if nonzero:
+        acc = random_combination(rng, fld, center.basis_rows(), alg.dim)
+        if acc is not None:
             samples.append((f"random_line[{t}]", Subspace.from_rows(fld, alg.dim, [acc])))
     if center.dim:
         samples.append(("center", center))

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .algebra import IDENTITIES, OPS, TriAlgebra, _cleared, _identity_defects
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, _modulus, _residues, _scalar_rows, inverse, kernel
+from .linalg import Matrix, Subspace, _complement_coordinates, _modulus, _residues, _scalar_rows, kernel
 
 __all__ = [
     "CochainTriple",
@@ -340,20 +340,24 @@ def b2_space(b: TriAlgebra, k: int = 1) -> Subspace:
 class CohomologyResult:
     """Z^2, B^2, and a canonical set of H^2 class representatives.
 
-    Representatives are the pivot-completion complement of B^2 inside Z^2,
-    so repeated runs always pick the same cochains.  ``class_coordinates``
-    returns coordinates of a cocycle's class against that complement.
+    Representatives are the rows of ``complement``, the pivot-completion
+    complement of B^2 inside Z^2, so repeated runs always pick the same
+    cochains.  ``class_coordinates`` returns coordinates of a cocycle's
+    class against that complement.
     """
 
-    __slots__ = ("base", "coeff_dim", "z2", "b2", "h2_reps", "_solver")
+    __slots__ = ("base", "coeff_dim", "z2", "b2", "h2_reps", "_complement", "_coords")
 
-    def __init__(self, base, coeff_dim, z2, b2, h2_reps):
+    def __init__(self, base, coeff_dim, z2, b2, complement):
         self.base = base
         self.coeff_dim = coeff_dim
         self.z2 = z2
         self.b2 = b2
-        self.h2_reps = tuple(h2_reps)
-        self._solver = None
+        self.h2_reps = tuple(
+            CochainTriple._from_entries(base, coeff_dim, row) for row in _scalar_rows(complement.basis)
+        )
+        self._complement = complement
+        self._coords = None
 
     @property
     def h2_dim(self) -> int:
@@ -361,20 +365,13 @@ class CohomologyResult:
 
     def class_coordinates(self, vec: Sequence) -> tuple:
         """Coset coordinates of a cocycle vector relative to the stored
-        complement of B^2 in Z^2."""
-        u = self.z2.coordinates(vec)
-        if self.h2_dim == 0:
-            return ()
-        if self._solver is None:
-            stacked = list(self.b2.basis_rows()) + [r.vectorize() for r in self.h2_reps]
-            t = Matrix._trusted(
-                self.z2.field,
-                tuple(tuple(row[pc] for pc in self.z2.pivots) for row in stacked),
-                self.z2.dim,
-            )
-            self._solver = inverse(t.transpose())
-        w = self._solver.matvec(u)
-        return tuple(w[self.b2.dim :])
+        complement of B^2 in Z^2; raises ValueError outside Z^2."""
+        coerce = self.z2.field.coerce
+        vec = [coerce(x) for x in vec]
+        self.z2.coordinates(vec)
+        if self._coords is None:
+            self._coords = _complement_coordinates(self.b2, self._complement, self.z2)
+        return self._coords.matvec(vec)
 
     def class_of(self, cochain: CochainTriple) -> tuple:
         return self.class_coordinates(cochain.vectorize())
@@ -387,9 +384,7 @@ def h2(b: TriAlgebra, k: int = 1) -> CohomologyResult:
     def build():
         z2 = z2_space(b, k)
         b2 = b2_space(b, k)
-        comp = b2.complement_in(z2)
-        reps = [CochainTriple._from_entries(b, k, row) for row in _scalar_rows(comp.basis)]
-        return CohomologyResult(b, k, z2, b2, reps)
+        return CohomologyResult(b, k, z2, b2, b2.complement_in(z2))
 
     return b._memo(("h2", k), build)
 

@@ -32,7 +32,7 @@ from .cohomology import (
     h2,
     section_cocycle,
 )
-from .linalg import Matrix, Subspace, _modulus, _scalars, random_invertible, solve_right
+from .linalg import Matrix, Subspace, _modulus, _scalars, random_combination, random_invertible, solve_right
 
 __all__ = [
     "CentralExtension",
@@ -274,39 +274,18 @@ def stem_center_image_check(l: TriAlgebra, trials: int = 5, seed: int = 0) -> St
     m = res.h2_dim
     fld = l.field
     zs = z_star(l)
-    rep_vectors = [r.vectorize() for r in res.h2_reps]
+    width = res.z2.ambient_dim
+    rep_vectors = Matrix._trusted(fld, tuple(r.vectorize() for r in res.h2_reps), width)
     b2_rows = res.b2.basis_rows()
-
-    def random_combination(rows):
-        if not rows:
-            return None
-        width = len(rows[0])
-        acc = [fld.zero] * width
-        nonzero = False
-        for row in rows:
-            c = fld.random_scalar(rng)
-            if c:
-                nonzero = True
-                acc = [fld.add(a, fld.mul(c, x)) for a, x in zip(acc, row)]
-        return acc if nonzero else None
 
     images = []
     kernel_dims = []
     all_stem = True
     for t in range(trials):
-        vectors = []
-        if m:
-            tmat = random_invertible(rng, m, fld)
-            for r in range(m):
-                acc = [fld.zero] * len(rep_vectors[0])
-                for c in range(m):
-                    s = tmat.data[r][c]
-                    if s:
-                        acc = [fld.add(a, fld.mul(s, x)) for a, x in zip(acc, rep_vectors[c])]
-                vectors.append(acc)
+        vectors = list((random_invertible(rng, m, fld) @ rep_vectors).data)
         if t % 2 == 1:
-            extra = random_combination(rep_vectors)
-            shift = random_combination(b2_rows)
+            extra = random_combination(rng, fld, rep_vectors.data, width)
+            shift = random_combination(rng, fld, b2_rows, width)
             if extra is None:
                 extra = shift
             elif shift is not None:

@@ -13,6 +13,7 @@ from .algebra import DASHV, OPS, PERP, TriAlgebra, VDASH
 from .cohomology import CochainTriple, z2_space
 from .extensions import CentralExtension, build_central_extension
 from .fields import Field, QQ
+from .linalg import random_combination
 
 __all__ = [
     "abelian",
@@ -69,20 +70,12 @@ def random_cocycles(base: TriAlgebra, k: int, rng: random.Random) -> list[Cochai
     z2 = z2_space(base, 1)
     if z2.dim == 0:
         raise NoCocyclesError("base has no nonzero cocycles to sample")
-    fld = base.field
     out = []
     for _ in range(k):
-        while True:
-            acc = [fld.zero] * z2.ambient_dim
-            nonzero = False
-            for row in z2.basis_rows():
-                c = fld.random_scalar(rng)
-                if c:
-                    nonzero = True
-                    acc = [fld.add(a, fld.mul(c, x)) for a, x in zip(acc, row)]
-            if nonzero:
-                break
-        out.append(CochainTriple.from_vector(base, 1, acc))
+        vec = None
+        while vec is None:
+            vec = random_combination(rng, base.field, z2.basis_rows(), z2.ambient_dim)
+        out.append(CochainTriple.from_vector(base, 1, vec))
     return out
 
 

@@ -35,6 +35,15 @@ denominator D of an algebra's structure constants, with no change to any
 result.  Everything downstream leans on that canonicity for exact equality
 tests.
 
+This module is also the one home of coordinates and seeded combinations.
+Coset coordinates modulo a subspace -- ``Subspace.quotient_map``, the
+projection of a quotient algebra, H^2 class coordinates -- all come from
+``_complement_coordinates``, given the complement the caller already
+holds.  Every seeded random combination of rows comes from
+``random_combination`` and every seeded change of basis from
+``random_invertible``, so a seed fixes the same ``random_scalar`` draws
+everywhere.
+
 ``Matrix(field, data)`` coerces every entry into the field.  Matrices built
 inside the package from scalars that are already field elements (elimination
 results, subspace bases, transposes, stacks, products) skip that step.
@@ -61,6 +70,7 @@ __all__ = [
     "inverse",
     "solve_right",
     "random_invertible",
+    "random_combination",
     "ContainmentError",
     "SingularMatrixError",
     "InconsistentSystemError",
@@ -169,11 +179,6 @@ class Matrix:
 
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.data)
-
-    def column_select(self, cols: Sequence[int]) -> "Matrix":
-        return Matrix._trusted(
-            self.field, tuple(tuple(r[c] for c in cols) for r in self.data), len(cols)
-        )
 
     def transpose(self) -> "Matrix":
         data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
@@ -484,6 +489,17 @@ def random_invertible(rng, n: int, field: Field) -> Matrix:
             return m
 
 
+def random_combination(rng, field: Field, rows: Sequence[Sequence], width: int) -> tuple | None:
+    """Seeded random combination of ``width``-long ``rows``: one
+    ``random_scalar`` draw per row, in order, as its coefficient.  None when
+    every coefficient drawn is zero."""
+    coeffs = tuple(field.random_scalar(rng) for _ in rows)
+    if not any(coeffs):
+        return None
+    combo = Matrix._trusted(field, (coeffs,), len(coeffs)) @ Matrix._trusted(field, tuple(rows), width)
+    return combo.data[0]
+
+
 class Subspace:
     """Linear subspace of F^n held as its canonical RREF basis.
 
@@ -594,7 +610,10 @@ class Subspace:
         check_same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace._span(self.basis.vstack(other.basis))
+        rows = tuple(
+            ({p: lead, **tail}, lead) for s in (self, other) for p, (lead, tail) in s._tails().items()
+        )
+        return Subspace._span(Matrix._from_ints(self.field, rows, self.ambient_dim))
 
     def annihilator(self) -> "Subspace":
         """Kernel of the basis matrix: functionals vanishing on the space."""
@@ -634,20 +653,7 @@ class Subspace:
         Coordinates are taken against the pivot-completion complement, so
         the map is canonical given the two spaces.
         """
-        comp = self.complement_in(sup)
-        f = self.field
-        stacked = self.basis.data + comp.basis.data
-        q = comp.dim
-        if q == 0:
-            return Matrix.zeros(f, 0, self.ambient_dim)
-        t = Matrix._trusted(f, tuple(tuple(row[pc] for pc in sup.pivots) for row in stacked), sup.dim)
-        w = inverse(t.transpose())
-        out = [[f.zero] * self.ambient_dim for _ in range(q)]
-        for r in range(q):
-            wrow = w.data[self.dim + r]
-            for j, pc in enumerate(sup.pivots):
-                out[r][pc] = wrow[j]
-        return Matrix._trusted(f, tuple(tuple(row) for row in out), self.ambient_dim)
+        return _complement_coordinates(self, self.complement_in(sup), sup)
 
     def basis_rows(self) -> tuple[tuple, ...]:
         return self.basis.data
@@ -665,3 +671,27 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field.name}^{self.ambient_dim})"
+
+
+def _complement_coordinates(sub: Subspace, comp: Subspace, sup: Subspace) -> Matrix:
+    """Matrix sending ``x`` in ``sup`` to its coordinates against ``comp``,
+    a complement of ``sub`` in ``sup``: the coefficients of the ``comp``
+    rows when ``x`` is written in the basis of ``sub`` followed by ``comp``.
+
+    A vector of ``sup`` is fixed by its entries at ``sup.pivots``, so the
+    stacked basis restricted to those columns is invertible, and the map
+    reads those columns only.
+    """
+    f = sub.field
+    n = sub.ambient_dim
+    if comp.dim == 0:
+        return Matrix.zeros(f, 0, n)
+    stacked = sub.basis.data + comp.basis.data
+    t = Matrix._trusted(f, tuple(tuple(row[pc] for pc in sup.pivots) for row in stacked), sup.dim)
+    out = []
+    for wrow in inverse(t.transpose()).data[sub.dim :]:
+        row = [f.zero] * n
+        for pc, x in zip(sup.pivots, wrow):
+            row[pc] = x
+        out.append(tuple(row))
+    return Matrix._trusted(f, tuple(out), n)

@@ -284,6 +284,26 @@ def test_hom_to_field_dims(dim2, example_cover_1):
     assert hom_to_field(example_cover_1, 1).dim == 1
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_hom_to_field_is_span_of_block_rows(field):
+    rng = random.Random(5)
+    corpus = [random_valid_algebra(rng, field, max_dim=5) for _ in range(4)] + [abelian(2, field)]
+    for alg in corpus:
+        n = alg.dim
+        ann = alg.derived().space.annihilator()
+        for k in (1, 2, 3):
+            rows = []
+            for t in range(k):
+                for w in ann.basis_rows():
+                    big = [field.zero] * (k * n)
+                    big[t * n : (t + 1) * n] = w
+                    rows.append(big)
+            hom = hom_to_field(alg, k)
+            expected = Subspace.from_rows(field, k * n, rows)
+            assert (hom.basis.data, hom.pivots) == (expected.basis.data, expected.pivots)
+            assert hom_to_field(alg, k) is hom
+
+
 # --------------------------------------------------------------- bounds
 
 

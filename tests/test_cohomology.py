@@ -152,6 +152,36 @@ def test_class_coordinates_vanish_on_coboundaries(dim2):
         )
 
 
+def _combine(field, coeffs, rows, width):
+    acc = [field.zero] * width
+    for c, row in zip(coeffs, rows):
+        acc = [field.add(a, field.mul(c, x)) for a, x in zip(acc, row)]
+    return acc
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_class_coordinates_recover_representative_combinations(field, k):
+    rng = random.Random(31 + k)
+    corpus = [random_valid_algebra(rng, field, max_dim=4) for _ in range(4)]
+    for alg in corpus + _rebased_extensions(field, 13)[:2]:
+        res = h2(alg, k)
+        width = res.z2.ambient_dim
+        reps = [r.vectorize() for r in res.h2_reps]
+        quotient = res.b2.quotient_map(res.z2)
+        for _ in range(3):
+            coeffs = tuple(field.random_scalar(rng) for _ in reps)
+            shift = [field.random_scalar(rng) for _ in range(res.b2.dim)]
+            vec = _combine(field, coeffs + tuple(shift), reps + list(res.b2.basis_rows()), width)
+            assert res.class_coordinates(vec) == coeffs
+            assert quotient.matvec(vec) == coeffs
+        outside = next((e for e in Matrix.identity(field, width).data
+                        if not res.z2.contains_vector(e)), None)
+        if outside is not None:
+            with pytest.raises(ValueError):
+                res.class_coordinates(outside)
+
+
 # --------------------------------------------------------- the keystone
 
 

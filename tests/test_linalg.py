@@ -13,6 +13,7 @@ from trialg.linalg import (
     Subspace,
     inverse,
     kernel,
+    random_combination,
     rank,
     rref,
     solve_right,
@@ -357,3 +358,43 @@ def test_sparse_matrix_behaves_like_its_dense_twin(case, scale, zero_row):
     assert rref(_sparse_twin(field, rows, ncols, scale)) == rref(dense)
     ker, dense_ker = kernel(_sparse_twin(field, rows, ncols, scale)), kernel(dense)
     assert (ker.basis.data, ker.pivots) == (dense_ker.basis.data, dense_ker.pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices(), st.integers(0, 2**32))
+def test_random_combination_draws_one_scalar_per_row(case, seed):
+    field, ncols, rows = case
+    rng = random.Random(seed)
+    combo = random_combination(rng, field, rows, ncols)
+    replay = random.Random(seed)
+    coeffs = [field.random_scalar(replay) for _ in rows]
+    assert rng.getstate() == replay.getstate()
+    if not any(coeffs):
+        assert combo is None
+    else:
+        expected = [field.zero] * ncols
+        for c, row in zip(coeffs, rows):
+            expected = [field.add(a, field.mul(c, x)) for a, x in zip(expected, row)]
+        assert combo == tuple(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices(), st.data())
+def test_plus_is_span_of_stacked_bases(case, data):
+    field, ncols, rows = case
+    cut = data.draw(st.integers(0, len(rows)))
+    kinds = st.sampled_from(["rows", "full", "zero"])
+
+    def operand(kind, part):
+        if kind == "full":
+            return Subspace.full(field, ncols)
+        if kind == "zero":
+            return Subspace.zero(field, ncols)
+        return Subspace.from_rows(field, ncols, part)
+
+    a = operand(data.draw(kinds), rows[:cut])
+    b = operand(data.draw(kinds), rows[cut:])
+    total = a.plus(b)
+    expected = Subspace.from_rows(field, ncols, list(a.basis_rows()) + list(b.basis_rows()))
+    assert total == expected
+    assert total.pivots == expected.pivots
