@@ -141,24 +141,24 @@ def _cleared(field: Field, tables: Mapping[str, Mapping]) -> tuple[int, dict]:
     }
 
 
-def _identity_defects(field: Field, left: dict, right: dict, scale: int, width: int) -> list:
+def _identity_defects(field: Field, left: dict, right: dict) -> list:
     """One sweep over the eleven identities on integer tables.
 
     ``left`` holds an algebra's products and ``right`` a vector for each
-    basis pair, both as ``{op: {(i, j): {k: int}}}`` from :func:`_cleared`,
-    and ``scale`` is the product of their two factors.  For identity
-    (A, B, C, D) on the triple (i, j, l) the defect is
+    basis pair, both as ``{op: {(i, j): {k: int}}}`` from :func:`_cleared`.
+    For identity (A, B, C, D) on the triple (i, j, l) the defect is
 
         sum_m left_A[i, j][m] right_B[m, l] - sum_m left_D[j, l][m] right_C[i, m],
 
     which is (e_i A e_j) B e_l - e_i C (e_j D e_l) when ``right`` is
     ``left``, and the cocycle constraint family when ``right`` is a cochain.
     Only triples that touch a nonzero entry of ``left`` are visited.
-    Returns ``(identity index, triple, defect)`` for each nonzero defect, in
-    that order, the defect a dense ``width``-vector of field scalars.
+    Returns ``(identity index, triple, slot)`` for each nonzero defect, in
+    that order, the slot ``{k: int}`` holding its nonzero coordinates:
+    residues over F_p, and over Q the ints still scaled by the product of
+    the two tables' factors.
     """
     mod = _modulus(field)
-    zero = field.zero
     by_first: dict = {op: {} for op in OPS}
     by_second: dict = {op: {} for op in OPS}
     for op in OPS:
@@ -170,13 +170,17 @@ def _identity_defects(field: Field, left: dict, right: dict, scale: int, width: 
         acc: dict[tuple[int, int, int], dict[int, int]] = {}
         right_b = by_first[op_b]
         for (i, j), vec_a in left[op_a].items():
+            # Each (i, j) comes once, so its slots are fresh: build them per l.
+            slots: dict[int, dict[int, int]] = {}
             for m, s in vec_a.items():
                 for l, vec in right_b.get(m, ()):  # noqa: E741
-                    slot = acc.get((i, j, l))
+                    slot = slots.get(l)
                     if slot is None:
-                        slot = acc[(i, j, l)] = {}
+                        slot = slots[l] = {}
                     for k, v in vec.items():
                         slot[k] = slot.get(k, 0) + s * v
+            for l, slot in slots.items():  # noqa: E741
+                acc[(i, j, l)] = slot
         right_c = by_second[op_c]
         for (j, l), vec_d in left[op_d].items():  # noqa: E741
             for m, s in vec_d.items():
@@ -187,14 +191,20 @@ def _identity_defects(field: Field, left: dict, right: dict, scale: int, width: 
                     for k, v in vec.items():
                         slot[k] = slot.get(k, 0) - s * v
         for triple in sorted(acc):
-            slot = _residues(acc[triple], mod) if mod else acc[triple]
-            if any(slot.values()):
-                dense = [zero] * width
-                for k, v in slot.items():
-                    if v:
-                        dense[k] = v if mod else Fraction(v, scale)
-                out.append((idx, triple, tuple(dense)))
+            slot = _residues(acc[triple], mod) if mod else {k: v for k, v in acc[triple].items() if v}
+            if slot:
+                out.append((idx, triple, slot))
     return out
+
+
+def _dense_defect(field: Field, slot: dict, scale: int, width: int) -> tuple:
+    """A defect slot of :func:`_identity_defects` as a dense ``width``-vector
+    of field scalars, divided back by ``scale`` over Q."""
+    dense = [field.zero] * width
+    mod = _modulus(field)
+    for k, v in slot.items():
+        dense[k] = v if mod else Fraction(v, scale)
+    return tuple(dense)
 
 
 class TriAlgebra:
@@ -202,9 +212,9 @@ class TriAlgebra:
 
     ``products[op][(i, j)]`` is a sparse vector {k: scalar} giving the
     nonzero coordinates of e_i op e_j.  Instances are immutable, so every
-    invariant -- the axiom report, center, derived subalgebra, H^2, cover,
-    Z* and the analysis of each central ideal -- is computed once and kept
-    in the one memo ``_cache`` (see :meth:`_memo`).
+    invariant -- the axiom report, center, derived subalgebra and its
+    complement, H^2, cover, Z* and the analysis of each central ideal -- is
+    computed once and kept in the one memo ``_cache`` (see :meth:`_memo`).
     """
 
     __slots__ = ("dim", "field", "products", "name", "_cache")
@@ -347,8 +357,8 @@ class TriAlgebra:
         def build():
             d, table = self._cleared_products()
             violations = tuple(
-                AxiomViolation(idx, triple, defect)
-                for idx, triple, defect in _identity_defects(self.field, table, table, d * d, self.dim)
+                AxiomViolation(idx, triple, _dense_defect(self.field, slot, d * d, self.dim))
+                for idx, triple, slot in _identity_defects(self.field, table, table)
             )
             return AxiomReport(ok=not violations, violations=violations)
 
@@ -492,24 +502,24 @@ def quotient_algebra(a: TriAlgebra, ideal) -> QuotientAlgebra:
     alg_sub = AlgSubspace(a, space)
     if not is_ideal(alg_sub):
         raise NotAnIdealError("subspace is not an ideal of the algebra")
-    f = a.field
-    full = Subspace.full(f, a.dim)
+    full = Subspace.full(a.field, a.dim)
     comp = space.complement_in(full)
     proj = _complement_coordinates(space, comp, full)
-    q = comp.dim
-    section = comp.basis.transpose()
+    quot = _transport(a, comp.basis_rows(), proj.matvec, None)
+    return QuotientAlgebra(quot, proj, comp.basis.transpose())
+
+
+def _transport(a: TriAlgebra, rows: Sequence, to_coords, name: str | None) -> TriAlgebra:
+    """The algebra whose basis vector r stands for ``rows[r]``, a vector of
+    ``a``: e_r op e_s has the coordinates ``to_coords(rows[r] op rows[s])``."""
     products: dict = {op: {} for op in OPS}
-    comp_rows = comp.basis_rows()
-    for r in range(q):
-        for s in range(q):
-            for op in OPS:
-                p = a.multiply(comp_rows[r], comp_rows[s], op)
+    for op in OPS:
+        for r, u in enumerate(rows):
+            for s, v in enumerate(rows):
+                p = a.multiply(u, v, op)
                 if any(p):
-                    w = proj.matvec(p)
-                    if any(w):
-                        products[op][(r, s)] = {k: v for k, v in enumerate(w) if v}
-    quot = TriAlgebra(q, f, products, name=None)
-    return QuotientAlgebra(quot, proj, section)
+                    products[op][(r, s)] = {k: x for k, x in enumerate(to_coords(p)) if x}
+    return TriAlgebra(len(rows), a.field, products, name=name)
 
 
 def hom_to_field(a: TriAlgebra, k: int) -> Subspace:
@@ -608,14 +618,4 @@ def change_basis(a: TriAlgebra, p: Matrix) -> TriAlgebra:
         raise ValueError("basis matrix must be square of the algebra dimension")
     check_same_field(p.field, a.field)
     to_new = inverse(p).transpose()  # old coordinates -> new, as a column action
-    n = a.dim
-    products: dict = {op: {} for op in OPS}
-    for op in OPS:
-        for i in range(n):
-            for j in range(n):
-                v = a.multiply(p.row(i), p.row(j), op)
-                if any(v):
-                    sparse = {k: x for k, x in enumerate(to_new.matvec(v)) if x}
-                    if sparse:
-                        products[op][(i, j)] = sparse
-    return TriAlgebra(n, a.field, products, name=a.name)
+    return _transport(a, [p.row(i) for i in range(a.dim)], to_new.matvec, a.name)

@@ -140,7 +140,7 @@ def cmd_invariants(args) -> int:
     out.add("derived_dim", derived.dim)
     out.add("center_dim", center.dim)
     out.add("derived_cap_center_dim", derived.intersection(center).dim)
-    out.add("hom_dim", hom_to_field(alg, 1).dim if alg.dim else 0)
+    out.add("hom_dim", hom_to_field(alg, 1).dim)
     bounds = check_dim_bounds(alg)
     out.add("derived_bound", bounds.derived_bound)
     out.add("derived_bound_ok", bounds.derived_ok)

@@ -7,6 +7,14 @@ from identity i, so a violated constraint row names the identity an
 extension built from the triple would break).  Coboundaries are the
 triples of the form (x, y) -> -eps(x * y) for a linear map eps: B -> F^k.
 
+The axiom report, ``cocycle_defects`` and the Z^2 constraint system are
+three calls of the one identity sweep in the algebra module: products
+against products, against a cochain, and against the universal cochain,
+whose value at (op, i, j) is the unknown of that column.  A defect is
+linear in the cochain, so the universal cochain's defect at (family,
+triple) is that constraint's row, and no other module knows how families
+map to columns.
+
 Cochains are vectorized in a fixed order: operation ("vdash", "dashv",
 "perp"), then the basis pair (i, j) row-major, then the coefficient
 coordinate, giving an ambient space of dimension 3 n^2 k.  The constraint
@@ -21,9 +29,9 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Mapping, Sequence
 
-from .algebra import IDENTITIES, OPS, TriAlgebra, _cleared, _identity_defects
+from .algebra import OPS, TriAlgebra, _cleared, _dense_defect, _identity_defects
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, _complement_coordinates, _modulus, _residues, _scalar_rows, kernel
+from .linalg import Matrix, Subspace, _complement_coordinates, _modulus, _scalar_rows, kernel
 
 __all__ = [
     "CochainTriple",
@@ -251,43 +259,29 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
              for op, table in f.forms.items()}
     e, forms = _cleared(base.field, forms)
     return [
-        CocycleViolation(idx, triple, defect)
-        for idx, triple, defect in _identity_defects(base.field, products, forms, d * e, f.coeff_dim)
+        CocycleViolation(idx, triple, _dense_defect(base.field, slot, d * e, f.coeff_dim))
+        for idx, triple, slot in _identity_defects(base.field, products, forms)
     ]
 
 
 def _scalar_cocycle_matrix(b: TriAlgebra) -> Matrix:
     """Constraint matrix of the k = 1 cocycle system, in the sparse form.
 
-    Unknown (op, i, j) sits at column (o*n + i)*n + j; rows are ordered by
-    (family index, basis triple), and rows that vanish are left out.  The
-    rows are summed as ints from the algebra's denominator-cleared products,
-    D times the true constraints, and carry D as their denominator.
+    The rows are the defects of the universal cochain, whose value at
+    (op, i, j) is the unknown at column (o*n + i)*n + j: its defect at a
+    (family, triple) is that constraint's row.  They come ordered by
+    (family index, basis triple), zero rows left out, summed as ints from
+    the algebra's denominator-cleared products: D times the true
+    constraints, so each carries D as its denominator.
     """
     n = b.dim
     d, products = b._cleared_products()
-    mod = _modulus(b.field)
-    rows_map: dict[tuple, dict[int, int]] = {}
-    for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
-        ob = OPS.index(op_b)
-        oc = OPS.index(op_c)
-        # Each key (idx, i, j, l) is set at most once here, before the loop below adds to it.
-        for (i, j), vab in products[op_a].items():
-            for l in range(n):  # noqa: E741
-                rows_map[(idx, i, j, l)] = {(ob * n + m) * n + l: s for m, s in vab.items()}
-        for (j, l), vbc in products[op_d].items():  # noqa: E741
-            for i in range(n):
-                row = rows_map.setdefault((idx, i, j, l), {})
-                for m, s in vbc.items():
-                    col = (oc * n + i) * n + m
-                    row[col] = row.get(col, 0) - s
-    rows = []
-    for key in sorted(rows_map):
-        row = rows_map[key]
-        row = _residues(row, mod) if mod else {col: x for col, x in row.items() if x}
-        if row:
-            rows.append((row, d))
-    return Matrix._from_ints(b.field, tuple(rows), 3 * n * n)
+    universal = {
+        op: {(i, j): {(o * n + i) * n + j: 1} for i in range(n) for j in range(n)}
+        for o, op in enumerate(OPS)
+    }
+    rows = tuple((slot, d) for _, _, slot in _identity_defects(b.field, products, universal))
+    return Matrix._from_ints(b.field, rows, 3 * n * n)
 
 
 def _expand_subspace(sub: Subspace, k: int) -> Subspace:

@@ -32,7 +32,9 @@ from .cohomology import (
     h2,
     section_cocycle,
 )
-from .linalg import Matrix, Subspace, _modulus, _scalars, random_combination, random_invertible, solve_right
+from .linalg import (
+    Matrix, Subspace, _modulus, _scalars, kernel, random_combination, random_invertible, rank, solve_right
+)
 
 __all__ = [
     "CentralExtension",
@@ -94,11 +96,9 @@ class CentralExtension:
         total, base = self.total, self.base
         if not total.center().space.contains(self.kernel.space):
             raise ValueError("kernel is not central in the total algebra")
-        from .linalg import kernel as mat_kernel, rank
-
         if rank(self.projection) != base.dim:
             raise ValueError("projection is not surjective")
-        if mat_kernel(self.projection) != self.kernel.space:
+        if kernel(self.projection) != self.kernel.space:
             raise ValueError("projection kernel differs from the stored kernel")
         for op in OPS:
             for (i, j), vec in total.products[op].items():

@@ -200,7 +200,11 @@ class _CentralIdealAnalysis:
         pairs, both orders, per operation (k = 1 only)."""
         if self.k != 1:
             raise ValueError("the pairing-block map is defined for k = 1")
-        comp = self.alg.derived().space.complement_in(Subspace.full(self.alg.field, self.alg.dim))
+        alg = self.alg
+        comp = alg._memo(
+            "derived_complement",
+            lambda: alg.derived().space.complement_in(Subspace.full(alg.field, alg.dim)),
+        )
         us, ws = comp.basis_rows(), self.z.basis_rows()
         cols = []
         for rep in self.coh_l.h2_reps:

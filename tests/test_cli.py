@@ -283,6 +283,51 @@ def test_verify_all_central_builds_each_quotient_and_the_cover_once(capsys, monk
     assert len(quotients) == 2 * len(set(samples)) and len(covers) == 2
 
 
+def test_verify_all_central_complements_the_derived_subalgebra_once(capsys, monkeypatch, tmp_path):
+    """The delta map of every central ideal of L uses the complement of L'
+    in L, which depends on L alone: it is built once per algebra."""
+    import sys
+
+    from trialg.cli import _central_ideal_samples
+    from trialg.generators import random_extension
+    from trialg.linalg import Subspace
+    from trialg.sequences import _CentralIdealAnalysis
+
+    alg = random_extension(abelian(2), 2, seed=0).total
+    path = tmp_path / "ext.json"
+    path.write_text(emit(alg))
+    assert len(_central_ideal_samples(alg, 0)) >= 3
+
+    delta_code = _CentralIdealAnalysis.delta.func.__code__
+    real_complement = Subspace.complement_in
+    calls = []
+
+    def counting_complement(self, sup):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not delta_code:
+            frame = frame.f_back
+        if frame is not None:
+            calls.append((self, sup))
+        return real_complement(self, sup)
+
+    monkeypatch.setattr(Subspace, "complement_in", counting_complement)
+    code, out, _ = run(capsys, "verify", str(path), "--all-central")
+    assert code == 0 and kv(out)["ok"] == "true"
+    derived = [c for c in calls if c[0] == alg.derived().space and c[1] == Subspace.full(alg.field, alg.dim)]
+    assert len(derived) == 1
+
+
+def test_invariants_of_zero_dim_algebra(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"field": "Q", "dim": 0, "products": []}))
+    code, out, _ = run(capsys, "invariants", str(path))
+    assert code == 0
+    assert kv(out)["hom_dim"] == "0"
+    code, out, _ = run(capsys, "h2", str(path))
+    assert code == 0
+    assert kv(out)["h2_dim"] == "0"
+
+
 # ------------------------------------------------------------------- gen
 
 
