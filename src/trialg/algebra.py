@@ -106,6 +106,14 @@ class NotAnIdealError(ValueError):
     pass
 
 
+class NotCentralIdealError(ValueError):
+    """A subspace given as a central ideal is not inside the center."""
+
+
+class NoCocyclesError(ValueError):
+    """The base algebra has no nonzero cocycle to extend it by."""
+
+
 @dataclass(frozen=True)
 class AxiomViolation:
     axiom: int                      # 1..11

@@ -15,28 +15,20 @@ import random
 import re
 import sys
 
-from . import algfile
+# cohomology, extensions, generators and sequences are lazy modules (see
+# __init__): each is executed only when a command first calls into it.
+from . import algfile, cohomology, extensions, generators, sequences
 from .algebra import (
     InvalidAlgebraError,
+    NoCocyclesError,
+    NotCentralIdealError,
     TriAlgebra,
     check_dim_bounds,
     dimension_bound_table,
     hom_to_field,
 )
-from .cohomology import h2 as h2_of
-from .extensions import cover as build_cover
-from .extensions import is_unicentral, z_star
 from .fields import QQ, FieldMismatchError, parse_field
-from .generators import NoCocyclesError, abelian, cover_abelian, random_extension
 from .linalg import Subspace, random_combination
-from .sequences import (
-    NotCentralIdealError,
-    stallings_check,
-    tra_image_check,
-    unicentrality_criteria,
-    verify_five_term,
-    verify_inf_delta,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -150,7 +142,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_h2(args) -> int:
     alg = _read_algebra(args.path)
-    res = h2_of(alg, args.k)
+    res = cohomology.h2(alg, args.k)
     out = _Report()
     out.add("coeff_dim", args.k)
     out.add("z2_dim", res.z2.dim)
@@ -167,7 +159,7 @@ def cmd_h2(args) -> int:
 
 def cmd_cover(args) -> int:
     alg = _read_algebra(args.path)
-    result = build_cover(alg)
+    result = extensions.cover(alg)
     ext = result.extension
     document = algfile.emit(ext.total)
     if args.output:
@@ -189,7 +181,7 @@ def cmd_cover(args) -> int:
 
 def cmd_zstar(args) -> int:
     alg = _read_algebra(args.path)
-    zs = z_star(alg)
+    zs = extensions.z_star(alg)
     out = _Report()
     out.add("z_star_dim", zs.dim)
     for idx, row in enumerate(zs.space.basis_rows()):
@@ -201,7 +193,7 @@ def cmd_zstar(args) -> int:
 def cmd_unicentral(args) -> int:
     alg = _read_algebra(args.path)
     out = _Report()
-    out.add("unicentral", is_unicentral(alg))
+    out.add("unicentral", extensions.is_unicentral(alg))
     out.print(args.json)
     return EXIT_OK
 
@@ -243,15 +235,15 @@ def cmd_verify(args) -> int:
     all_ok = True
     for label, z in targets:
         out.add(f"{label}.dim", z.dim)
-        five = verify_five_term(alg, z, 1)
+        five = sequences.verify_five_term(alg, z, 1)
         out.extend(f"{label}.five_term", five.as_dict())
-        infdelta = verify_inf_delta(alg, z)
+        infdelta = sequences.verify_inf_delta(alg, z)
         out.extend(f"{label}.inf_delta", infdelta.as_dict())
-        tra_img = tra_image_check(alg, z)
+        tra_img = sequences.tra_image_check(alg, z)
         out.extend(f"{label}.tra_image", tra_img.as_dict())
-        criteria = unicentrality_criteria(alg, z)
+        criteria = sequences.unicentrality_criteria(alg, z)
         out.extend(f"{label}.criteria", criteria.as_dict())
-        stallings = stallings_check(alg, z)
+        stallings = sequences.stallings_check(alg, z)
         out.extend(f"{label}.stallings", stallings.as_dict())
         ok = five.ok and infdelta.ok and tra_img.ok and criteria.agree and stallings.ok
         out.add(f"{label}.ok", ok)
@@ -265,16 +257,16 @@ def cmd_gen(args) -> int:
     if args.kind in ("abelian", "cover-abelian"):
         if args.n is None:
             return _fail_input(f"gen {args.kind} requires -n")
-        make = abelian if args.kind == "abelian" else cover_abelian
+        make = generators.abelian if args.kind == "abelian" else generators.cover_abelian
         alg = make(args.n, args.field)
     else:  # random-ext
         if args.base is None:
             return _fail_input("gen random-ext requires --base")
         if isinstance(args.base, int):
-            base = abelian(args.base, args.field)
+            base = generators.abelian(args.base, args.field)
         else:
             base = _read_algebra(args.base)
-        alg = random_extension(base, args.k, args.seed).total
+        alg = generators.random_extension(base, args.k, args.seed).total
     document = algfile.emit(alg)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import DASHV, OPS, PERP, TriAlgebra, VDASH
+from .algebra import DASHV, OPS, PERP, NoCocyclesError, TriAlgebra, VDASH
 from .cohomology import CochainTriple, z2_space
 from .extensions import CentralExtension, build_central_extension
 from .fields import Field, QQ
@@ -59,10 +59,6 @@ def unital_dim1(field: Field = QQ) -> TriAlgebra:
         {VDASH: {(0, 0): {0: one}}, DASHV: {(0, 0): {0: one}}, PERP: {(0, 0): {0: one}}},
         name="unital1",
     )
-
-
-class NoCocyclesError(ValueError):
-    """The base algebra has no nonzero cocycle to extend it by."""
 
 
 def random_cocycles(base: TriAlgebra, k: int, rng: random.Random) -> list[CochainTriple]:

@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import TriAlgebra, as_subspace, hom_to_field, quotient_algebra, OPS
+from .algebra import (OPS, NotCentralIdealError, TriAlgebra, as_subspace, hom_to_field,
+                      quotient_algebra)
 from .cohomology import CochainTriple, h2, section_cocycle
 from .extensions import z_star
 from .linalg import Matrix, Subspace, kernel
@@ -53,10 +54,6 @@ __all__ = [
     "stallings_check",
     "StallingsReport",
 ]
-
-
-class NotCentralIdealError(ValueError):
-    pass
 
 
 def _require_central(l: TriAlgebra, z: Subspace) -> None:

@@ -110,7 +110,7 @@ def test_internal_error_exit_3(capsys, monkeypatch, dim2_file):
     def broken(alg, k):
         raise ValueError("invariant broken")
 
-    monkeypatch.setattr("trialg.cli.h2_of", broken)
+    monkeypatch.setattr("trialg.cohomology.h2", broken)
     code, out, err = run(capsys, "h2", dim2_file)
     assert code == 3
     assert out == ""

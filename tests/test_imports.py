@@ -1,0 +1,151 @@
+"""What each command executes, and the package's public names.
+
+``cohomology``, ``extensions``, ``generators`` and ``sequences`` are lazy
+modules: registered in ``sys.modules`` when the package is imported,
+executed on first attribute access.  Which of them a command executes is
+observed in a fresh interpreter, since this one has already run them all.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import trialg
+
+SRC = Path(trialg.__file__).resolve().parents[1]
+LAZY = ("cohomology", "extensions", "generators", "sequences")
+MODULES = ("algebra", "algfile", "cli", "fields", "linalg") + LAZY
+
+# Runs each command through trialg.cli.main in turn; after each, records its
+# exit code and which lazy modules have been executed.  A lazy module that
+# has not been executed is not a types.ModuleType; anything that reads its
+# attributes, vars() included, would execute it.
+PROBE = """
+import json, sys, types
+import trialg.cli
+
+def executed():
+    return sorted(n for n in {lazy} if type(sys.modules["trialg." + n]) is types.ModuleType)
+
+report = {{"registered": sorted(n for n in sys.modules if n.startswith("trialg.")),
+          "steps": [["import", None, executed()]]}}
+for argv in json.loads(sys.argv[1]):
+    rc = trialg.cli.main(argv)
+    report["steps"].append([argv[0] + ":" + argv[-1].rsplit("/", 1)[-1], rc, executed()])
+sys.stdout.flush()
+sys.stderr.write("\\n" + json.dumps(report) + "\\n")
+""".format(lazy=repr(LAZY))
+
+
+def probe(*argvs):
+    path = [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+DIM2 = {"field": "Q", "dim": 2, "products": [{"op": "vdash", "i": 0, "j": 0, "value": ["0", "1"]}]}
+
+
+def write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_validate_and_invariants_execute_no_lazy_module(tmp_path):
+    valid = write(tmp_path, "dim2.json", DIM2)
+    invalid = write(tmp_path, "bad.json", {
+        "field": "Q", "dim": 2, "products": [{"op": "vdash", "i": 0, "j": 1, "value": ["1", "0"]}]})
+    malformed = write(tmp_path, "dup.json", {
+        "field": "Q", "dim": 1, "products": [{"op": "vdash", "i": 0, "j": 0, "value": ["1"]}] * 2})
+    report = probe(["validate", valid], ["invariants", valid], ["validate", malformed],
+                   ["invariants", malformed], ["validate", invalid], ["invariants", invalid],
+                   ["h2", valid])
+    # The benchmark's tracer looks every module up right after this import.
+    assert report["registered"] == sorted(f"trialg.{m}" for m in MODULES)
+    assert report["steps"] == [
+        ["import", None, []],
+        ["validate:dim2.json", 0, []],
+        ["invariants:dim2.json", 0, []],
+        ["validate:dup.json", 2, []],
+        ["invariants:dup.json", 2, []],
+        ["validate:bad.json", 1, []],
+        ["invariants:bad.json", 1, []],
+        ["h2:dim2.json", 0, ["cohomology"]],
+    ]
+
+
+def test_commands_execute_the_modules_they_use(tmp_path):
+    valid = write(tmp_path, "dim2.json", DIM2)
+    report = probe(["zstar", valid], ["verify", "--z", "e2", valid])
+    assert report["steps"][1:] == [
+        ["zstar:dim2.json", 0, ["cohomology", "extensions"]],
+        ["verify:dim2.json", 0, ["cohomology", "extensions", "sequences"]],
+    ]
+
+
+# Every name trialg exported when its __init__ imported all of its modules.
+PUBLIC = {
+    "algebra": [
+        "AlgSubspace", "AxiomReport", "AxiomViolation", "DASHV", "IDENTITIES",
+        "InvalidAlgebraError", "MalformedAlgebraError", "NotAnIdealError", "OPS", "PERP",
+        "QuotientAlgebra", "TriAlgebra", "VDASH", "change_basis", "check_dim_bounds",
+        "dimension_bound_table", "hom_to_field", "identity_str", "is_ideal",
+        "product_subspace", "quotient_algebra",
+    ],
+    "algfile": ["AlgebraFileError", "emit", "load", "parse", "save"],
+    "cohomology": [
+        "CochainTriple", "CohomologyResult", "NotACocycleError", "NotASectionError",
+        "b2_space", "cocycle_defects", "h2", "is_cohomologous", "section_cocycle", "z2_space",
+    ],
+    "extensions": [
+        "CentralExtension", "CoverResult", "StemImageReport", "build_central_extension",
+        "cover", "cover_fingerprint", "extension_algebra", "is_unicentral",
+        "stem_center_image_check", "z_star",
+    ],
+    "fields": ["GF", "QQ", "FieldMismatchError", "PrimeField", "RationalField", "parse_field"],
+    "generators": [
+        "abelian", "cover_abelian", "dim2_single_product", "random_extension",
+        "random_valid_algebra", "unital_dim1",
+    ],
+    "linalg": [
+        "ContainmentError", "Matrix", "Subspace", "inverse", "kernel", "rank", "rref",
+        "solve_right",
+    ],
+    "sequences": [
+        "NotCentralIdealError", "delta_map", "inf1", "inf2", "res", "stallings_check", "tra",
+        "tra_image_check", "unicentrality_criteria", "verify_five_term", "verify_inf_delta",
+    ],
+}
+
+
+def test_public_names_are_unchanged():
+    listed = dir(trialg)
+    for module_name, names in PUBLIC.items():
+        module = importlib.import_module(f"trialg.{module_name}")
+        assert getattr(trialg, module_name) is module
+        assert module_name in listed
+        for name in names:
+            namespace = {}
+            exec(f"from trialg import {name} as value", namespace)
+            assert namespace["value"] is getattr(module, name), name
+            assert name in listed, name
+    star = {}
+    exec("from trialg import *", star)
+    assert {n for names in PUBLIC.values() for n in names} <= set(star)
+    assert trialg.__version__ == "0.1.0"
+
+
+def test_exceptions_keep_their_public_homes():
+    import trialg.generators
+    import trialg.sequences
+
+    assert trialg.sequences.NotCentralIdealError is trialg.NotCentralIdealError
+    assert issubclass(trialg.generators.NoCocyclesError, ValueError)
+    assert trialg.sequences.verify_five_term is trialg.verify_five_term
