@@ -15,9 +15,11 @@ linear in the cochain, so the universal cochain's defect at (family,
 triple) is that constraint's row, and no other module knows how families
 map to columns.
 
-Cochains are vectorized in a fixed order: operation ("vdash", "dashv",
-"perp"), then the basis pair (i, j) row-major, then the coefficient
-coordinate, giving an ambient space of dimension 3 n^2 k.  The constraint
+A cochain is stored as its vector in F^(3 n^2 k), the space Z^2, B^2 and
+H^2 live in: the nonzero entries, indexed in a fixed order -- operation
+("vdash", "dashv", "perp"), then the basis pair (i, j) row-major, then the
+coefficient coordinate, so (op o, i, j, t) sits at ((o n + i) n + j) k + t.
+Its per-operation forms are a view decoded from those entries.  The constraint
 system splits per coefficient coordinate, so the k > 1 spaces are the
 k-fold coordinate expansions of the k = 1 spaces; canonicity of RREF bases
 makes that expansion exact, not a convention.
@@ -76,9 +78,11 @@ class CocycleViolation:
 
 
 class CochainTriple:
-    """Three F^k-valued bilinear forms on a base algebra, stored sparsely."""
+    """Three F^k-valued bilinear forms on a base algebra, held as the
+    nonzero entries ``{index: scalar}`` of their vector (see the module
+    docstring for the index order)."""
 
-    __slots__ = ("base", "coeff_dim", "forms")
+    __slots__ = ("base", "coeff_dim", "_entries", "_forms")
 
     def __init__(
         self,
@@ -88,60 +92,41 @@ class CochainTriple:
     ):
         if coeff_dim < 0:
             raise ValueError("coefficient dimension must be >= 0")
-        self.base = base
-        self.coeff_dim = coeff_dim
         n = base.dim
         coerce = base.field.coerce
-        norm: dict[str, dict[tuple[int, int], tuple]] = {op: {} for op in OPS}
+        entries: dict = {}
         for op, table in (forms or {}).items():
             if op not in OPS:
                 raise ValueError(f"unknown operation {op!r}")
+            o = OPS.index(op)
             for key, val in table.items():
                 i, j = key
                 if not (0 <= i < n and 0 <= j < n):
                     raise ValueError(f"basis pair {key} out of range")
-                vec = tuple(coerce(x) for x in val)
+                vec = [coerce(x) for x in val]
                 if len(vec) != coeff_dim:
                     raise ValueError(
                         f"value at {op}{key} has length {len(vec)}, expected {coeff_dim}"
                     )
-                if any(vec):
-                    norm[op][(i, j)] = vec
-        self.forms = {op: dict(sorted(norm[op].items())) for op in OPS}
-
-    @classmethod
-    def _trusted(cls, base: TriAlgebra, coeff_dim: int, forms: dict) -> "CochainTriple":
-        """Package-internal constructor: ``forms`` already has every
-        operation, in ``OPS`` order, each table sorted by basis pair and
-        holding ``coeff_dim``-tuples of field scalars, none all zero."""
-        c = object.__new__(cls)
-        c.base = base
-        c.coeff_dim = coeff_dim
-        c.forms = forms
-        return c
+                start = ((o * n + i) * n + j) * coeff_dim
+                for t, x in enumerate(vec):
+                    if x:
+                        entries[start + t] = x
+        self.base = base
+        self.coeff_dim = coeff_dim
+        self._entries = entries
+        self._forms = None
 
     @classmethod
     def _from_entries(cls, base: TriAlgebra, coeff_dim: int, entries: dict) -> "CochainTriple":
-        """The cochain whose vector (see :meth:`vectorize`) has the field
-        scalars ``entries`` ``{index: scalar}`` and zeros elsewhere."""
-        n, k = base.dim, coeff_dim
-        zero = base.field.zero
-        forms: dict = {op: {} for op in OPS}
-        for idx in sorted(entries):
-            x = entries[idx]
-            if not x:
-                continue
-            pair, t = divmod(idx, k)
-            o, ij = divmod(pair, n * n)
-            table = forms[OPS[o]]
-            key = divmod(ij, n)
-            val = table.get(key)
-            if val is None:
-                val = table[key] = [zero] * k
-            val[t] = x
-        return cls._trusted(
-            base, k, {op: {key: tuple(v) for key, v in table.items()} for op, table in forms.items()}
-        )
+        """The cochain whose vector (see :meth:`vectorize`) has the nonzero
+        field scalars ``entries`` ``{index: scalar}`` and zeros elsewhere."""
+        c = object.__new__(cls)
+        c.base = base
+        c.coeff_dim = coeff_dim
+        c._entries = entries
+        c._forms = None
+        return c
 
     @classmethod
     def zero(cls, base: TriAlgebra, coeff_dim: int) -> "CochainTriple":
@@ -149,14 +134,14 @@ class CochainTriple:
 
     @classmethod
     def from_vector(cls, base: TriAlgebra, coeff_dim: int, vec: Sequence) -> "CochainTriple":
+        if coeff_dim < 0:
+            raise ValueError("coefficient dimension must be >= 0")
         n = base.dim
         if len(vec) != 3 * n * n * coeff_dim:
             raise ValueError("vector length does not match 3*n^2*k")
-        if coeff_dim < 0:
-            raise ValueError("coefficient dimension must be >= 0")
         coerce = base.field.coerce
         return cls._from_entries(
-            base, coeff_dim, {i: coerce(vec[i]) for i in compress(range(len(vec)), vec)}
+            base, coeff_dim, {i: x for i in compress(range(len(vec)), vec) if (x := coerce(vec[i]))}
         )
 
     @classmethod
@@ -166,19 +151,33 @@ class CochainTriple:
         for c in components:
             if c.base != base or c.coeff_dim != 1:
                 raise ValueError("stack expects scalar cochains on the same base")
-        forms: dict = {op: {} for op in OPS}
-        zero = base.field.zero
-        for t, c in enumerate(components):
-            for op in OPS:
-                for key, val in c.forms[op].items():
-                    cur = forms[op].get(key)
-                    if cur is None:
-                        cur = [zero] * k
-                        forms[op][key] = cur
-                    cur[t] = val[0]
-        return cls._trusted(
-            base, k, {op: {key: tuple(forms[op][key]) for key in sorted(forms[op])} for op in OPS}
+        return cls._from_entries(
+            base, k, {idx * k + t: x for t, c in enumerate(components) for idx, x in c._entries.items()}
         )
+
+    def _decode(self) -> dict:
+        """The entries as ``{op: {(i, j): {t: scalar}}}``: every operation in
+        ``OPS`` order, each table sorted by basis pair."""
+        n, k = self.base.dim, self.coeff_dim
+        tables: dict = {op: {} for op in OPS}
+        for idx, x in sorted(self._entries.items()):
+            pair, t = divmod(idx, k)
+            o, ij = divmod(pair, n * n)
+            tables[OPS[o]].setdefault(divmod(ij, n), {})[t] = x
+        return tables
+
+    @property
+    def forms(self) -> dict:
+        """The forms as ``{op: {(i, j): value}}``: every operation in ``OPS``
+        order, each table sorted by basis pair and holding the nonzero
+        values as ``coeff_dim``-tuples.  Built on first read."""
+        if self._forms is None:
+            zero, k = self.base.field.zero, self.coeff_dim
+            self._forms = {
+                op: {key: tuple(slot.get(t, zero) for t in range(k)) for key, slot in table.items()}
+                for op, table in self._decode().items()
+            }
+        return self._forms
 
     def entry(self, op: str, i: int, j: int) -> tuple:
         val = self.forms[op].get((i, j))
@@ -206,37 +205,30 @@ class CochainTriple:
 
     def vectorize(self) -> tuple:
         n = self.base.dim
-        k = self.coeff_dim
-        zero = self.base.field.zero
-        out = [zero] * (3 * n * n * k)
-        for o, op in enumerate(OPS):
-            for (i, j), val in self.forms[op].items():
-                start = ((o * n + i) * n + j) * k
-                for t, v in enumerate(val):
-                    out[start + t] = v
+        out = [self.base.field.zero] * (3 * n * n * self.coeff_dim)
+        for idx, x in self._entries.items():
+            out[idx] = x
         return tuple(out)
 
     def sub(self, other: "CochainTriple") -> "CochainTriple":
         if self.base != other.base or self.coeff_dim != other.coeff_dim:
             raise ValueError("cochains live on different bases")
         f = self.base.field
-        forms: dict = {op: {} for op in OPS}
-        for op in OPS:
-            keys = set(self.forms[op]) | set(other.forms[op])
-            for key in keys:
-                a = self.entry(op, *key)
-                b = other.entry(op, *key)
-                val = tuple(f.sub(x, y) for x, y in zip(a, b))
-                if any(val):
-                    forms[op][key] = val
-        return CochainTriple(self.base, self.coeff_dim, forms)
+        entries = dict(self._entries)
+        for idx, y in other._entries.items():
+            x = f.sub(entries.get(idx, f.zero), y)
+            if x:
+                entries[idx] = x
+            else:
+                del entries[idx]
+        return CochainTriple._from_entries(self.base, self.coeff_dim, entries)
 
     def __eq__(self, other):
         return (
             isinstance(other, CochainTriple)
             and self.base == other.base
             and self.coeff_dim == other.coeff_dim
-            and self.forms == other.forms
+            and self._entries == other._entries
         )
 
     __hash__ = None
@@ -255,9 +247,7 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
     """
     base = f.base
     d, products = base._cleared_products()
-    forms = {op: {key: {t: v for t, v in enumerate(val) if v} for key, val in table.items()}
-             for op, table in f.forms.items()}
-    e, forms = _cleared(base.field, forms)
+    e, forms = _cleared(base.field, f._decode())
     return [
         CocycleViolation(idx, triple, _dense_defect(base.field, slot, d * e, f.coeff_dim))
         for idx, triple, slot in _identity_defects(base.field, products, forms)

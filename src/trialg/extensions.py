@@ -119,23 +119,12 @@ def extension_algebra(b: TriAlgebra, f: CochainTriple) -> TriAlgebra:
     """
     if f.base != b:
         raise ValueError("cochain base differs from the extension base")
-    n, k = b.dim, f.coeff_dim
-    products: dict = {op: {} for op in OPS}
-    for op in OPS:
-        keys = set(b.products[op]) | set(f.forms[op])
-        for (i, j) in keys:
-            vec: dict = {}
-            bvec = b.products[op].get((i, j))
-            if bvec:
-                vec.update(bvec)
-            fval = f.forms[op].get((i, j))
-            if fval is not None:
-                for t, v in enumerate(fval):
-                    if v:
-                        vec[n + t] = v
-            if vec:
-                products[op][(i, j)] = vec
-    return TriAlgebra(n + k, b.field, products)
+    n = b.dim
+    products = {op: {key: dict(vec) for key, vec in table.items()} for op, table in b.products.items()}
+    for op, table in f._decode().items():
+        for key, slot in table.items():
+            products[op].setdefault(key, {}).update({n + t: v for t, v in slot.items()})
+    return TriAlgebra(n + f.coeff_dim, b.field, products)
 
 
 def build_central_extension(b: TriAlgebra, k: int, f: CochainTriple) -> CentralExtension:

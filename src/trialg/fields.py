@@ -25,6 +25,9 @@ __all__ = [
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 
+# Seeded random scalars over Q are the integers -3..3, drawn uniformly.
+_RANDOM_BOUND = 3
+
 
 class FieldMismatchError(ValueError):
     """Values with different ground-field descriptors were combined."""
@@ -105,8 +108,8 @@ class RationalField(Field):
     def to_str(self, value) -> str:
         return str(value)
 
-    def random_scalar(self, rng, lo: int = -3, hi: int = 3):
-        return Fraction(rng.randint(lo, hi))
+    def random_scalar(self, rng):
+        return Fraction(rng.randint(-_RANDOM_BOUND, _RANDOM_BOUND))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -168,7 +171,7 @@ class PrimeField(Field):
     def to_str(self, value) -> str:
         return str(value)
 
-    def random_scalar(self, rng, lo: int = 0, hi: int = 0):
+    def random_scalar(self, rng):
         return rng.randrange(self.p)
 
     def __eq__(self, other):

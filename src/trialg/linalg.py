@@ -312,8 +312,14 @@ def _residues(row: dict, mod: int) -> dict:
     return {j: r for j, x in row.items() if (r := x % mod)}
 
 
-def _primitive(lead: int, tail: dict) -> tuple[int, dict]:
-    """Divide a Q row by its content, signed so that the lead is positive."""
+def _normal(lead: int, tail: dict, mod: int) -> tuple[int, dict]:
+    """The stored form of a pivot row: over Q divided by its content and
+    signed so that the lead is positive, over F_p scaled to lead 1."""
+    if mod:
+        if lead == 1:
+            return 1, tail
+        s = pow(lead, -1, mod)
+        return 1, {j: x * s % mod for j, x in tail.items()}
     g = gcd(lead, *tail.values())
     if lead < 0:
         g = -g
@@ -322,10 +328,12 @@ def _primitive(lead: int, tail: dict) -> tuple[int, dict]:
     return lead // g, {j: x // g for j, x in tail.items()}
 
 
-def _eliminate(row: dict, echelon: dict, mod: int) -> int:
-    """Clear every pivot column of ``echelon`` from the integer ``row``, in
-    place.  Returns the factor ``s`` the row was scaled by: the result is
-    ``s * row`` minus a combination of echelon rows (over F_p, s is 1).
+def _eliminate(row: dict, echelon: dict, mod: int) -> tuple[dict, int]:
+    """Clear every pivot column of ``echelon`` from the integer ``row``,
+    which it consumes.  Returns the cleared row, as residues over F_p, and
+    the factor ``s`` it was scaled by: the result is ``s * row`` minus a
+    combination of echelon rows (over F_p, s is 1).  A row that meets no
+    pivot is returned as it is.
 
     A tail has no entries left of its pivot, so subtracting one only touches
     columns right of the one it clears: clearing pivots in ascending order
@@ -333,7 +341,7 @@ def _eliminate(row: dict, echelon: dict, mod: int) -> int:
     """
     todo = [c for c in row if c in echelon]
     if not todo:
-        return 1
+        return row, 1
     heapify(todo)
     scale = 1
     get, pop = row.get, row.pop
@@ -367,28 +375,18 @@ def _eliminate(row: dict, echelon: dict, mod: int) -> int:
                     row[j] = x
                 else:
                     del row[j]
-    return scale
+    return (_residues(row, mod) if mod else row), scale
 
 
 def _insert(row: dict, echelon: dict, mod: int) -> int | None:
     """Reduce ``row`` against ``echelon`` and, if anything is left, add it as
     a new pivot row; returns its pivot column, or None.  Over F_p rows come
     in as residues, so a row that meets no pivot is stored as it is."""
-    if not echelon.keys().isdisjoint(row):
-        _eliminate(row, echelon, mod)
-        if mod:
-            row = _residues(row, mod)
+    row = _eliminate(row, echelon, mod)[0]
     if not row:
         return None
     p = min(row)
-    lead = row.pop(p)
-    if not mod:
-        echelon[p] = _primitive(lead, row)
-        return p
-    if lead != 1:
-        s = pow(lead, -1, mod)
-        row = {j: x * s % mod for j, x in row.items()}
-    echelon[p] = (1, row)
+    echelon[p] = _normal(row.pop(p), row, mod)
     return p
 
 
@@ -416,8 +414,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         for q in holders.pop(p, ()):
             lead, tail = echelon[q]
             if p in tail:
-                s = _eliminate(tail, new, mod)
-                echelon[q] = (1, _residues(tail, mod)) if mod else _primitive(lead * s, tail)
+                tail, s = _eliminate(tail, new, mod)
+                echelon[q] = _normal(lead * s, tail, mod)
                 for j in cols:
                     holders.setdefault(j, []).append(q)
         for j in cols:
@@ -571,8 +569,8 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         mod = _modulus(self.field)
         row, d = _int_row(w, self.field.zero, mod)
-        d *= _eliminate(row, self._tails(), mod)
-        return (_residues(row, mod) if mod else row), d
+        row, s = _eliminate(row, self._tails(), mod)
+        return row, d * s
 
     def reduce_vector(self, v: Sequence) -> tuple:
         """Residual of ``v`` after eliminating this subspace's pivots."""
@@ -588,10 +586,9 @@ class Subspace:
 
     def coordinates(self, v: Sequence) -> tuple:
         """Coefficients of ``v`` in the canonical basis; errors if outside."""
-        coords = tuple(self.field.coerce(v[pc]) for pc in self.pivots)
         if self._residual(v)[0]:
             raise ValueError("vector is not in the subspace")
-        return coords
+        return tuple(self.field.coerce(v[pc]) for pc in self.pivots)
 
     def contains(self, other: "Subspace") -> bool:
         check_same_field(self.field, other.field)
@@ -600,9 +597,7 @@ class Subspace:
         tails = self._tails()
         mod = _modulus(self.field)
         for p, (lead, tail) in other._tails().items():
-            row = {p: lead, **tail}
-            _eliminate(row, tails, mod)
-            if _residues(row, mod) if mod else row:
+            if _eliminate({p: lead, **tail}, tails, mod)[0]:
                 return False
         return True
 

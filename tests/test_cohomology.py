@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trialg.algebra import DASHV, OPS, PERP, TriAlgebra, VDASH, change_basis
 from trialg.cohomology import (
@@ -402,3 +404,45 @@ def test_from_vector_matches_the_coercing_constructor(field):
     assert f.vectorize() == tuple(field.coerce(x) for x in raw)
     with pytest.raises(ValueError):
         CochainTriple.from_vector(base, k, raw[:-1])
+    with pytest.raises(ValueError, match="coefficient dimension"):
+        CochainTriple.from_vector(base, -1, raw)
+
+
+# Raw cochain values; the strings and, over GF(7), the multiples of 7 are
+# nonzero as given and zero once coerced.
+COCHAIN_SCALARS = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, 7, -14, "0", "0/3", "7", "5/2", Fraction(3, 2), Fraction(-7, 4)]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.integers(1, 3), st.data())
+def test_cochain_views_agree_with_its_vector(field, k, data):
+    base = dim2_single_product(field)
+    width = 3 * base.dim**2
+
+    def raw(length):
+        return data.draw(st.lists(COCHAIN_SCALARS, min_size=length, max_size=length))
+
+    first = raw(width * k)
+    forms = {op: {} for op in OPS}
+    for idx, x in enumerate(first):
+        pair, t = divmod(idx, k)
+        o, ij = divmod(pair, base.dim**2)
+        forms[OPS[o]].setdefault(divmod(ij, base.dim), [0] * k)[t] = x
+    a = CochainTriple.from_vector(base, k, first)
+    assert a == CochainTriple(base, k, forms)
+    assert a.vectorize() == tuple(field.coerce(x) for x in first)
+    b = CochainTriple.from_vector(base, k, raw(width * k))
+    for c in (a, b):
+        assert CochainTriple(base, k, c.forms) == c
+        assert CochainTriple.from_vector(base, k, c.vectorize()) == c
+        assert tuple(c.forms) == OPS
+        for table in c.forms.values():
+            assert list(table) == sorted(table)
+            assert all(len(v) == k and any(v) for v in table.values())
+    diff = tuple(field.sub(x, y) for x, y in zip(a.vectorize(), b.vectorize()))
+    assert a.sub(b).vectorize() == diff
+    scalars = [CochainTriple.from_vector(base, 1, raw(width)) for _ in range(k)]
+    zipped = [x for xs in zip(*(s.vectorize() for s in scalars)) for x in xs]
+    assert CochainTriple.stack(base, scalars) == CochainTriple.from_vector(base, k, zipped)

@@ -197,6 +197,14 @@ def test_coordinates_roundtrip():
         s.coordinates((1, 0, 0))
 
 
+@pytest.mark.parametrize("v", [(1, 2), (1, 2, 0, 0)])
+def test_vectors_of_the_wrong_length_are_rejected_alike(v):
+    s = Subspace.from_rows(QQ, 3, [[1, 2, 0], [0, 0, 1]])
+    for method in (s.coordinates, s.reduce_vector, s.contains_vector):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            method(v)
+
+
 # ------------------------------------------------------------- solvers
 
 
