@@ -27,10 +27,9 @@ the cohomology module are aligned with them row by row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fields import Field, QQ, check_same_field
 from .linalg import Matrix, Subspace, _complement_coordinates, _modulus, _residues, inverse, kernel
@@ -114,8 +113,7 @@ class NoCocyclesError(ValueError):
     """The base algebra has no nonzero cocycle to extend it by."""
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: int                      # 1..11
     triple: tuple[int, int, int]    # 0-based basis indices (x, y, z)
     defect: tuple                   # lhs - rhs as a dense vector
@@ -125,8 +123,7 @@ class AxiomViolation:
         return f"axiom {self.axiom} [{identity_str(self.axiom)}] fails on (e{i}, e{j}, e{l})"
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ok: bool
     violations: tuple[AxiomViolation, ...]
 
@@ -439,17 +436,26 @@ class TriAlgebra:
         return f"TriAlgebra(dim {self.dim} over {self.field.name}{label})"
 
 
-@dataclass(frozen=True)
-class AlgSubspace:
-    """A linear subspace attached to its parent algebra."""
-
+class _AlgSubspaceFields(NamedTuple):
     parent: TriAlgebra
     space: Subspace
 
-    def __post_init__(self):
-        if self.space.ambient_dim != self.parent.dim:
+
+class AlgSubspace(_AlgSubspaceFields):
+    """A linear subspace attached to its parent algebra; constructing one
+    checks that the two match."""
+
+    __slots__ = ()
+
+    def __new__(cls, parent: TriAlgebra, space: Subspace):
+        if space.ambient_dim != parent.dim:
             raise ValueError("subspace ambient dimension differs from the parent algebra")
-        check_same_field(self.space.field, self.parent.field)
+        check_same_field(space.field, parent.field)
+        return super().__new__(cls, parent, space)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks its result too
+        return cls(*iterable)
 
     @property
     def dim(self) -> int:
@@ -491,8 +497,7 @@ def is_ideal(s: AlgSubspace) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class QuotientAlgebra:
+class QuotientAlgebra(NamedTuple):
     """Quotient by an ideal with its projection and a canonical section.
 
     ``projection`` maps parent coordinates to quotient coordinates;
@@ -554,8 +559,7 @@ def hom_to_field(a: TriAlgebra, k: int) -> Subspace:
     return a._memo(("hom_to_field", k), build)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Dimension-bound check for an algebra, optionally as part of a
     defining pair (total algebra, central kernel inside the derived
     subalgebra)."""

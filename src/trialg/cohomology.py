@@ -27,9 +27,8 @@ makes that expansion exact, not a convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebra import OPS, TriAlgebra, _cleared, _dense_defect, _identity_defects
 from .fields import check_same_field
@@ -70,8 +69,7 @@ class NotASectionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CocycleViolation:
+class CocycleViolation(NamedTuple):
     axiom: int
     triple: tuple[int, int, int]
     defect: tuple  # length-k coefficient vector

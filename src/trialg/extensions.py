@@ -16,7 +16,7 @@ covering projection; L is unicentral when that image is all of Z(L).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .algebra import (
     AlgSubspace,
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CentralExtension:
+class CentralExtension(NamedTuple):
     """A surjection total -> base whose kernel is central in total."""
 
     total: TriAlgebra
@@ -161,11 +160,10 @@ def _stem_reduce(ext: CentralExtension) -> CentralExtension:
     new_kernel_rows = tuple(quot.projection.matvec(v) for v in ext.kernel.space.basis_rows())
     new_kernel = Subspace._span(Matrix._trusted(new_total.field, new_kernel_rows, new_total.dim))
     reduced = CentralExtension(new_total, ext.base, AlgSubspace(new_total, new_kernel), new_proj)
-    return replace(reduced, cocycle=reduced.section_cocycle())
+    return reduced._replace(cocycle=reduced.section_cocycle())
 
 
-@dataclass(frozen=True)
-class CoverResult:
+class CoverResult(NamedTuple):
     extension: CentralExtension
     multiplier_dim: int
 
@@ -226,8 +224,7 @@ def is_unicentral(l: TriAlgebra) -> bool:
     return z_star(l).space == l.center().space
 
 
-@dataclass(frozen=True)
-class StemImageReport:
+class StemImageReport(NamedTuple):
     trials: int
     kernel_dims: tuple[int, ...]
     all_stem: bool

@@ -26,8 +26,8 @@ coordinate system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .algebra import (OPS, NotCentralIdealError, TriAlgebra, as_subspace, hom_to_field,
                       quotient_algebra)
@@ -66,18 +66,39 @@ def _require_central(l: TriAlgebra, z: Subspace) -> None:
             )
 
 
-@dataclass(frozen=True)
 class SeqMap:
     """A linear map between two canonical coordinate spaces.
 
-    Its image and kernel are each computed once, the first time they are
-    read; its rank is the dimension of the image.
+    Its four fields are fixed at construction and make up its equality,
+    hash and repr.  Its image and kernel are each computed once, the first
+    time they are read; its rank is the dimension of the image.
     """
 
-    label: str
-    matrix: Matrix          # codomain_dim x domain_dim
-    domain_dim: int
-    codomain_dim: int
+    def __init__(self, label: str, matrix: Matrix, domain_dim: int, codomain_dim: int):
+        # matrix is codomain_dim x domain_dim
+        vars(self).update(label=label, matrix=matrix, domain_dim=domain_dim,
+                          codomain_dim=codomain_dim)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.label, self.matrix, self.domain_dim, self.codomain_dim)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"SeqMap(label={self.label!r}, matrix={self.matrix!r}, "
+                f"domain_dim={self.domain_dim!r}, codomain_dim={self.codomain_dim!r})")
 
     @cached_property
     def _image(self) -> Subspace:
@@ -171,24 +192,38 @@ class _CentralIdealAnalysis:
         0 -> Z -> L -> L/Z -> 0 for ``section`` (valued in Z coordinates)
         and take its class in H^2(L/Z, A)."""
         cochain = section_cocycle(self.alg, self.quot.algebra, self.quot.projection, self.z, section)
-        cols = []
-        for vec in self.hom_z.basis_rows():
-            chi = self._unflatten(vec, self.z.dim)
-            forms = {op: {key: chi.matvec(val) for key, val in table.items()}
-                     for op, table in cochain.forms.items()}
-            cols.append(self.coh_q.class_of(CochainTriple(self.quot.algebra, self.k, forms)))
+        k, d = self.k, self.z.dim
+        # Hom(Z, A) is all of F^(k dim Z), so its canonical basis vector
+        # t*d + s is the map sending Z coordinate s to A coordinate t.
+        cols = [
+            self.coh_q.class_of(CochainTriple._from_entries(self.quot.algebra, k, {
+                idx // d * k + t: x for idx, x in cochain._entries.items() if idx % d == s}))
+            for t in range(k) for s in range(d)
+        ]
         return _seq_map("tra", self.alg.field, cols, self.coh_q.h2_dim)
 
     @cached_property
     def inf2(self) -> SeqMap:
-        """Pull classes on L/Z back along the projection."""
-        images = self.quot.projection.transpose().data  # of the basis vectors of L
+        """Pull classes on L/Z back along the projection P: the entry at
+        (op, i, j, t) is the sum of rep(op, a, b, t) * P[a][i] * P[b][j]."""
+        f = self.alg.field
+        add, mul = f.add, f.mul
+        n, m, k = self.alg.dim, self.quot.algebra.dim, self.k
+        nonzero = [[(i, x) for i, x in enumerate(row) if x] for row in self.quot.projection.data]
         cols = []
         for rep in self.coh_q.h2_reps:
-            forms = {op: {(i, j): rep.evaluate(x, y, op)
-                          for i, x in enumerate(images) for j, y in enumerate(images)}
-                     for op in OPS}
-            cols.append(self.coh_l.class_of(CochainTriple(self.alg, self.k, forms)))
+            acc: dict = {}
+            for idx, x in rep._entries.items():
+                pair, t = divmod(idx, k)
+                o, ab = divmod(pair, m * m)
+                a, b = divmod(ab, m)
+                for i, p in nonzero[a]:
+                    px = mul(p, x)
+                    for j, q in nonzero[b]:
+                        key = ((o * n + i) * n + j) * k + t
+                        acc[key] = add(acc.get(key, f.zero), mul(px, q))
+            entries = {key: x for key, x in acc.items() if x}
+            cols.append(self.coh_l.class_of(CochainTriple._from_entries(self.alg, k, entries)))
         return _seq_map("inf2", self.alg.field, cols, self.coh_l.h2_dim)
 
     @cached_property
@@ -260,8 +295,7 @@ def delta_map(l: TriAlgebra, z) -> SeqMap:
     return _analysis(l, z).delta
 
 
-@dataclass(frozen=True)
-class FiveTermReport:
+class FiveTermReport(NamedTuple):
     dims: tuple[int, int, int, int, int]
     ranks: tuple[int, int, int, int]
     inf1_injective: bool
@@ -295,8 +329,7 @@ def verify_five_term(l: TriAlgebra, z, k: int = 1) -> FiveTermReport:
     return _analysis(l, z, k).five_term
 
 
-@dataclass(frozen=True)
-class InfDeltaReport:
+class InfDeltaReport(NamedTuple):
     h2_quotient_dim: int
     h2_dim: int
     block_dim: int
@@ -332,8 +365,7 @@ def verify_inf_delta(l: TriAlgebra, z) -> InfDeltaReport:
     )
 
 
-@dataclass(frozen=True)
-class TraImageReport:
+class TraImageReport(NamedTuple):
     tra_rank: int
     derived_cap_z_dim: int
 
@@ -355,8 +387,7 @@ def tra_image_check(l: TriAlgebra, z) -> TraImageReport:
     return TraImageReport(tra_rank=an.tra.rank, derived_cap_z_dim=an.derived_cap_z.dim)
 
 
-@dataclass(frozen=True)
-class UnicentralityReport:
+class UnicentralityReport(NamedTuple):
     """The four equivalent conditions tying a central ideal to Z*(L).
 
     (1) the pairing-block map vanishes on H^2(L, F); (2) second inflation
@@ -403,8 +434,7 @@ def unicentrality_criteria(l: TriAlgebra, z) -> UnicentralityReport:
     )
 
 
-@dataclass(frozen=True)
-class StallingsReport:
+class StallingsReport(NamedTuple):
     """Dual verification of the five-node sequence
 
         M(L) -> M(L/Z) -> Z -> L/L' -> L/(Z+L') -> 0

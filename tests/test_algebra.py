@@ -223,6 +223,13 @@ def test_is_ideal(dim2, small_corpus):
         assert is_ideal(alg.derived())
 
 
+def test_alg_subspace_replace_checks_like_the_constructor(dim2, example_cover_1):
+    z = dim2.center()
+    assert z._replace(space=dim2.full_subspace().space).dim == 2
+    with pytest.raises(ValueError, match="ambient dimension"):
+        z._replace(parent=example_cover_1)
+
+
 def test_product_subspace_monotone(random_corpus):
     rng = random.Random(31)
     for alg in random_corpus[:6]:

@@ -20,9 +20,11 @@ LAZY = ("cohomology", "extensions", "generators", "sequences")
 MODULES = ("algebra", "algfile", "cli", "fields", "linalg") + LAZY
 
 # Runs each command through trialg.cli.main in turn; after each, records its
-# exit code and which lazy modules have been executed.  A lazy module that
-# has not been executed is not a types.ModuleType; anything that reads its
-# attributes, vars() included, would execute it.
+# exit code, which lazy modules have been executed, and whether
+# ``dataclasses`` (with the inspect, ast and dis it imports) has been
+# loaded.  A lazy module that has not been executed is not a
+# types.ModuleType; anything that reads its attributes, vars() included,
+# would execute it.
 PROBE = """
 import json, sys, types
 import trialg.cli
@@ -31,10 +33,11 @@ def executed():
     return sorted(n for n in {lazy} if type(sys.modules["trialg." + n]) is types.ModuleType)
 
 report = {{"registered": sorted(n for n in sys.modules if n.startswith("trialg.")),
-          "steps": [["import", None, executed()]]}}
+          "steps": [["import", None, executed(), "dataclasses" in sys.modules]]}}
 for argv in json.loads(sys.argv[1]):
     rc = trialg.cli.main(argv)
-    report["steps"].append([argv[0] + ":" + argv[-1].rsplit("/", 1)[-1], rc, executed()])
+    report["steps"].append([argv[0] + ":" + argv[-1].rsplit("/", 1)[-1], rc, executed(),
+                            "dataclasses" in sys.modules])
 sys.stdout.flush()
 sys.stderr.write("\\n" + json.dumps(report) + "\\n")
 """.format(lazy=repr(LAZY))
@@ -69,15 +72,16 @@ def test_validate_and_invariants_execute_no_lazy_module(tmp_path):
                    ["h2", valid])
     # The benchmark's tracer looks every module up right after this import.
     assert report["registered"] == sorted(f"trialg.{m}" for m in MODULES)
+    # No step loads dataclasses: the package's records are plain classes.
     assert report["steps"] == [
-        ["import", None, []],
-        ["validate:dim2.json", 0, []],
-        ["invariants:dim2.json", 0, []],
-        ["validate:dup.json", 2, []],
-        ["invariants:dup.json", 2, []],
-        ["validate:bad.json", 1, []],
-        ["invariants:bad.json", 1, []],
-        ["h2:dim2.json", 0, ["cohomology"]],
+        ["import", None, [], False],
+        ["validate:dim2.json", 0, [], False],
+        ["invariants:dim2.json", 0, [], False],
+        ["validate:dup.json", 2, [], False],
+        ["invariants:dup.json", 2, [], False],
+        ["validate:bad.json", 1, [], False],
+        ["invariants:bad.json", 1, [], False],
+        ["h2:dim2.json", 0, ["cohomology"], False],
     ]
 
 
@@ -85,8 +89,8 @@ def test_commands_execute_the_modules_they_use(tmp_path):
     valid = write(tmp_path, "dim2.json", DIM2)
     report = probe(["zstar", valid], ["verify", "--z", "e2", valid])
     assert report["steps"][1:] == [
-        ["zstar:dim2.json", 0, ["cohomology", "extensions"]],
-        ["verify:dim2.json", 0, ["cohomology", "extensions", "sequences"]],
+        ["zstar:dim2.json", 0, ["cohomology", "extensions"], False],
+        ["verify:dim2.json", 0, ["cohomology", "extensions", "sequences"], False],
     ]
 
 

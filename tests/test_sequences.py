@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from trialg.algebra import TriAlgebra, VDASH
-from trialg.cohomology import CochainTriple, h2
-from trialg.fields import QQ
+from trialg.algebra import OPS, TriAlgebra, VDASH, change_basis, quotient_algebra
+from trialg.cohomology import CochainTriple, h2, section_cocycle
+from trialg.fields import GF, QQ
 from trialg.generators import abelian, cover_abelian, dim2_single_product, random_extension
-from trialg.linalg import Matrix, Subspace
+from trialg.linalg import Matrix, Subspace, random_invertible
 from trialg.sequences import (
     NotCentralIdealError,
     delta_map,
@@ -115,6 +115,63 @@ def test_inf2_examples(dim2, dim2_z):
     mz = inf2(dim2, dim2_z, 1)
     assert mz.domain_dim == 3 and mz.codomain_dim == 2
     assert mz.rank == 2
+
+
+def forms_tra(l, z, k, section=None):
+    """Transgression columns through per-pair forms: the section cocycle's
+    values composed with each map chi on Z, via the coercing constructor."""
+    quot = quotient_algebra(l, z)
+    section = quot.section if section is None else section
+    cochain = section_cocycle(l, quot.algebra, quot.projection, z, section)
+    cols = []
+    for vec in Subspace.full(l.field, k * z.dim).basis_rows():
+        chi = Matrix(l.field, [vec[t * z.dim:(t + 1) * z.dim] for t in range(k)], z.dim)
+        forms = {op: {key: chi.matvec(val) for key, val in table.items()}
+                 for op, table in cochain.forms.items()}
+        cols.append(h2(quot.algebra, k).class_of(CochainTriple(quot.algebra, k, forms)))
+    return cols
+
+
+def forms_inf2(l, z, k):
+    """Second-inflation columns through ``evaluate`` at every basis pair."""
+    quot = quotient_algebra(l, z)
+    images = quot.projection.transpose().data
+    cols = []
+    for rep in h2(quot.algebra, k).h2_reps:
+        forms = {op: {(i, j): rep.evaluate(x, y, op)
+                      for i, x in enumerate(images) for j, y in enumerate(images)}
+                 for op in OPS}
+        cols.append(h2(l, k).class_of(CochainTriple(l, k, forms)))
+    return cols
+
+
+def columns(m):
+    return [m.matrix.column(c) for c in range(m.domain_dim)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_tra_inf2_match_the_forms_construction(field):
+    rng = random.Random(83)
+    algebras = [cover_abelian(1, field), random_extension(abelian(2, field), 2, seed=5).total]
+    algebras.append(change_basis(algebras[1], random_invertible(rng, algebras[1].dim, field)))
+    checked = 0
+    for l in algebras:
+        center = l.center().space
+        ideals = [Subspace.from_rows(field, l.dim, [row]) for row in center.basis_rows()]
+        ideals.append(center)
+        for z in ideals:
+            for k in (1, 2):
+                assert columns(tra(l, z, k)) == forms_tra(l, z, k)
+                assert columns(inf2(l, z, k)) == forms_inf2(l, z, k)
+                checked += tra(l, z, k).rank + inf2(l, z, k).rank
+            # another section: add (r + 1) * (first basis vector of Z) to column r
+            quot = quotient_algebra(l, z)
+            z0 = z.basis_rows()[0]
+            section = Matrix(field, [[field.add(x, field.mul(field.coerce(r + 1), z0[i]))
+                                      for r, x in enumerate(row)]
+                                     for i, row in enumerate(quot.section.data)], quot.algebra.dim)
+            assert columns(tra(l, z, 1, section=section)) == forms_tra(l, z, 1, section)
+    assert checked > 0
 
 
 def test_delta_examples(dim2, dim2_z):
