@@ -27,12 +27,13 @@ the cohomology module are aligned with them row by row.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fields import Field, QQ, check_same_field
-from .linalg import Matrix, Subspace, _complement_coordinates, _modulus, _residues, inverse, kernel
+from .linalg import (
+    Matrix, Subspace, _complement_coordinates, _modulus, _residues, _row, _scalar_rows, inverse, kernel
+)
 
 __all__ = [
     "VDASH",
@@ -202,16 +203,6 @@ def _identity_defects(field: Field, left: dict, right: dict) -> list:
     return out
 
 
-def _dense_defect(field: Field, slot: dict, scale: int, width: int) -> tuple:
-    """A defect slot of :func:`_identity_defects` as a dense ``width``-vector
-    of field scalars, divided back by ``scale`` over Q."""
-    dense = [field.zero] * width
-    mod = _modulus(field)
-    for k, v in slot.items():
-        dense[k] = v if mod else Fraction(v, scale)
-    return tuple(dense)
-
-
 class TriAlgebra:
     """Finite-dimensional algebra with three bilinear products.
 
@@ -362,7 +353,7 @@ class TriAlgebra:
         def build():
             d, table = self._cleared_products()
             violations = tuple(
-                AxiomViolation(idx, triple, _dense_defect(self.field, slot, d * d, self.dim))
+                AxiomViolation(idx, triple, Matrix._from_ints(self.field, ((slot, d * d),), self.dim).row(0))
                 for idx, triple, slot in _identity_defects(self.field, table, table)
             )
             return AxiomReport(ok=not violations, violations=violations)
@@ -475,19 +466,36 @@ def as_subspace(parent: TriAlgebra, z) -> Subspace:
     raise TypeError(f"expected Subspace or AlgSubspace, got {type(z).__name__}")
 
 
+def _product_matrix(a: TriAlgebra, us: Matrix, vs: Matrix) -> Matrix:
+    """The matrix whose row (op, r, s), in that order, is ``u_r op v_s`` for
+    the rows u_r of ``us`` and v_s of ``vs``, vectors of ``a``: the cleared
+    table of op summed over the products of nonzero entries of the two
+    rows."""
+    d, table = a._cleared_products()
+    mod = _modulus(a.field)
+    rows = []
+    for op in OPS:
+        by_first: dict = {}  # i -> [(j, e_i op e_j)]
+        for (i, j), vec in table[op].items():
+            by_first.setdefault(i, []).append((j, vec))
+        for u, du in us._sparse:
+            pairs = [(x, j, vec) for i, x in u.items() for j, vec in by_first.get(i, ())]
+            for v, dv in vs._sparse:
+                acc: dict = {}
+                for x, j, vec in pairs:
+                    if j in v:
+                        c = x * v[j]
+                        for k, z in vec.items():
+                            acc[k] = acc.get(k, 0) + c * z
+                rows.append(_row(acc, du * dv * d, mod))
+    return Matrix._from_ints(a.field, tuple(rows), a.dim)
+
+
 def product_subspace(s: AlgSubspace, t: AlgSubspace) -> AlgSubspace:
     """Span of all products of ``s`` by ``t`` under the three operations."""
     if s.parent != t.parent:
         raise ValueError("subspaces have different parent algebras")
-    a = s.parent
-    rows = []
-    for u in s.space.basis_rows():
-        for v in t.space.basis_rows():
-            for op in OPS:
-                p = a.multiply(u, v, op)
-                if any(p):
-                    rows.append(p)
-    return AlgSubspace(a, Subspace._span(Matrix._trusted(a.field, tuple(rows), a.dim)))
+    return AlgSubspace(s.parent, Subspace._span(_product_matrix(s.parent, s.space.basis, t.space.basis)))
 
 
 def is_ideal(s: AlgSubspace) -> bool:
@@ -518,21 +526,21 @@ def quotient_algebra(a: TriAlgebra, ideal) -> QuotientAlgebra:
     full = Subspace.full(a.field, a.dim)
     comp = space.complement_in(full)
     proj = _complement_coordinates(space, comp, full)
-    quot = _transport(a, comp.basis_rows(), proj.matvec, None)
+    quot = _transport(a, comp.basis, proj.transpose(), None)
     return QuotientAlgebra(quot, proj, comp.basis.transpose())
 
 
-def _transport(a: TriAlgebra, rows: Sequence, to_coords, name: str | None) -> TriAlgebra:
-    """The algebra whose basis vector r stands for ``rows[r]``, a vector of
-    ``a``: e_r op e_s has the coordinates ``to_coords(rows[r] op rows[s])``."""
-    products: dict = {op: {} for op in OPS}
-    for op in OPS:
-        for r, u in enumerate(rows):
-            for s, v in enumerate(rows):
-                p = a.multiply(u, v, op)
-                if any(p):
-                    products[op][(r, s)] = {k: x for k, x in enumerate(to_coords(p)) if x}
-    return TriAlgebra(len(rows), a.field, products, name=name)
+def _transport(a: TriAlgebra, rows: Matrix, to_coords: Matrix, name: str | None) -> TriAlgebra:
+    """The algebra whose basis vector r stands for row r of ``rows``, a
+    vector of ``a``: e_r op e_s has the coordinates ``(row r op row s) @
+    to_coords``."""
+    n = rows.rows
+    coords = _scalar_rows(_product_matrix(a, rows, rows) @ to_coords)
+    products = {op: {} for op in OPS}
+    for idx, entries in enumerate(coords):
+        o, rs = divmod(idx, n * n)
+        products[OPS[o]][divmod(rs, n)] = entries
+    return TriAlgebra(n, a.field, products, name=name)
 
 
 def hom_to_field(a: TriAlgebra, k: int) -> Subspace:
@@ -629,5 +637,4 @@ def change_basis(a: TriAlgebra, p: Matrix) -> TriAlgebra:
     if p.rows != a.dim or p.cols != a.dim:
         raise ValueError("basis matrix must be square of the algebra dimension")
     check_same_field(p.field, a.field)
-    to_new = inverse(p).transpose()  # old coordinates -> new, as a column action
-    return _transport(a, [p.row(i) for i in range(a.dim)], to_new.matvec, a.name)
+    return _transport(a, p, inverse(p), a.name)  # a row x of old coordinates is x @ p^-1 in new ones

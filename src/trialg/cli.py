@@ -92,7 +92,10 @@ def _parse_z_spec(alg: TriAlgebra, spec: str) -> Subspace:
         if not token:
             continue
         if token.startswith("e"):
-            idx = int(token[1:])
+            try:
+                idx = int(token[1:])
+            except ValueError:
+                raise ValueError(f"bad basis vector token {token!r}") from None
             if not (1 <= idx <= alg.dim):
                 raise ValueError(f"basis vector {token} out of range for dim {alg.dim}")
             row = [alg.field.zero] * alg.dim
@@ -210,9 +213,9 @@ def _central_ideal_samples(alg: TriAlgebra, seed: int) -> list[tuple[str, Subspa
     for t in range(2):
         if center.dim < 2:
             break
-        acc = random_combination(rng, fld, center.basis_rows(), alg.dim)
+        acc = random_combination(rng, center.basis)
         if acc is not None:
-            samples.append((f"random_line[{t}]", Subspace.from_rows(fld, alg.dim, [acc])))
+            samples.append((f"random_line[{t}]", Subspace.from_rows(fld, alg.dim, acc.data)))
     if center.dim:
         samples.append(("center", center))
     return samples

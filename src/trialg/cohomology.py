@@ -30,9 +30,9 @@ from __future__ import annotations
 from itertools import compress
 from typing import Mapping, NamedTuple, Sequence
 
-from .algebra import OPS, TriAlgebra, _cleared, _dense_defect, _identity_defects
+from .algebra import OPS, TriAlgebra, _cleared, _identity_defects, _product_matrix
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, _complement_coordinates, _modulus, _scalar_rows, kernel
+from .linalg import Matrix, Subspace, _complement_coordinates, _scalar_rows, kernel
 
 __all__ = [
     "CochainTriple",
@@ -247,7 +247,7 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
     d, products = base._cleared_products()
     e, forms = _cleared(base.field, f._decode())
     return [
-        CocycleViolation(idx, triple, _dense_defect(base.field, slot, d * e, f.coeff_dim))
+        CocycleViolation(idx, triple, Matrix._from_ints(base.field, ((slot, d * e),), f.coeff_dim).row(0))
         for idx, triple, slot in _identity_defects(base.field, products, forms)
     ]
 
@@ -300,16 +300,15 @@ def z2_space(b: TriAlgebra, k: int = 1) -> Subspace:
 
 
 def _b2_scalar(b: TriAlgebra) -> Subspace:
+    """Span of the coboundaries of the coordinate functionals: the rows of
+    the transposed product table (the sign of -eps does not change it)."""
     n = b.dim
     d, products = b._cleared_products()
-    mod = _modulus(b.field)
-    rows_map: dict[int, dict[int, int]] = {}
+    table = [({}, 1)] * (3 * n * n)
     for o, op in enumerate(OPS):
         for (i, j), vec in products[op].items():
-            for m, s in vec.items():
-                rows_map.setdefault(m, {})[(o * n + i) * n + j] = mod - s if mod else -s
-    rows = tuple((rows_map[m], d) for m in sorted(rows_map))
-    return Subspace._span(Matrix._from_ints(b.field, rows, 3 * n * n))
+            table[(o * n + i) * n + j] = (vec, d)
+    return Subspace._span(Matrix._from_ints(b.field, tuple(table), n).transpose())
 
 
 def b2_space(b: TriAlgebra, k: int = 1) -> Subspace:
@@ -348,12 +347,12 @@ class CohomologyResult:
     def class_coordinates(self, vec: Sequence) -> tuple:
         """Coset coordinates of a cocycle vector relative to the stored
         complement of B^2 in Z^2; raises ValueError outside Z^2."""
-        coerce = self.z2.field.coerce
-        vec = [coerce(x) for x in vec]
-        self.z2.coordinates(vec)
+        row = self.z2._as_row(vec)
+        self.z2._coordinates_of(row)  # the membership check
         if self._coords is None:
-            self._coords = _complement_coordinates(self.b2, self._complement, self.z2)
-        return self._coords.matvec(vec)
+            # Transposed: the coordinates of a row vector are one product.
+            self._coords = _complement_coordinates(self.b2, self._complement, self.z2).transpose()
+        return (row @ self._coords).row(0)
 
     def class_of(self, cochain: CochainTriple) -> tuple:
         return self.class_coordinates(cochain.vectorize())
@@ -388,28 +387,18 @@ def section_cocycle(
     if projection @ section != Matrix.identity(base.field, base.dim):
         raise NotASectionError("map is not a right inverse of the projection")
     k = kernel_space.dim
-    n = base.dim
-    f = base.field
-    mu_cols = [section.column(i) for i in range(n)]
-    forms: dict = {op: {} for op in OPS}
-    for op in OPS:
-        for i in range(n):
-            for j in range(n):
-                v = list(total.multiply(mu_cols[i], mu_cols[j], op))
-                bp = base.product(op, i, j)
-                if any(bp):
-                    mv = section.matvec(bp)
-                    v = [f.sub(x, y) for x, y in zip(v, mv)]
-                if any(v):
-                    try:
-                        coords = kernel_space.coordinates(v)
-                    except ValueError:
-                        raise NotASectionError(
-                            "section defect escapes the kernel; extension is not central "
-                            "over this kernel"
-                        ) from None
-                    forms[op][(i, j)] = coords
-    return CochainTriple(base, k, forms)
+    mu = section.transpose()  # row i: mu(e_i)
+    unit = Matrix.identity(base.field, base.dim)
+    # Row (op, i, j) of the defects is mu(e_i) op mu(e_j) - mu(e_i op e_j).
+    defects = _product_matrix(total, mu, mu) - _product_matrix(base, unit, unit) @ mu
+    try:
+        coords = kernel_space._coordinates_of(defects)
+    except ValueError:
+        raise NotASectionError(
+            "section defect escapes the kernel; extension is not central over this kernel"
+        ) from None
+    entries = {pair * k + t: x for pair, row in enumerate(_scalar_rows(coords)) for t, x in row.items()}
+    return CochainTriple._from_entries(base, k, entries)
 
 
 def is_cohomologous(f: CochainTriple, g: CochainTriple) -> bool:

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .algebra import (
     AlgSubspace,
-    OPS,
     TriAlgebra,
+    _product_matrix,
     product_subspace,
     quotient_algebra,
 )
@@ -33,7 +33,7 @@ from .cohomology import (
     section_cocycle,
 )
 from .linalg import (
-    Matrix, Subspace, _modulus, _scalars, kernel, random_combination, random_invertible, rank, solve_right
+    Matrix, Subspace, _scalar_rows, kernel, random_combination, random_invertible, rank, solve_right
 )
 
 __all__ = [
@@ -75,20 +75,8 @@ class CentralExtension(NamedTuple):
         return section_cocycle(self.total, self.base, self.projection, self.kernel.space, section)
 
     def center_image(self) -> Subspace:
-        """Image of the total algebra's center under the projection, taken
-        from the nonzero entries of the center's sparse basis rows."""
-        f = self.base.field
-        add, mul, mod = f.add, f.mul, _modulus(f)
-        proj = self.projection.data
-        rows = []
-        for p, (lead, tail) in self.total.center().space._tails().items():
-            acc = [f.zero] * self.base.dim
-            for j, x in _scalars({p: lead, **tail}, lead, mod).items():
-                for i, e in enumerate(proj):
-                    if e[j]:
-                        acc[i] = add(acc[i], mul(e[j], x))
-            rows.append(tuple(acc))
-        return Subspace._span(Matrix._trusted(f, tuple(rows), self.base.dim))
+        """Image of the total algebra's center under the projection."""
+        return Subspace._span(self.total.center().space.basis @ self.projection.transpose())
 
     def validate(self) -> None:
         """Check the structural invariants; raises on failure."""
@@ -99,14 +87,11 @@ class CentralExtension(NamedTuple):
             raise ValueError("projection is not surjective")
         if kernel(self.projection) != self.kernel.space:
             raise ValueError("projection kernel differs from the stored kernel")
-        for op in OPS:
-            for (i, j), vec in total.products[op].items():
-                lhs = self.projection.matvec(total.product(op, i, j))
-                ei = self.projection.column(i)
-                ej = self.projection.column(j)
-                rhs = base.multiply(ei, ej, op)
-                if tuple(lhs) != tuple(rhs):
-                    raise ValueError("projection is not an algebra homomorphism")
+        # Row (op, i, j): the image of e_i op e_j, against P e_i op P e_j.
+        images = self.projection.transpose()
+        unit = Matrix.identity(total.field, total.dim)
+        if _product_matrix(total, unit, unit) @ images != _product_matrix(base, images, images):
+            raise ValueError("projection is not an algebra homomorphism")
 
 
 def extension_algebra(b: TriAlgebra, f: CochainTriple) -> TriAlgebra:
@@ -137,10 +122,8 @@ def build_central_extension(b: TriAlgebra, k: int, f: CochainTriple) -> CentralE
     total = extension_algebra(b, f)
     fld = b.field
     n = b.dim
-    identity = Matrix.identity(fld, n + k).data
-    kernel_space = Subspace._span(Matrix._trusted(fld, identity[n:], n + k))
-    proj = Matrix._trusted(fld, identity[:n], n + k)
-    return CentralExtension(total, b, AlgSubspace(total, kernel_space), proj, f)
+    proj = Matrix.identity(fld, n).hstack(Matrix.zeros(fld, n, k))  # drops the F^k coordinates
+    return CentralExtension(total, b, AlgSubspace(total, kernel(proj)), proj, f)
 
 
 def _stem_reduce(ext: CentralExtension) -> CentralExtension:
@@ -157,8 +140,7 @@ def _stem_reduce(ext: CentralExtension) -> CentralExtension:
     quot = quotient_algebra(total, e_space)
     new_total = quot.algebra
     new_proj = ext.projection @ quot.section
-    new_kernel_rows = tuple(quot.projection.matvec(v) for v in ext.kernel.space.basis_rows())
-    new_kernel = Subspace._span(Matrix._trusted(new_total.field, new_kernel_rows, new_total.dim))
+    new_kernel = Subspace._span(ext.kernel.space.basis @ quot.projection.transpose())
     reduced = CentralExtension(new_total, ext.base, AlgSubspace(new_total, new_kernel), new_proj)
     return reduced._replace(cocycle=reduced.section_cocycle())
 
@@ -260,25 +242,22 @@ def stem_center_image_check(l: TriAlgebra, trials: int = 5, seed: int = 0) -> St
     m = res.h2_dim
     fld = l.field
     zs = z_star(l)
-    width = res.z2.ambient_dim
-    rep_vectors = Matrix._trusted(fld, tuple(r.vectorize() for r in res.h2_reps), width)
-    b2_rows = res.b2.basis_rows()
+    rep_vectors = res._complement.basis  # row i: h2_reps[i]
+    # One draw per representative, then one per coboundary basis row: the
+    # draws of a combination of the representatives followed by those of a
+    # shift by a coboundary.
+    reps_and_b2 = rep_vectors.vstack(res.b2.basis)
 
     images = []
     kernel_dims = []
     all_stem = True
     for t in range(trials):
-        vectors = list((random_invertible(rng, m, fld) @ rep_vectors).data)
+        vectors = random_invertible(rng, m, fld) @ rep_vectors
         if t % 2 == 1:
-            extra = random_combination(rng, fld, rep_vectors.data, width)
-            shift = random_combination(rng, fld, b2_rows, width)
-            if extra is None:
-                extra = shift
-            elif shift is not None:
-                extra = [fld.add(a, b) for a, b in zip(extra, shift)]
+            extra = random_combination(rng, reps_and_b2)
             if extra is not None:
-                vectors.append(extra)
-        reps = [CochainTriple.from_vector(l, 1, v) for v in vectors]
+                vectors = vectors.vstack(extra)
+        reps = [CochainTriple._from_entries(l, 1, row) for row in _scalar_rows(vectors)]
         ext = _cover_from_reps(l, reps)
         if not ext.is_stem():
             all_stem = False

@@ -13,7 +13,7 @@ from .algebra import DASHV, OPS, PERP, NoCocyclesError, TriAlgebra, VDASH
 from .cohomology import CochainTriple, z2_space
 from .extensions import CentralExtension, build_central_extension
 from .fields import Field, QQ
-from .linalg import random_combination
+from .linalg import _scalar_rows, random_combination
 
 __all__ = [
     "abelian",
@@ -68,10 +68,10 @@ def random_cocycles(base: TriAlgebra, k: int, rng: random.Random) -> list[Cochai
         raise NoCocyclesError("base has no nonzero cocycles to sample")
     out = []
     for _ in range(k):
-        vec = None
-        while vec is None:
-            vec = random_combination(rng, base.field, z2.basis_rows(), z2.ambient_dim)
-        out.append(CochainTriple.from_vector(base, 1, vec))
+        combo = None
+        while combo is None:
+            combo = random_combination(rng, z2.basis)
+        out.append(CochainTriple._from_entries(base, 1, _scalar_rows(combo)[0]))
     return out
 
 

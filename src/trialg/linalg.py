@@ -1,19 +1,19 @@
 """Deterministic exact linear algebra over Q and F_p.
 
-A ``Matrix`` is held in one of two forms.  The dense form, ``data``, is a
-tuple of row tuples of exact scalars; every matrix built from outside the
-package has it.  The sparse form holds each row as a ``{column: int}`` dict
-of its nonzero entries with a denominator.  Elimination results and the
-constraint systems this package assembles (cocycle, coboundary, center and
-derived systems, well under 1 % nonzero) are made in the sparse form, and
-``data`` is built from it only when something reads it, so they never pay
-for their zero cells.
+A ``Matrix`` holds each row as a ``{column: int}`` dict of its nonzero
+entries with a denominator.  ``Matrix(field, data)`` coerces dense rows of
+scalars and converts them to that form once; products, transposes,
+stacks, differences and elimination all work on the int rows.  The dense
+``Matrix.data`` and ``Subspace.basis_rows()`` are read-only views, built on
+each read for output and tests.  So the constraint systems this package
+assembles (cocycle, coboundary, center and derived systems, well under
+1 % nonzero) never pay for their zero cells.
 
 Every reduction in this module -- ``rref``, ``kernel``, subspace spans,
 ``contains``, ``complement_in`` and ``reduce_vector`` -- goes through one
 loop, ``_eliminate``: a row held as a ``{column: int}`` dict is cleared of
 the pivot columns of an echelon map ``pivot column -> (lead, tail)``.
-Sparse rows enter it as they are; dense rows are converted by ``_int_row``.
+Vectors given as dense rows are converted by ``_int_row``.
 
 Over Q each dense row is multiplied by the lcm of its denominators and
 elimination is fraction-free (Bareiss 1968): clearing a pivot scales the row
@@ -43,10 +43,6 @@ holds.  Every seeded random combination of rows comes from
 ``random_combination`` and every seeded change of basis from
 ``random_invertible``, so a seed fixes the same ``random_scalar`` draws
 everywhere.
-
-``Matrix(field, data)`` coerces every entry into the field.  Matrices built
-inside the package from scalars that are already field elements (elimination
-results, subspace bases, transposes, stacks, products) skip that step.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -90,18 +86,18 @@ class InconsistentSystemError(ValueError):
 
 
 class Matrix:
-    """Immutable matrix over one exact field.
+    """Immutable matrix over one exact field, held as sparse int rows.
 
-    ``data`` is the dense form: a tuple of row tuples of field scalars.
-    Matrices built inside the package from elimination results and sparse
-    constraint systems are held in the sparse form ``_sparse`` instead: for
-    each row, a ``{column: int}`` dict of its nonzero entries and a
-    denominator ``d``, the row being the ints divided by ``d``.  Over F_p the
-    ints are residues in ``[1, p)`` and ``d`` is 1.  A sparse matrix builds
-    ``data`` the first time it is read; a dense one has ``_sparse`` None.
+    ``_sparse`` holds a ``({column: int}, d)`` pair per row: a dict of the
+    row's nonzero entries as ints and a denominator ``d > 0``, the row
+    being the ints divided by ``d``.  Over F_p the ints are residues in
+    ``[1, p)`` and ``d`` is 1.  Over Q a row may be held at any int
+    scaling; equality and hashing compare the scalars, so they do not see
+    it.  ``data`` is a read-only dense view for output and tests: a tuple
+    of row tuples of field scalars, built on each read.
     """
 
-    __slots__ = ("field", "rows", "cols", "data", "_sparse")
+    __slots__ = ("field", "rows", "cols", "_sparse")
 
     def __init__(self, field: Field, data: Iterable[Iterable], cols: int | None = None):
         coerce = field.coerce
@@ -116,30 +112,17 @@ class Matrix:
             cols = width
         elif cols is None:
             cols = 0
+        zero, mod = field.zero, _modulus(field)
         self.field = field
         self.rows = nrows
         self.cols = cols
-        self.data = tup
-        self._sparse = None
-
-    @classmethod
-    def _trusted(cls, field: Field, data: tuple[tuple, ...], cols: int) -> "Matrix":
-        """Package-internal constructor: ``data`` is a tuple of ``cols``-long
-        tuples of scalars that are already elements of ``field``, so nothing
-        is coerced or checked."""
-        m = object.__new__(cls)
-        m.field = field
-        m.rows = len(data)
-        m.cols = cols
-        m.data = data
-        m._sparse = None
-        return m
+        self._sparse = tuple(_int_row(row, zero, mod) for row in tup)
 
     @classmethod
     def _from_ints(cls, field: Field, rows: tuple[tuple[dict, int], ...], cols: int) -> "Matrix":
-        """Package-internal constructor of the sparse form: ``rows`` holds a
-        ``({column: int}, denominator)`` pair per row, as described on the
-        class.  The dicts are shared, never modified."""
+        """Package-internal constructor: ``rows`` holds a ``({column: int},
+        denominator)`` pair per row, as described on the class.  The dicts
+        are shared, never modified."""
         m = object.__new__(cls)
         m.field = field
         m.rows = len(rows)
@@ -147,104 +130,120 @@ class Matrix:
         m._sparse = rows
         return m
 
-    def __getattr__(self, name):
-        # Called only when normal lookup fails, as for the unset ``data``
-        # slot of a sparse matrix, which is built here once.
-        if name != "data":
-            raise AttributeError(name)
-        zero = self.field.zero
-        mod = _modulus(self.field)
-        out = []
-        for row, d in self._sparse:
-            dense = [zero] * self.cols
-            for j, x in _scalars(row, d, mod).items():
-                dense[j] = x
-            out.append(tuple(dense))
-        self.data = data = tuple(out)
-        return data
+    @classmethod
+    def _from_scalars(cls, field: Field, rows: Iterable[dict], cols: int) -> "Matrix":
+        """Package-internal constructor from ``{column: scalar}`` dicts of
+        each row's nonzero field scalars."""
+        mod = _modulus(field)
+        return cls._from_ints(field, tuple(_ints(row, mod) for row in rows), cols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls._trusted(
-            field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)), n
-        )
+        return cls._from_ints(field, tuple(({i: 1}, 1) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls._trusted(field, ((field.zero,) * cols,) * rows, cols)
+        return cls._from_ints(field, (({}, 1),) * rows, cols)
+
+    @property
+    def data(self) -> tuple[tuple, ...]:
+        return tuple(map(self.row, range(self.rows)))
 
     def row(self, i: int) -> tuple:
-        return self.data[i]
+        """Row ``i`` as a dense tuple of field scalars."""
+        dense = [self.field.zero] * self.cols
+        row, d = self._sparse[i]
+        for j, x in _scalars(row, d, _modulus(self.field)).items():
+            dense[j] = x
+        return tuple(dense)
 
     def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.data)
+        return self.transpose().row(j)
 
     def transpose(self) -> "Matrix":
-        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return Matrix._trusted(self.field, data, self.rows)
+        """Column j becomes row j, over the lcm of the denominators it meets."""
+        cols: list[dict] = [{} for _ in range(self.cols)]
+        for i, (row, d) in enumerate(self._sparse):
+            for j, x in row.items():
+                cols[j][i] = (x, d)
+        out = []
+        for col in cols:
+            e = lcm(*[d for _, d in col.values()])
+            out.append(({i: x * (e // d) for i, (x, d) in col.items()}, e))
+        return Matrix._from_ints(self.field, tuple(out), self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix._trusted(
-            self.field,
-            tuple(a + b for a, b in zip(self.data, other.data)),
-            self.cols + other.cols,
-        )
+        n = self.cols
+        out = []
+        for (a, da), (b, db) in zip(self._sparse, other._sparse):
+            d = lcm(da, db)
+            row = {j: x * (d // da) for j, x in a.items()}
+            row.update({n + j: x * (d // db) for j, x in b.items()})
+            out.append((row, d))
+        return Matrix._from_ints(self.field, tuple(out), n + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         check_same_field(self.field, other.field)
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
-        return Matrix._trusted(self.field, self.data + other.data, self.cols)
+        return Matrix._from_ints(self.field, self._sparse + other._sparse, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Row i of the product sums ``a * row k of other`` over the nonzero
+        entries a = self[i][k], over a common denominator."""
         check_same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        ot = other.data
+        mod = _modulus(self.field)
+        right = other._sparse
         out = []
-        for arow in self.data:
-            acc = [zero] * other.cols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = ot[k]
-                    acc = [add(x, mul(a, b)) for x, b in zip(acc, brow)]
-            out.append(tuple(acc))
-        return Matrix._trusted(f, tuple(out), other.cols)
+        for row, d in self._sparse:
+            e = lcm(*[right[k][1] for k in row])
+            acc: dict = {}
+            for k, a in row.items():
+                brow, db = right[k]
+                a *= e // db
+                for j, b in brow.items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append(_row(acc, d * e, mod))
+        return Matrix._from_ints(self.field, tuple(out), other.cols)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        check_same_field(self.field, other.field)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in subtraction")
+        mod = _modulus(self.field)
+        out = []
+        for (a, da), (b, db) in zip(self._sparse, other._sparse):
+            d = lcm(da, db)
+            acc = {j: x * (d // da) for j, x in a.items()}
+            for j, x in b.items():
+                acc[j] = acc.get(j, 0) - x * (d // db)
+            out.append(_row(acc, d, mod))
+        return Matrix._from_ints(self.field, tuple(out), self.cols)
 
     def matvec(self, v: Sequence) -> tuple:
-        """Column-vector action ``M v``; skips zero entries of ``v``."""
+        """Column-vector action ``M v``, as the row ``v @ M^T``."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        acc = [zero] * self.rows
-        for j, x in enumerate(v):
-            if x:
-                for i in range(self.rows):
-                    e = self.data[i][j]
-                    if e:
-                        acc[i] = add(acc[i], mul(e, x))
-        return tuple(acc)
+        return (Matrix(self.field, [v]) @ self.transpose()).row(0)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(row for row, _ in self._sparse)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.field == other.field
             and self.cols == other.cols
-            and self.data == other.data
+            and _scalar_rows(self) == _scalar_rows(other)
         )
 
     def __hash__(self):
-        return hash((self.field, self.cols, self.data))
+        return hash((self.field, self.cols, tuple(frozenset(r.items()) for r in _scalar_rows(self))))
 
     def __repr__(self):
         return f"Matrix({self.field.name}, {self.rows}x{self.cols})"
@@ -266,35 +265,46 @@ def _modulus(field: Field) -> int:
     return field.p if isinstance(field, PrimeField) else 0
 
 
-def _int_row(row: Sequence, zero, mod: int) -> tuple[dict, int]:
-    """The nonzero entries of a row of field scalars as ints, with the
+def _ints(entries: dict, mod: int) -> tuple[dict, int]:
+    """A ``{column: scalar}`` dict of nonzero field scalars as ints, with the
     factor they were scaled by: the lcm of the denominators over Q, 1 over
-    F_p."""
+    F_p (where the residues are the ints, and the dict is returned as it
+    is)."""
+    if mod:
+        return entries, 1
+    d = lcm(*[x.denominator for x in entries.values()])
+    if d == 1:
+        return {j: x.numerator for j, x in entries.items()}, 1
+    return {j: x.numerator * (d // x.denominator) for j, x in entries.items()}, d
+
+
+def _int_row(row: Sequence, zero, mod: int) -> tuple[dict, int]:
+    """The nonzero entries of a dense row of field scalars as ints, with the
+    factor they were scaled by (see :func:`_ints`)."""
     if mod:  # residues are ints, whose truth test compress runs in C
         return {j: row[j] for j in compress(range(len(row)), row)}, 1
     # The identity test skips the field's shared zero object cheaply; only
     # other entries pay for a truth test, a Python call for a Fraction.
-    r = {j: x for j, x in enumerate(row) if x is not zero and x}
-    if not r:
-        return r, 1
-    d = lcm(*[x.denominator for x in r.values()])
-    if d == 1:
-        return {j: x.numerator for j, x in r.items()}, 1
-    return {j: x.numerator * (d // x.denominator) for j, x in r.items()}, d
+    return _ints({j: x for j, x in enumerate(row) if x is not zero and x}, mod)
 
 
 def _int_rows(m: Matrix):
     """Each row of ``m`` as a fresh ``({column: int}, denominator)`` pair
-    that the caller may modify: copies of the sparse form, or dense rows
-    converted by :func:`_int_row`."""
-    if m._sparse is not None:
-        return ((dict(row), d) for row, d in m._sparse)
-    zero, mod = m.field.zero, _modulus(m.field)
-    return (_int_row(row, zero, mod) for row in m.data)
+    that the caller may modify."""
+    return ((dict(row), d) for row, d in m._sparse)
+
+
+def _row(acc: dict, d: int, mod: int) -> tuple[dict, int]:
+    """An accumulated int row over ``d`` without its zero entries: over F_p
+    as residues over 1."""
+    if mod:
+        return _residues(acc, mod), 1
+    return {j: x for j, x in acc.items() if x}, d
 
 
 def _scalars(row: dict, d: int, mod: int) -> dict:
-    """The field scalars ``x / d`` of an int row; over F_p the residues."""
+    """The field scalars ``x / d`` of an int row; over F_p the residues,
+    which are the row itself."""
     if mod:
         return row
     if d == 1:
@@ -303,9 +313,11 @@ def _scalars(row: dict, d: int, mod: int) -> dict:
 
 
 def _scalar_rows(m: Matrix) -> list[dict]:
-    """Each row of ``m`` as a ``{column: scalar}`` dict of its nonzero entries."""
+    """Each row of ``m`` as a ``{column: scalar}`` dict of its nonzero
+    entries; over F_p these are the matrix's own dicts, never to be
+    modified."""
     mod = _modulus(m.field)
-    return [_scalars(row, d, mod) for row, d in _int_rows(m)]
+    return [_scalars(row, d, mod) for row, d in m._sparse]
 
 
 def _residues(row: dict, mod: int) -> dict:
@@ -455,13 +467,13 @@ def kernel(m: Matrix) -> "Subspace":
 
 
 def inverse(m: Matrix) -> Matrix:
+    """The solution X of ``m X = I``, which has one exactly when m is invertible."""
     if m.rows != m.cols:
         raise SingularMatrixError("inverse of a non-square matrix")
-    n = m.rows
-    red, pivots = rref(m.hstack(Matrix.identity(m.field, n)))
-    if pivots != tuple(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return Matrix._trusted(m.field, tuple(row[n:] for row in red.data), n)
+    try:
+        return solve_right(m, Matrix.identity(m.field, m.rows))
+    except InconsistentSystemError:
+        raise SingularMatrixError("matrix is singular") from None
 
 
 def solve_right(a: Matrix, b: Matrix) -> Matrix:
@@ -472,11 +484,10 @@ def solve_right(a: Matrix, b: Matrix) -> Matrix:
     red, pivots = rref(a.hstack(b))
     if any(p >= a.cols for p in pivots):
         raise InconsistentSystemError("system has no solution")
-    f = a.field
-    out = [(f.zero,) * b.cols] * a.cols
-    for r, pc in enumerate(pivots):
-        out[pc] = red.data[r][a.cols :]
-    return Matrix._trusted(f, tuple(out), b.cols)
+    out = [({}, 1)] * a.cols
+    for pc, (row, d) in zip(pivots, red._sparse):
+        out[pc] = ({j - a.cols: x for j, x in row.items() if j >= a.cols}, d)
+    return Matrix._from_ints(a.field, tuple(out), b.cols)
 
 
 def random_invertible(rng, n: int, field: Field) -> Matrix:
@@ -487,15 +498,15 @@ def random_invertible(rng, n: int, field: Field) -> Matrix:
             return m
 
 
-def random_combination(rng, field: Field, rows: Sequence[Sequence], width: int) -> tuple | None:
-    """Seeded random combination of ``width``-long ``rows``: one
-    ``random_scalar`` draw per row, in order, as its coefficient.  None when
-    every coefficient drawn is zero."""
-    coeffs = tuple(field.random_scalar(rng) for _ in rows)
+def random_combination(rng, rows: Matrix) -> Matrix | None:
+    """Seeded random combination of the rows of ``rows``: one
+    ``random_scalar`` draw per row, in order, as its coefficient.  A one-row
+    matrix, or None when every coefficient drawn is zero."""
+    f = rows.field
+    coeffs = [f.random_scalar(rng) for _ in range(rows.rows)]
     if not any(coeffs):
         return None
-    combo = Matrix._trusted(field, (coeffs,), len(coeffs)) @ Matrix._trusted(field, tuple(rows), width)
-    return combo.data[0]
+    return Matrix._from_ints(f, (_int_row(coeffs, f.zero, _modulus(f)),), rows.rows) @ rows
 
 
 class Subspace:
@@ -560,35 +571,45 @@ class Subspace:
             self._echelon = echelon
         return self._echelon
 
+    def _as_row(self, v: Iterable) -> Matrix:
+        """``v``, checked against the ambient dimension, as a one-row matrix."""
+        row = tuple(v)
+        if len(row) != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return Matrix(self.field, [row])
+
     def _residual(self, v: Sequence) -> tuple[dict, int]:
         """The residual of ``v`` after eliminating this subspace's pivots, as
         nonzero ints and the factor they are scaled by."""
-        coerce = self.field.coerce
-        w = [coerce(x) for x in v]
-        if len(w) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        mod = _modulus(self.field)
-        row, d = _int_row(w, self.field.zero, mod)
-        row, s = _eliminate(row, self._tails(), mod)
+        (row, d), = _int_rows(self._as_row(v))
+        row, s = _eliminate(row, self._tails(), _modulus(self.field))
         return row, d * s
 
     def reduce_vector(self, v: Sequence) -> tuple:
         """Residual of ``v`` after eliminating this subspace's pivots."""
-        row, d = self._residual(v)
-        mod = _modulus(self.field)
-        w = [self.field.zero] * self.ambient_dim
-        for j, x in row.items():
-            w[j] = x if mod else Fraction(x, d)
-        return tuple(w)
+        return Matrix._from_ints(self.field, (self._residual(v),), self.ambient_dim).row(0)
 
     def contains_vector(self, v: Sequence) -> bool:
         return not self._residual(v)[0]
 
     def coordinates(self, v: Sequence) -> tuple:
         """Coefficients of ``v`` in the canonical basis; errors if outside."""
-        if self._residual(v)[0]:
-            raise ValueError("vector is not in the subspace")
-        return tuple(self.field.coerce(v[pc]) for pc in self.pivots)
+        return self._coordinates_of(self._as_row(v)).row(0)
+
+    def _coordinates_of(self, m: Matrix) -> Matrix:
+        """The coefficients in the canonical basis of each row of ``m``, as
+        the rows of a matrix; errors if a row is outside.  The basis row of
+        pivot p is the only one nonzero at p, where it reads 1, so a row's
+        coefficients are its entries at the pivots."""
+        if m.cols != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        tails, mod = self._tails(), _modulus(self.field)
+        out = []
+        for row, d in _int_rows(m):
+            out.append(({c: row[p] for c, p in enumerate(self.pivots) if p in row}, d))
+            if _eliminate(row, tails, mod)[0]:
+                raise ValueError("vector is not in the subspace")
+        return Matrix._from_ints(self.field, tuple(out), self.dim)
 
     def contains(self, other: "Subspace") -> bool:
         check_same_field(self.field, other.field)
@@ -605,10 +626,7 @@ class Subspace:
         check_same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        rows = tuple(
-            ({p: lead, **tail}, lead) for s in (self, other) for p, (lead, tail) in s._tails().items()
-        )
-        return Subspace._span(Matrix._from_ints(self.field, rows, self.ambient_dim))
+        return Subspace._span(self.basis.vstack(other.basis))
 
     def annihilator(self) -> "Subspace":
         """Kernel of the basis matrix: functionals vanishing on the space."""
@@ -651,6 +669,8 @@ class Subspace:
         return _complement_coordinates(self, self.complement_in(sup), sup)
 
     def basis_rows(self) -> tuple[tuple, ...]:
+        """The canonical basis as dense rows: an output view, like
+        ``Matrix.data``."""
         return self.basis.data
 
     def __eq__(self, other):
@@ -658,11 +678,12 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis.data == other.basis.data
+            and self.pivots == other.pivots
+            and self._tails() == other._tails()
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis.data))
+        return hash((self.field, self.ambient_dim, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field.name}^{self.ambient_dim})"
@@ -678,15 +699,10 @@ def _complement_coordinates(sub: Subspace, comp: Subspace, sup: Subspace) -> Mat
     reads those columns only.
     """
     f = sub.field
-    n = sub.ambient_dim
-    if comp.dim == 0:
-        return Matrix.zeros(f, 0, n)
-    stacked = sub.basis.data + comp.basis.data
-    t = Matrix._trusted(f, tuple(tuple(row[pc] for pc in sup.pivots) for row in stacked), sup.dim)
-    out = []
-    for wrow in inverse(t.transpose()).data[sub.dim :]:
-        row = [f.zero] * n
-        for pc, x in zip(sup.pivots, wrow):
-            row[pc] = x
-        out.append(tuple(row))
-    return Matrix._trusted(f, tuple(out), n)
+    # Row j of select is the unit vector c when j is the pivot sup.pivots[c],
+    # and zero otherwise: ``@ select`` keeps the pivot columns of sup.
+    at = {pc: c for c, pc in enumerate(sup.pivots)}
+    units = tuple(({at[j]: 1} if j in at else {}, 1) for j in range(sub.ambient_dim))
+    select = Matrix._from_ints(f, units, sup.dim)
+    inv = inverse((sub.basis.vstack(comp.basis) @ select).transpose())
+    return Matrix._from_ints(f, inv._sparse[sub.dim :], sup.dim) @ select.transpose()

@@ -29,11 +29,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import (OPS, NotCentralIdealError, TriAlgebra, as_subspace, hom_to_field,
-                      quotient_algebra)
+from .algebra import OPS, NotCentralIdealError, TriAlgebra, as_subspace, hom_to_field, quotient_algebra
 from .cohomology import CochainTriple, h2, section_cocycle
 from .extensions import z_star
-from .linalg import Matrix, Subspace, kernel
+from .linalg import Matrix, Subspace, _scalar_rows, kernel
 
 __all__ = [
     "NotCentralIdealError",
@@ -58,7 +57,10 @@ __all__ = [
 
 def _require_central(l: TriAlgebra, z: Subspace) -> None:
     center = l.center().space
-    for idx, row in enumerate(z.basis_rows()):
+    if center.contains(z):
+        return
+    for idx in range(z.dim):
+        row = z.basis.row(idx)
         if not center.contains_vector(row):
             coords = ",".join(l.field.to_str(x) for x in row)
             raise NotCentralIdealError(
@@ -156,31 +158,27 @@ class _CentralIdealAnalysis:
         self.coh_l = h2(l, k)
         self.coh_q = h2(self.quot.algebra, k)
 
-    def _unflatten(self, vec, width: int) -> Matrix:
-        """A Hom-space vector as the k x ``width`` matrix it flattens."""
-        rows = tuple(vec[t * width : (t + 1) * width] for t in range(self.k))
-        return Matrix._trusted(self.alg.field, rows, width)
-
-    def _precompose(self, hom: Subspace, width: int, right: Matrix, target: Subspace) -> list:
+    def _precompose(self, hom: Subspace, right: Matrix, target: Subspace) -> Matrix:
         """Coordinates in ``target`` of ``chi @ right`` for each basis vector
-        ``chi`` of ``hom``, a k x ``width`` matrix."""
-        cols = []
-        for vec in hom.basis_rows():
-            composed = self._unflatten(vec, width) @ right
-            cols.append(target.coordinates(tuple(x for row in composed.data for x in row)))
-        return cols
+        ``chi`` of ``hom``, a k x ``right.rows`` matrix flattened row-major:
+        the rows of ``hom.basis`` times the block-diagonal matrix with k
+        blocks ``right``."""
+        f, n, w, k = self.alg.field, right.rows, right.cols, self.k
+        blocks = Matrix.zeros(f, 0, k * w)
+        for t in range(k):
+            block = Matrix.zeros(f, n, t * w).hstack(right).hstack(Matrix.zeros(f, n, (k - 1 - t) * w))
+            blocks = blocks.vstack(block)
+        return target._coordinates_of(hom.basis @ blocks)
 
     @cached_property
     def inf1(self) -> SeqMap:
         """Precomposition with the canonical projection L -> L/Z."""
-        cols = self._precompose(self.hom_q, self.quot.algebra.dim, self.quot.projection, self.hom_l)
-        return _seq_map("inf1", self.alg.field, cols, self.hom_l.dim)
+        return _seq_map("inf1", self._precompose(self.hom_q, self.quot.projection, self.hom_l))
 
     @cached_property
     def res(self) -> SeqMap:
         """Restriction along the inclusion Z -> L."""
-        cols = self._precompose(self.hom_l, self.alg.dim, self.z.basis.transpose(), self.hom_z)
-        return _seq_map("res", self.alg.field, cols, self.hom_z.dim)
+        return _seq_map("res", self._precompose(self.hom_l, self.z.basis.transpose(), self.hom_z))
 
     @cached_property
     def tra(self) -> SeqMap:
@@ -200,36 +198,32 @@ class _CentralIdealAnalysis:
                 idx // d * k + t: x for idx, x in cochain._entries.items() if idx % d == s}))
             for t in range(k) for s in range(d)
         ]
-        return _seq_map("tra", self.alg.field, cols, self.coh_q.h2_dim)
+        return _seq_map("tra", Matrix(self.alg.field, cols, cols=self.coh_q.h2_dim))
 
     @cached_property
     def inf2(self) -> SeqMap:
         """Pull classes on L/Z back along the projection P: the entry at
-        (op, i, j, t) is the sum of rep(op, a, b, t) * P[a][i] * P[b][j]."""
-        f = self.alg.field
-        add, mul = f.add, f.mul
-        n, m, k = self.alg.dim, self.quot.algebra.dim, self.k
-        nonzero = [[(i, x) for i, x in enumerate(row) if x] for row in self.quot.projection.data]
-        cols = []
-        for rep in self.coh_q.h2_reps:
-            acc: dict = {}
-            for idx, x in rep._entries.items():
-                pair, t = divmod(idx, k)
-                o, ab = divmod(pair, m * m)
-                a, b = divmod(ab, m)
-                for i, p in nonzero[a]:
-                    px = mul(p, x)
-                    for j, q in nonzero[b]:
-                        key = ((o * n + i) * n + j) * k + t
-                        acc[key] = add(acc.get(key, f.zero), mul(px, q))
-            entries = {key: x for key, x in acc.items() if x}
-            cols.append(self.coh_l.class_of(CochainTriple._from_entries(self.alg, k, entries)))
-        return _seq_map("inf2", self.alg.field, cols, self.coh_l.h2_dim)
+        (op, i, j, t) is the sum of rep(op, a, b, t) * P[a][i] * P[b][j], so
+        the pulled-back cochains are the representatives times the matrix
+        whose row (op, a, b, t) holds P[a][i] * P[b][j] at (op, i, j, t)."""
+        f, n, m, k = self.alg.field, self.alg.dim, self.quot.algebra.dim, self.k
+        p = _scalar_rows(self.quot.projection)
+        pull = [
+            {((o * n + i) * n + j) * k + t: f.mul(x, y)
+             for i, x in p[a].items() for j, y in p[b].items()}
+            for o in range(len(OPS)) for a in range(m) for b in range(m) for t in range(k)
+        ]
+        pulled = self.coh_q._complement.basis @ Matrix._from_scalars(f, pull, 3 * n * n * k)
+        cols = [self.coh_l.class_of(CochainTriple._from_entries(self.alg, k, row))
+                for row in _scalar_rows(pulled)]
+        return _seq_map("inf2", Matrix(f, cols, cols=self.coh_l.h2_dim))
 
     @cached_property
     def delta(self) -> SeqMap:
         """Evaluate H^2(L, F) classes on (L/L' coset basis) x (Z basis)
-        pairs, both orders, per operation (k = 1 only)."""
+        pairs, both orders, per operation (k = 1 only): the representatives
+        times the matrix whose row (op, i, j) holds the values of the form
+        e_i* x e_j* of op at those pairs."""
         if self.k != 1:
             raise ValueError("the pairing-block map is defined for k = 1")
         alg = self.alg
@@ -237,15 +231,21 @@ class _CentralIdealAnalysis:
             "derived_complement",
             lambda: alg.derived().space.complement_in(Subspace.full(alg.field, alg.dim)),
         )
-        us, ws = comp.basis_rows(), self.z.basis_rows()
-        cols = []
-        for rep in self.coh_l.h2_reps:
-            col = []
-            for op in OPS:
-                col += [rep.evaluate(u, w, op)[0] for u in us for w in ws]
-                col += [rep.evaluate(w, u, op)[0] for w in ws for u in us]
-            cols.append(tuple(col))
-        return _seq_map("delta", self.alg.field, cols, 6 * len(us) * len(ws))
+        # Row i of each: the coefficients of e_i in the basis vectors.
+        us, ws = _scalar_rows(comp.basis.transpose()), _scalar_rows(self.z.basis.transpose())
+        a, b, n, mul = comp.dim, self.z.dim, alg.dim, alg.field.mul
+
+        def outer(left: dict, right: dict, start: int, width: int) -> dict:
+            """left (x) right, laid out row-major from column ``start``."""
+            return {start + r * width + s: mul(x, y) for r, x in left.items() for s, y in right.items()}
+
+        # Per operation o: the (u, w) pairs, then the (w, u) pairs.
+        pairing = [
+            {**outer(us[i], ws[j], 2 * o * a * b, b), **outer(ws[i], us[j], (2 * o + 1) * a * b, a)}
+            for o in range(len(OPS)) for i in range(n) for j in range(n)
+        ]
+        pairs = Matrix._from_scalars(alg.field, pairing, 6 * a * b)
+        return _seq_map("delta", self.coh_l._complement.basis @ pairs)
 
     @cached_property
     def derived_cap_z(self) -> Subspace:
@@ -266,11 +266,11 @@ class _CentralIdealAnalysis:
         )
 
 
-def _seq_map(label: str, field, cols: list, codomain_dim: int) -> SeqMap:
-    """The map whose matrix has the columns ``cols``, one per basis vector
-    of the domain."""
-    data = tuple(tuple(col[r] for col in cols) for r in range(codomain_dim))
-    return SeqMap(label, Matrix._trusted(field, data, len(cols)), len(cols), codomain_dim)
+def _seq_map(label: str, cols: Matrix) -> SeqMap:
+    """The map whose matrix has the rows of ``cols`` as its columns, one per
+    basis vector of the domain."""
+    return SeqMap(label, cols.transpose(), cols.rows, cols.cols)
+
 
 
 def inf1(l: TriAlgebra, z, k: int = 1) -> SeqMap:

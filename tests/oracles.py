@@ -8,11 +8,13 @@ constraints from a dense all-triples assembly.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
 
-from trialg.algebra import IDENTITIES, OPS
+from trialg.algebra import IDENTITIES, OPS, TriAlgebra
 from trialg.fields import PrimeField, RationalField
+from trialg.linalg import Subspace
 
 
 def bareiss_rank_int(rows):
@@ -242,3 +244,64 @@ def dense_residual(field, basis, pivots, v):
         if c:
             w = [field.sub(a, field.mul(c, e)) for a, e in zip(w, row)]
     return tuple(w)
+
+
+def dense_matvec(field, rows, v):
+    """``M v`` for the dense rows of M."""
+    return tuple(reduce(field.add, map(field.mul, row, v), field.zero) for row in rows)
+
+
+def dense_matmul(field, a, b, ncols):
+    """Product of the dense rows ``a`` and the ``ncols``-wide dense rows ``b``."""
+    columns = [[row[j] for row in b] for j in range(ncols)]
+    return tuple(dense_matvec(field, columns, row) for row in a)
+
+
+def dense_inverse(field, rows):
+    """Inverse of a dense square matrix: Gauss-Jordan on ``[M | I]``."""
+    n = len(rows)
+    red, pivots = dense_rref(field, [list(r) + list(unit_vector(field, n, i)) for i, r in enumerate(rows)], 2 * n)
+    assert pivots == tuple(range(n)), "singular matrix"
+    return [row[n:] for row in red]
+
+
+# Subspace products, quotients and changes of basis as the package built
+# them before it moved to the sparse product tables: dense vectors
+# multiplied through ``TriAlgebra.multiply``.
+
+
+def dense_product_subspace(s, t):
+    """Span of every ``u op v`` for u, v dense basis rows of ``s`` and ``t``."""
+    a = s.parent
+    rows = [a.multiply(u, v, op) for u in s.space.basis_rows() for v in t.space.basis_rows() for op in OPS]
+    return Subspace.from_rows(a.field, a.dim, rows)
+
+
+def dense_transport(a, rows, to_coords, name=None):
+    """The algebra whose basis vector r stands for the dense vector
+    ``rows[r]`` of ``a``: e_r op e_s has the coordinates
+    ``to_coords(rows[r] op rows[s])``."""
+    products = {
+        op: {(r, s): to_coords(a.multiply(u, v, op)) for r, u in enumerate(rows) for s, v in enumerate(rows)}
+        for op in OPS
+    }
+    return TriAlgebra(len(rows), a.field, products, name=name)
+
+
+def dense_quotient_algebra(a, space):
+    """``(algebra, projection rows, section rows)`` of the quotient of ``a``
+    by the ideal ``space``: the projection reads the coordinates of the
+    complement rows against the basis of ``space`` followed by its pivot
+    complement, and the section embeds along that complement."""
+    comp = space.complement_in(Subspace.full(a.field, a.dim)).basis_rows()
+    stacked = space.basis_rows() + comp
+    proj = tuple(map(tuple, dense_inverse(a.field, list(zip(*stacked)))[space.dim :]))
+    section = tuple(zip(*comp)) if comp else ((),) * a.dim
+    return dense_transport(a, comp, lambda p: dense_matvec(a.field, proj, p)), proj, section
+
+
+def dense_change_basis(a, rows):
+    """``a`` re-expressed in the basis whose i-th vector is the dense row
+    ``rows[i]``: new coordinates are old ones times the inverse."""
+    to_new = list(zip(*dense_inverse(a.field, rows)))
+    return dense_transport(a, rows, lambda x: dense_matvec(a.field, to_new, x), a.name)

@@ -21,17 +21,25 @@ from trialg.algebra import (
     quotient_algebra,
 )
 from trialg.cohomology import h2
+from trialg.extensions import cover
 from trialg.fields import GF, QQ
 from trialg.generators import (
     abelian,
     cover_abelian,
     dim2_single_product,
+    random_extension,
     random_valid_algebra,
     unital_dim1,
 )
 from trialg.linalg import Subspace, random_invertible
 
-from oracles import direct_identity_defects, unit_vector
+from oracles import (
+    dense_change_basis,
+    dense_product_subspace,
+    dense_quotient_algebra,
+    direct_identity_defects,
+    unit_vector,
+)
 
 
 # ------------------------------------------------------------ validation
@@ -400,3 +408,37 @@ def test_random_valid_algebra_sweep():
         alg = random_valid_algebra(rng, QQ, max_dim=6)
         assert alg.axiom_report().ok
         assert alg.dim <= 6
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_products_quotients_and_rebasing_match_the_dense_constructions(field):
+    """product_subspace, quotient_algebra and change_basis, built from the
+    sparse product tables, equal the dense constructions through
+    ``multiply`` on random valid, rebased and cover algebras."""
+    rng = random.Random(31)
+    valid = [random_valid_algebra(rng, field, max_dim=5) for _ in range(4)]
+    valid.append(random_extension(abelian(2, field), 2, seed=3).total)
+    rebased = [change_basis(a, random_invertible(rng, a.dim, field)) for a in valid[-3:]]
+    covers = [cover(a).extension.total for a in (abelian(1, field), dim2_single_product(field))]
+    quotients = 0
+    for a in valid + rebased + covers:
+        line = a.subspace([[field.coerce(rng.randint(-2, 2)) for _ in range(a.dim)]])
+        spaces = [a.full_subspace(), a.zero_subspace(), a.derived(), a.center(), line]
+        for s in spaces:
+            for t in spaces:
+                got, ref = product_subspace(s, t).space, dense_product_subspace(s, t)
+                assert (got.basis.data, got.pivots) == (ref.basis.data, ref.pivots)
+                assert got == ref
+        for ideal in spaces:
+            if not is_ideal(ideal):
+                continue
+            quot = quotient_algebra(a, ideal)
+            ref_alg, ref_proj, ref_section = dense_quotient_algebra(a, ideal.space)
+            assert quot.algebra == ref_alg and quot.algebra.name is None
+            assert quot.projection.data == ref_proj
+            assert quot.section.data == ref_section
+            quotients += 1
+        p = random_invertible(rng, a.dim, field)
+        rebuilt, ref = change_basis(a, p), dense_change_basis(a, p.data)
+        assert rebuilt == ref and rebuilt.name == a.name
+    assert quotients >= 3 * len(valid + rebased + covers)

@@ -245,6 +245,13 @@ def test_verify_requires_ideal_spec(capsys, dim2_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("token", ["e", "e1e", "ex"])
+def test_verify_names_a_malformed_basis_token(capsys, dim2_file, token):
+    code, _, err = run(capsys, "verify", dim2_file, "--z", f"e2;{token}")
+    assert code == 2
+    assert err == f"error: bad basis vector token {token!r}\n"
+
+
 def test_verify_all_central_builds_each_quotient_and_the_cover_once(capsys, monkeypatch, tmp_path):
     import trialg.extensions
     import trialg.sequences
@@ -441,3 +448,42 @@ def test_cover_quotient_reproduces_invariants(capsys, tmp_path, dim2_file):
         )
 
     assert invariants(quot) == invariants(dim2_single_product())
+
+
+def test_only_the_cli_reads_the_dense_views(capsys, monkeypatch, tmp_path):
+    """``Matrix.data`` and ``Subspace.basis_rows()`` are output views: in
+    the analysis commands only ``trialg.cli`` reads them (``basis_rows``
+    itself reads ``data``)."""
+    import sys
+
+    from trialg.fields import GF
+    from trialg.generators import random_extension
+    from trialg.linalg import Matrix, Subspace
+
+    readers = set()
+
+    def probe(name, read):
+        def wrapper(self):
+            caller = sys._getframe(1)
+            readers.add((name, caller.f_globals["__name__"], caller.f_code.co_name))
+            return read(self)
+
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "data", property(probe("data", Matrix.__dict__["data"].__get__)))
+    monkeypatch.setattr(Subspace, "basis_rows", probe("basis_rows", Subspace.basis_rows))
+    algebras = {
+        "ext_q.json": random_extension(abelian(2), 2, seed=3).total,
+        "ext_f7.json": random_extension(abelian(2, GF(7)), 2, seed=4).total,
+        "cova1.json": cover_abelian(1),
+    }
+    for name, alg in algebras.items():
+        path = tmp_path / name
+        path.write_text(emit(alg))
+        for argv in (["h2", "--reps"], ["cover", "-o", str(tmp_path / "c.json")], ["zstar"],
+                     ["unicentral"], ["verify", "--all-central"]):
+            code, _, _ = run(capsys, argv[0], str(path), *argv[1:])
+            assert code == 0, (name, argv)
+    assert ("basis_rows", "trialg.cli", "cmd_zstar") in readers
+    outside = {r for r in readers if r[1] != "trialg.cli"} - {("data", "trialg.linalg", "basis_rows")}
+    assert not outside

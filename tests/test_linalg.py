@@ -19,7 +19,16 @@ from trialg.linalg import (
     solve_right,
 )
 
-from oracles import dense_complement, dense_kernel, dense_residual, dense_rref, dense_span, oracle_rank
+from oracles import (
+    dense_complement,
+    dense_kernel,
+    dense_matmul,
+    dense_matvec,
+    dense_residual,
+    dense_rref,
+    dense_span,
+    oracle_rank,
+)
 
 
 def mk(rows, field=QQ):
@@ -351,21 +360,54 @@ def _sparse_twin(field, rows, ncols, scale):
 
 
 @settings(max_examples=200, deadline=None)
-@given(field_matrices(), st.integers(1, 6), st.booleans())
-def test_sparse_matrix_behaves_like_its_dense_twin(case, scale, zero_row):
+@given(field_matrices(), st.integers(1, 6), st.integers(1, 6), st.booleans())
+def test_sparse_matrix_behaves_like_its_dense_twin(case, scale, other_scale, zero_row):
     field, ncols, rows = case
     if zero_row:
         rows = rows + [[field.zero] * ncols]
+    data = tuple(map(tuple, rows))
+    columns = tuple(zip(*data)) if data else ((),) * ncols
     dense = Matrix(field, rows, cols=ncols)
     sparse = _sparse_twin(field, rows, ncols, scale)
+    twin = _sparse_twin(field, rows, ncols, other_scale)
     assert (sparse.rows, sparse.cols) == (dense.rows, dense.cols)
-    assert hash(sparse) == hash(dense)
-    assert sparse == dense and dense == sparse
-    assert sparse.data == dense.data
-    assert _sparse_twin(field, rows, ncols, scale).transpose() == dense.transpose()
+    assert hash(sparse) == hash(dense) == hash(twin)
+    assert sparse == dense and dense == sparse and sparse == twin
+    assert sparse.data == dense.data == data
+    assert [sparse.row(i) for i in range(len(rows))] == list(data)
+    assert [sparse.column(j) for j in range(ncols)] == list(columns)
+    assert sparse.is_zero() == (not any(x for row in rows for x in row))
+    assert sparse.transpose() == dense.transpose() and sparse.transpose().data == columns
+    assert (sparse @ twin.transpose()).data == dense_matmul(field, data, columns, len(rows))
+    assert (twin.transpose() @ sparse).data == dense_matmul(field, columns, data, ncols)
+    for v in data:
+        assert sparse.matvec(v) == dense_matvec(field, data, v)
+    assert sparse.hstack(twin).data == tuple(row + row for row in data)
+    assert sparse.vstack(twin).data == data + data
+    assert sparse.vstack(twin) == dense.vstack(dense)
     assert rref(_sparse_twin(field, rows, ncols, scale)) == rref(dense)
     ker, dense_ker = kernel(_sparse_twin(field, rows, ncols, scale)), kernel(dense)
     assert (ker.basis.data, ker.pivots) == (dense_ker.basis.data, dense_ker.pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices(), st.data())
+def test_subspace_equality_is_equality_of_spans(case, data):
+    field, ncols, rows = case
+    a = Subspace.from_rows(field, ncols, rows)
+    # The same span from negated basis rows in reverse order.
+    same = Subspace.from_rows(field, ncols, [[field.neg(x) for x in row] for row in reversed(a.basis_rows())])
+    assert same == a and hash(same) == hash(a)
+    part = Subspace.from_rows(field, ncols, rows[: data.draw(st.integers(0, len(rows)))])
+    assert (part == a) == (part.dim == a.dim)
+    # A different span with the same pivots: move the first basis row at a
+    # free column right of its pivot.
+    free = [j for j in range(ncols) if j not in a.pivots]
+    if a.dim and free and free[-1] > a.pivots[0]:
+        moved = [list(row) for row in a.basis_rows()]
+        moved[0][free[-1]] = field.add(moved[0][free[-1]], field.one)
+        other = Subspace.from_rows(field, ncols, moved)
+        assert other.pivots == a.pivots and other != a and a != other
 
 
 @settings(max_examples=200, deadline=None)
@@ -373,7 +415,7 @@ def test_sparse_matrix_behaves_like_its_dense_twin(case, scale, zero_row):
 def test_random_combination_draws_one_scalar_per_row(case, seed):
     field, ncols, rows = case
     rng = random.Random(seed)
-    combo = random_combination(rng, field, rows, ncols)
+    combo = random_combination(rng, Matrix(field, rows, cols=ncols))
     replay = random.Random(seed)
     coeffs = [field.random_scalar(replay) for _ in rows]
     assert rng.getstate() == replay.getstate()
@@ -383,7 +425,7 @@ def test_random_combination_draws_one_scalar_per_row(case, seed):
         expected = [field.zero] * ncols
         for c, row in zip(coeffs, rows):
             expected = [field.add(a, field.mul(c, x)) for a, x in zip(expected, row)]
-        assert combo == tuple(expected)
+        assert combo.data == (tuple(expected),)
 
 
 @settings(max_examples=200, deadline=None)

@@ -145,8 +145,40 @@ def forms_inf2(l, z, k):
     return cols
 
 
+def evaluate_delta(l, z):
+    """Pairing-block columns through ``evaluate``: each representative at
+    every (u, w) pair, then every (w, u) pair, per operation, for u the
+    complement basis of L' and w the basis of Z."""
+    us = l.derived().space.complement_in(Subspace.full(l.field, l.dim)).basis_rows()
+    ws = z.basis_rows()
+    cols = []
+    for rep in h2(l, 1).h2_reps:
+        col = []
+        for op in OPS:
+            col += [rep.evaluate(u, w, op)[0] for u in us for w in ws]
+            col += [rep.evaluate(w, u, op)[0] for w in ws for u in us]
+        cols.append(tuple(col))
+    return cols
+
+
 def columns(m):
     return [m.matrix.column(c) for c in range(m.domain_dim)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_delta_matches_the_evaluate_construction(field):
+    rng = random.Random(84)
+    algebras = [cover_abelian(1, field), random_extension(abelian(2, field), 2, seed=5).total]
+    algebras.append(change_basis(algebras[1], random_invertible(rng, algebras[1].dim, field)))
+    checked = 0
+    for l in algebras:
+        center = l.center().space
+        ideals = [Subspace.from_rows(field, l.dim, [row]) for row in center.basis_rows()]
+        for z in ideals + [center, Subspace.zero(field, l.dim)]:
+            d = delta_map(l, z)
+            assert columns(d) == evaluate_delta(l, z)
+            checked += d.rank
+    assert checked > 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
