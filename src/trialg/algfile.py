@@ -15,6 +15,12 @@ dense coordinate vector of e_i op e_j written as reduced fraction or
 integer strings.  Duplicate (op, i, j) entries are rejected.  Emission is
 canonical (operation order vdash/dashv/perp, then i, then j; zero entries
 omitted), so parse(emit(x)) round-trips exactly.
+
+Both directions work from the nonzero coordinates.  ``algebra_to_dict``
+formats only the stored entries of each product over a list of ``"0"``;
+``emit`` writes the text of ``json.dumps(algebra_to_dict(a), indent=2)``
+directly, one product at a time; parsing skips a coordinate that is
+exactly ``"0"`` and hands every other value to ``field.parse``.
 """
 
 from __future__ import annotations
@@ -32,11 +38,27 @@ class AlgebraFileError(ValueError):
     pass
 
 
+# Between two scalar strings of an emitted value list.
+_VALUE_SEP = '",\n        "'
+
+
+def scalar_strings(field, n: int, entries: dict) -> list[str]:
+    """The ``n`` coordinate strings of the vector whose nonzero entries
+    are ``{index: scalar}``; only those entries are formatted.  Shared by
+    the file's value lists and the CLI's sparse report lines."""
+    out = ["0"] * n
+    to_str = field.to_str
+    for k, x in entries.items():
+        out[k] = to_str(x)
+    return out
+
+
 def algebra_to_dict(a: TriAlgebra) -> dict:
     entries = []
     for op in OPS:
-        for (i, j) in sorted(a.products[op]):
-            value = [a.field.to_str(x) for x in a.product(op, i, j)]
+        table = a.products[op]
+        for (i, j) in sorted(table):
+            value = scalar_strings(a.field, a.dim, table[(i, j)])
             entries.append({"op": op, "i": i, "j": j, "value": value})
     return {"field": a.field.name, "dim": a.dim, "products": entries}
 
@@ -83,6 +105,8 @@ def algebra_from_dict(doc: Any) -> TriAlgebra:
             raise AlgebraFileError(f"{where}: value must be a list of {dim} scalar strings")
         vec = {}
         for k, text in enumerate(value):
+            if text == "0":
+                continue
             if not isinstance(text, str):
                 raise AlgebraFileError(f"{where}: value[{k}] must be a string")
             try:
@@ -97,7 +121,22 @@ def algebra_from_dict(doc: Any) -> TriAlgebra:
 
 
 def emit(a: TriAlgebra) -> str:
-    return json.dumps(algebra_to_dict(a), indent=2) + "\n"
+    """``json.dumps(algebra_to_dict(a), indent=2) + "\\n"``, written
+    directly: the scalar strings need no escaping, so each value list is
+    one join."""
+    doc = algebra_to_dict(a)
+    head = f'{{\n  "field": {json.dumps(doc["field"])},\n  "dim": {doc["dim"]},\n  "products": '
+    if not doc["products"]:
+        return head + "[]\n}\n"
+    parts = [head + "[\n"]
+    for e in doc["products"]:
+        parts.append(
+            f'    {{\n      "op": "{e["op"]}",\n      "i": {e["i"]},\n      "j": {e["j"]},\n'
+            f'      "value": [\n        "{_VALUE_SEP.join(e["value"])}"\n      ]\n    }}'
+        )
+        parts.append(",\n")
+    parts[-1] = "\n  ]\n}\n"
+    return "".join(parts)
 
 
 def parse(text: str) -> TriAlgebra:

@@ -28,7 +28,7 @@ from .algebra import (
     hom_to_field,
 )
 from .fields import QQ, FieldMismatchError, parse_field
-from .linalg import Subspace, random_combination
+from .linalg import Subspace, _scalar_rows, random_combination
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -81,6 +81,13 @@ def _fail_input(message: str) -> int:
 
 def _vector_str(field, v) -> str:
     return ",".join(field.to_str(x) for x in v)
+
+
+def _basis_strs(space: Subspace) -> list[str]:
+    """The basis rows of ``space`` as ``_vector_str`` lines, formatted from
+    their nonzero entries."""
+    f, n = space.field, space.ambient_dim
+    return [",".join(algfile.scalar_strings(f, n, row)) for row in _scalar_rows(space.basis)]
 
 
 def _parse_z_spec(alg: TriAlgebra, spec: str) -> Subspace:
@@ -173,8 +180,8 @@ def cmd_cover(args) -> int:
         out.add("cover_dim", ext.total.dim)
         out.add("kernel_dim", ext.kernel_dim)
         out.add("stem", ext.is_stem())
-        for idx, row in enumerate(ext.kernel.space.basis_rows()):
-            out.add(f"kernel.basis[{idx}]", _vector_str(alg.field, row))
+        for idx, line in enumerate(_basis_strs(ext.kernel.space)):
+            out.add(f"kernel.basis[{idx}]", line)
         out.add("output", args.output)
         out.print(args.json)
     else:
@@ -187,8 +194,8 @@ def cmd_zstar(args) -> int:
     zs = extensions.z_star(alg)
     out = _Report()
     out.add("z_star_dim", zs.dim)
-    for idx, row in enumerate(zs.space.basis_rows()):
-        out.add(f"z_star.basis[{idx}]", _vector_str(alg.field, row))
+    for idx, line in enumerate(_basis_strs(zs.space)):
+        out.add(f"z_star.basis[{idx}]", line)
     out.print(args.json)
     return EXIT_OK
 

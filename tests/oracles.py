@@ -7,6 +7,7 @@ evaluation of both sides of each identity via ``multiply``, and cocycle
 constraints from a dense all-triples assembly.
 """
 
+import json
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -15,6 +16,22 @@ from math import lcm
 from trialg.algebra import IDENTITIES, OPS, TriAlgebra
 from trialg.fields import PrimeField, RationalField
 from trialg.linalg import Subspace
+
+
+def dense_algebra_dict(alg):
+    """The algebra-file document, every coordinate formatted from the
+    dense product vector."""
+    entries = [
+        {"op": op, "i": i, "j": j, "value": [alg.field.to_str(x) for x in alg.product(op, i, j)]}
+        for op in OPS
+        for (i, j) in sorted(alg.products[op])
+    ]
+    return {"field": alg.field.name, "dim": alg.dim, "products": entries}
+
+
+def json_emit(alg):
+    """The algebra file as the standard JSON encoder writes it."""
+    return json.dumps(dense_algebra_dict(alg), indent=2) + "\n"
 
 
 def bareiss_rank_int(rows):

@@ -11,8 +11,7 @@ import time
 
 import pytest
 
-from trialg.algebra import OPS, check_dim_bounds, quotient_algebra
-from trialg.algfile import emit, parse
+from trialg.algebra import OPS, check_dim_bounds
 from trialg.cli import main as cli_main
 from trialg.cohomology import CochainTriple, cocycle_defects, h2, z2_space
 from trialg.extensions import (

@@ -25,7 +25,6 @@ from trialg.extensions import cover
 from trialg.fields import GF, QQ
 from trialg.generators import (
     abelian,
-    cover_abelian,
     dim2_single_product,
     random_extension,
     random_valid_algebra,

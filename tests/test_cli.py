@@ -450,6 +450,41 @@ def test_cover_quotient_reproduces_invariants(capsys, tmp_path, dim2_file):
     assert invariants(quot) == invariants(dim2_single_product())
 
 
+def test_vector_lines_match_the_dense_views(capsys, tmp_path):
+    """``kernel.basis[..]`` and ``z_star.basis[..]`` are written from
+    nonzero entries; they read as the dense basis rows would."""
+    import random
+
+    from trialg.algebra import change_basis
+    from trialg.extensions import cover, z_star
+    from trialg.fields import GF
+    from trialg.generators import random_extension
+    from trialg.linalg import random_invertible
+
+    def dense(field, rows):
+        return [",".join(field.to_str(x) for x in row) for row in rows]
+
+    def lines(out, prefix):
+        pairs = kv(out)
+        return [pairs[f"{prefix}[{idx}]"] for idx in range(sum(k.startswith(prefix + "[") for k in pairs))]
+
+    ext = random_extension(abelian(2), 2, seed=3).total
+    algebras = [
+        dim2_single_product(),
+        cover_abelian(1, GF(7)),
+        random_extension(abelian(2, GF(7)), 2, seed=4).total,
+        change_basis(ext, random_invertible(random.Random(8), ext.dim, ext.field)),
+    ]
+    for alg in algebras:
+        path = tmp_path / "alg.json"
+        path.write_text(emit(alg))
+        f = alg.field
+        _, out, _ = run(capsys, "cover", str(path), "-o", str(tmp_path / "c.json"))
+        assert lines(out, "kernel.basis") == dense(f, cover(alg).extension.kernel.space.basis_rows())
+        _, out, _ = run(capsys, "zstar", str(path))
+        assert lines(out, "z_star.basis") == dense(f, z_star(alg).space.basis_rows())
+
+
 def test_only_the_cli_reads_the_dense_views(capsys, monkeypatch, tmp_path):
     """``Matrix.data`` and ``Subspace.basis_rows()`` are output views: in
     the analysis commands only ``trialg.cli`` reads them (``basis_rows``
@@ -484,6 +519,8 @@ def test_only_the_cli_reads_the_dense_views(capsys, monkeypatch, tmp_path):
                      ["unicentral"], ["verify", "--all-central"]):
             code, _, _ = run(capsys, argv[0], str(path), *argv[1:])
             assert code == 0, (name, argv)
-    assert ("basis_rows", "trialg.cli", "cmd_zstar") in readers
+    # The probe fires: ``verify --all-central`` still samples center lines
+    # from the dense view (report lines are written from the sparse rows).
+    assert ("basis_rows", "trialg.cli", "_central_ideal_samples") in readers
     outside = {r for r in readers if r[1] != "trialg.cli"} - {("data", "trialg.linalg", "basis_rows")}
     assert not outside

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from trialg.algebra import DASHV, OPS, PERP, TriAlgebra, VDASH, change_basis
 from trialg.cohomology import (
     CochainTriple,
-    CohomologyResult,
     NotASectionError,
     _expand_subspace,
     b2_space,

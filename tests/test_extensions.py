@@ -1,10 +1,9 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialg.algebra import OPS, change_basis, product_subspace, quotient_algebra
+from trialg.algebra import OPS, change_basis, quotient_algebra
 from trialg.cohomology import CochainTriple, NotACocycleError, h2, is_cohomologous
 from trialg.extensions import (
     build_central_extension,

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from trialg.algebra import OPS, TriAlgebra, VDASH, change_basis, quotient_algebra
+from trialg.algebra import OPS, change_basis, quotient_algebra
 from trialg.cohomology import CochainTriple, h2, section_cocycle
 from trialg.fields import GF, QQ
 from trialg.generators import abelian, cover_abelian, dim2_single_product, random_extension
