@@ -28,7 +28,7 @@ from .algebra import (
     hom_to_field,
 )
 from .fields import QQ, FieldMismatchError, parse_field
-from .linalg import Subspace, _scalar_rows, random_combination
+from .linalg import Matrix, Subspace, _scalar_rows, random_combination
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -214,15 +214,13 @@ def _central_ideal_samples(alg: TriAlgebra, seed: int) -> list[tuple[str, Subspa
     center = alg.center().space
     fld = alg.field
     samples = [("zero", Subspace.zero(fld, alg.dim))]
-    for idx, row in enumerate(center.basis_rows()):
-        samples.append((f"center_line[{idx}]", Subspace.from_rows(fld, alg.dim, [row])))
+    for idx, row in enumerate(_scalar_rows(center.basis)):
+        samples.append((f"center_line[{idx}]", Subspace._span(Matrix._from_scalars(fld, (row,), alg.dim))))
     rng = random.Random(seed)
-    for t in range(2):
-        if center.dim < 2:
-            break
+    for t in range(2 if center.dim > 1 else 0):
         acc = random_combination(rng, center.basis)
         if acc is not None:
-            samples.append((f"random_line[{t}]", Subspace.from_rows(fld, alg.dim, acc.data)))
+            samples.append((f"random_line[{t}]", Subspace._span(acc)))
     if center.dim:
         samples.append(("center", center))
     return samples
@@ -362,8 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, help="run the sequence/criteria suites for a central ideal")
     p.add_argument("path")
-    p.add_argument("--z", help="central ideal basis: 'e2' or '0,1'; ';' separates vectors")
-    p.add_argument("--all-central", action="store_true", help="sample central ideals")
+    ideal = p.add_mutually_exclusive_group()
+    ideal.add_argument("--z", help="central ideal basis: 'e2' or '0,1'; ';' separates vectors")
+    ideal.add_argument("--all-central", action="store_true", help="sample central ideals")
     p.add_argument("--seed", type=int, default=0)
 
     p = add("gen", cmd_gen, help="generate corpus algebras")

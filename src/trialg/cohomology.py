@@ -344,18 +344,23 @@ class CohomologyResult:
     def h2_dim(self) -> int:
         return self.z2.dim - self.b2.dim
 
-    def class_coordinates(self, vec: Sequence) -> tuple:
-        """Coset coordinates of a cocycle vector relative to the stored
-        complement of B^2 in Z^2; raises ValueError outside Z^2."""
-        row = self.z2._as_row(vec)
-        self.z2._coordinates_of(row)  # the membership check
+    def _classes(self, m: Matrix) -> Matrix:
+        """The class coordinates of each cocycle row of ``m``, as the rows of
+        a matrix; raises ValueError if a row is outside Z^2."""
+        self.z2._coordinates_of(m)  # the membership check
+        if not m.rows:  # no cochains, so no coset map to build
+            return Matrix.zeros(m.field, 0, self.h2_dim)
         if self._coords is None:
-            # Transposed: the coordinates of a row vector are one product.
+            # Transposed: the coordinates of the rows are one product.
             self._coords = _complement_coordinates(self.b2, self._complement, self.z2).transpose()
-        return (row @ self._coords).row(0)
+        return m @ self._coords
 
-    def class_of(self, cochain: CochainTriple) -> tuple:
-        return self.class_coordinates(cochain.vectorize())
+    def class_coordinates(self, vec: Sequence) -> tuple:
+        return self._classes(self.z2._as_row(vec)).row(0)
+
+    def class_of(self, c: CochainTriple) -> tuple:
+        width = 3 * c.base.dim**2 * c.coeff_dim  # the length of c.vectorize()
+        return self._classes(Matrix._from_scalars(c.base.field, (c._entries,), width)).row(0)
 
 
 def h2(b: TriAlgebra, k: int = 1) -> CohomologyResult:

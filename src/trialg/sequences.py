@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import OPS, NotCentralIdealError, TriAlgebra, as_subspace, hom_to_field, quotient_algebra
-from .cohomology import CochainTriple, h2, section_cocycle
+from .cohomology import h2, section_cocycle
 from .extensions import z_star
 from .linalg import Matrix, Subspace, _scalar_rows, kernel
 
@@ -193,12 +193,11 @@ class _CentralIdealAnalysis:
         k, d = self.k, self.z.dim
         # Hom(Z, A) is all of F^(k dim Z), so its canonical basis vector
         # t*d + s is the map sending Z coordinate s to A coordinate t.
-        cols = [
-            self.coh_q.class_of(CochainTriple._from_entries(self.quot.algebra, k, {
-                idx // d * k + t: x for idx, x in cochain._entries.items() if idx % d == s}))
+        composed = Matrix._from_scalars(self.alg.field, [
+            {idx // d * k + t: x for idx, x in cochain._entries.items() if idx % d == s}
             for t in range(k) for s in range(d)
-        ]
-        return _seq_map("tra", Matrix(self.alg.field, cols, cols=self.coh_q.h2_dim))
+        ], self.coh_q.z2.ambient_dim)
+        return _seq_map("tra", self.coh_q._classes(composed))
 
     @cached_property
     def inf2(self) -> SeqMap:
@@ -214,9 +213,7 @@ class _CentralIdealAnalysis:
             for o in range(len(OPS)) for a in range(m) for b in range(m) for t in range(k)
         ]
         pulled = self.coh_q._complement.basis @ Matrix._from_scalars(f, pull, 3 * n * n * k)
-        cols = [self.coh_l.class_of(CochainTriple._from_entries(self.alg, k, row))
-                for row in _scalar_rows(pulled)]
-        return _seq_map("inf2", Matrix(f, cols, cols=self.coh_l.h2_dim))
+        return _seq_map("inf2", self.coh_l._classes(pulled))
 
     @cached_property
     def delta(self) -> SeqMap:
@@ -270,7 +267,6 @@ def _seq_map(label: str, cols: Matrix) -> SeqMap:
     """The map whose matrix has the rows of ``cols`` as its columns, one per
     basis vector of the domain."""
     return SeqMap(label, cols.transpose(), cols.rows, cols.cols)
-
 
 
 def inf1(l: TriAlgebra, z, k: int = 1) -> SeqMap:

@@ -243,6 +243,14 @@ def test_verify_non_central_ideal_exit_2(capsys, dim2_file):
 def test_verify_requires_ideal_spec(capsys, dim2_file):
     code, _, err = run(capsys, "verify", dim2_file)
     assert code == 2
+    assert "give --z <basis spec> or --all-central" in err
+
+
+def test_verify_refuses_both_ideal_specs(capsys, dim2_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", dim2_file, "--z", "e2", "--all-central"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("token", ["e", "e1e", "ex"])
@@ -486,41 +494,49 @@ def test_vector_lines_match_the_dense_views(capsys, tmp_path):
 
 
 def test_only_the_cli_reads_the_dense_views(capsys, monkeypatch, tmp_path):
-    """``Matrix.data`` and ``Subspace.basis_rows()`` are output views: in
-    the analysis commands only ``trialg.cli`` reads them (``basis_rows``
-    itself reads ``data``)."""
+    """``Matrix.data``, ``Subspace.basis_rows()`` and
+    ``CochainTriple.vectorize()`` are dense output views and
+    ``Matrix.__init__`` is the coercing dense constructor.  The analysis
+    commands use none of them; ``h2 --reps`` reads only ``vectorize``, from
+    ``cmd_h2``, to print the representatives."""
     import sys
 
+    from trialg.cohomology import CochainTriple
     from trialg.fields import GF
     from trialg.generators import random_extension
     from trialg.linalg import Matrix, Subspace
 
-    readers = set()
-
-    def probe(name, read):
-        def wrapper(self):
-            caller = sys._getframe(1)
-            readers.add((name, caller.f_globals["__name__"], caller.f_code.co_name))
-            return read(self)
-
-        return wrapper
-
-    monkeypatch.setattr(Matrix, "data", property(probe("data", Matrix.__dict__["data"].__get__)))
-    monkeypatch.setattr(Subspace, "basis_rows", probe("basis_rows", Subspace.basis_rows))
     algebras = {
         "ext_q.json": random_extension(abelian(2), 2, seed=3).total,
         "ext_f7.json": random_extension(abelian(2, GF(7)), 2, seed=4).total,
         "cova1.json": cover_abelian(1),
     }
     for name, alg in algebras.items():
-        path = tmp_path / name
-        path.write_text(emit(alg))
-        for argv in (["h2", "--reps"], ["cover", "-o", str(tmp_path / "c.json")], ["zstar"],
-                     ["unicentral"], ["verify", "--all-central"]):
-            code, _, _ = run(capsys, argv[0], str(path), *argv[1:])
+        (tmp_path / name).write_text(emit(alg))
+    readers = set()
+
+    def probe(name, method):
+        def wrapper(self, *args, **kwargs):
+            caller = sys._getframe(1)
+            readers.add((name, caller.f_globals["__name__"], caller.f_code.co_name))
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "data", property(probe("data", Matrix.__dict__["data"].__get__)))
+    monkeypatch.setattr(Matrix, "__init__", probe("__init__", Matrix.__init__))
+    monkeypatch.setattr(Subspace, "basis_rows", probe("basis_rows", Subspace.basis_rows))
+    monkeypatch.setattr(CochainTriple, "vectorize", probe("vectorize", CochainTriple.vectorize))
+    # The probes fire on a read in this test.
+    cover_abelian(1).center().space.basis_rows()
+    assert readers == {("basis_rows", __name__, "test_only_the_cli_reads_the_dense_views"),
+                       ("data", "trialg.linalg", "basis_rows")}
+    for name in algebras:
+        path = str(tmp_path / name)
+        for argv in (["cover", "-o", str(tmp_path / "c.json")], ["zstar"], ["unicentral"],
+                     ["verify", "--all-central"], ["h2", "--reps"]):
+            readers.clear()
+            code, _, _ = run(capsys, argv[0], path, *argv[1:])
             assert code == 0, (name, argv)
-    # The probe fires: ``verify --all-central`` still samples center lines
-    # from the dense view (report lines are written from the sparse rows).
-    assert ("basis_rows", "trialg.cli", "_central_ideal_samples") in readers
-    outside = {r for r in readers if r[1] != "trialg.cli"} - {("data", "trialg.linalg", "basis_rows")}
-    assert not outside
+            expected = {("vectorize", "trialg.cli", "cmd_h2")} if argv[0] == "h2" else set()
+            assert readers == expected, (name, argv)
