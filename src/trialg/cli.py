@@ -217,7 +217,9 @@ def _central_ideal_samples(alg: TriAlgebra, seed: int) -> list[tuple[str, Subspa
     for idx, row in enumerate(_scalar_rows(center.basis)):
         samples.append((f"center_line[{idx}]", Subspace._span(Matrix._from_scalars(fld, (row,), alg.dim))))
     rng = random.Random(seed)
-    for t in range(2 if center.dim > 1 else 0):
+    for t in range(2):
+        if center.dim < 2:
+            break
         acc = random_combination(rng, center.basis)
         if acc is not None:
             samples.append((f"random_line[{t}]", Subspace._span(acc)))

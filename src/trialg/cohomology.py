@@ -356,11 +356,12 @@ class CohomologyResult:
         return m @ self._coords
 
     def class_coordinates(self, vec: Sequence) -> tuple:
+        """Coset coordinates of a cocycle vector relative to the stored
+        complement of B^2 in Z^2; raises ValueError outside Z^2."""
         return self._classes(self.z2._as_row(vec)).row(0)
 
-    def class_of(self, c: CochainTriple) -> tuple:
-        width = 3 * c.base.dim**2 * c.coeff_dim  # the length of c.vectorize()
-        return self._classes(Matrix._from_scalars(c.base.field, (c._entries,), width)).row(0)
+    def class_of(self, cochain: CochainTriple) -> tuple:
+        return self.class_coordinates(cochain.vectorize())
 
 
 def h2(b: TriAlgebra, k: int = 1) -> CohomologyResult:

@@ -269,6 +269,7 @@ def _seq_map(label: str, cols: Matrix) -> SeqMap:
     return SeqMap(label, cols.transpose(), cols.rows, cols.cols)
 
 
+
 def inf1(l: TriAlgebra, z, k: int = 1) -> SeqMap:
     return _analysis(l, z, k).inf1
 

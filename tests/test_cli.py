@@ -527,10 +527,12 @@ def test_only_the_cli_reads_the_dense_views(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(Matrix, "__init__", probe("__init__", Matrix.__init__))
     monkeypatch.setattr(Subspace, "basis_rows", probe("basis_rows", Subspace.basis_rows))
     monkeypatch.setattr(CochainTriple, "vectorize", probe("vectorize", CochainTriple.vectorize))
-    # The probes fire on a read in this test.
+    # The probes fire on a read and a dense construction in this test.
     cover_abelian(1).center().space.basis_rows()
+    Matrix(GF(7), [[1]])
     assert readers == {("basis_rows", __name__, "test_only_the_cli_reads_the_dense_views"),
-                       ("data", "trialg.linalg", "basis_rows")}
+                       ("data", "trialg.linalg", "basis_rows"),
+                       ("__init__", __name__, "test_only_the_cli_reads_the_dense_views")}
     for name in algebras:
         path = str(tmp_path / name)
         for argv in (["cover", "-o", str(tmp_path / "c.json")], ["zstar"], ["unicentral"],

@@ -185,30 +185,31 @@ def test_class_coordinates_recover_representative_combinations(field, k):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
 @pytest.mark.parametrize("k", [1, 2])
-def test_class_of_agrees_with_class_coordinates_of_the_vector(field, k):
-    """``class_of`` reads a cochain's nonzero entries, ``class_coordinates``
-    its dense vector: they agree on random cocycles, and both reject a
-    cochain outside Z^2."""
+def test_classes_of_sparse_rows_agree_with_class_of(field, k):
+    """The sequence maps hand ``_classes`` a sparse matrix of cochain
+    entries; ``class_of`` goes through the dense vector.  They agree on
+    random cocycles, and both reject a cochain outside Z^2."""
     rng = random.Random(47 + k)
     corpus = [random_valid_algebra(rng, field, max_dim=3) for _ in range(2)]
     for alg in corpus + _rebased_extensions(field, 29):
         res = h2(alg, k)
+        width = res.z2.ambient_dim
         cocycles = [CochainTriple.zero(alg, k), *res.h2_reps]
         for _ in range(4):
             combo = random_combination(rng, res.z2.basis)
             if combo is not None:
                 cocycles.append(CochainTriple.from_vector(alg, k, combo.row(0)))
-        for c in cocycles:
-            assert res.class_of(c) == res.class_coordinates(c.vectorize())
-        if res.z2.dim == res.z2.ambient_dim:
+        classes = res._classes(Matrix._from_scalars(field, [c._entries for c in cocycles], width))
+        assert [classes.row(i) for i in range(len(cocycles))] == [res.class_of(c) for c in cocycles]
+        if res.z2.dim == width:
             continue
         c = random_cochain(alg, k, rng)
         while res.z2.contains_vector(c.vectorize()):
             c = random_cochain(alg, k, rng)
         with pytest.raises(ValueError):
-            res.class_of(c)
+            res._classes(Matrix._from_scalars(field, [cocycles[-1]._entries, c._entries], width))
         with pytest.raises(ValueError):
-            res.class_coordinates(c.vectorize())
+            res.class_of(c)
 
 
 # --------------------------------------------------------- the keystone
