@@ -28,7 +28,7 @@ the cohomology module are aligned with them row by row.
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fields import Field, QQ, check_same_field
 from .linalg import (
@@ -147,7 +147,7 @@ def _cleared(field: Field, tables: Mapping[str, Mapping]) -> tuple[int, dict]:
     }
 
 
-def _identity_defects(field: Field, left: dict, right: dict) -> list:
+def _identity_defects(field: Field, left: dict, right: dict) -> Iterator[tuple]:
     """One sweep over the eleven identities on integer tables.
 
     ``left`` holds an algebra's products and ``right`` a vector for each
@@ -159,10 +159,10 @@ def _identity_defects(field: Field, left: dict, right: dict) -> list:
     which is (e_i A e_j) B e_l - e_i C (e_j D e_l) when ``right`` is
     ``left``, and the cocycle constraint family when ``right`` is a cochain.
     Only triples that touch a nonzero entry of ``left`` are visited.
-    Returns ``(identity index, triple, slot)`` for each nonzero defect, in
-    that order, the slot ``{k: int}`` holding its nonzero coordinates:
-    residues over F_p, and over Q the ints still scaled by the product of
-    the two tables' factors.
+    Yields ``(identity index, triple, slot)`` for each nonzero defect, in
+    that order, one identity at a time, the slot a fresh ``{k: int}`` of its
+    nonzero coordinates: residues over F_p, and over Q the ints still scaled
+    by the product of the two tables' factors.
     """
     mod = _modulus(field)
     by_first: dict = {op: {} for op in OPS}
@@ -171,7 +171,6 @@ def _identity_defects(field: Field, left: dict, right: dict) -> list:
         for (i, j), vec in right[op].items():
             by_first[op].setdefault(i, []).append((j, vec))
             by_second[op].setdefault(j, []).append((i, vec))
-    out = []
     for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
         acc: dict[tuple[int, int, int], dict[int, int]] = {}
         right_b = by_first[op_b]
@@ -199,8 +198,7 @@ def _identity_defects(field: Field, left: dict, right: dict) -> list:
         for triple in sorted(acc):
             slot = _residues(acc[triple], mod) if mod else {k: v for k, v in acc[triple].items() if v}
             if slot:
-                out.append((idx, triple, slot))
-    return out
+                yield idx, triple, slot
 
 
 class TriAlgebra:
@@ -525,9 +523,9 @@ def quotient_algebra(a: TriAlgebra, ideal) -> QuotientAlgebra:
         raise NotAnIdealError("subspace is not an ideal of the algebra")
     full = Subspace.full(a.field, a.dim)
     comp = space.complement_in(full)
-    proj = _complement_coordinates(space, comp, full)
-    quot = _transport(a, comp.basis, proj.transpose(), None)
-    return QuotientAlgebra(quot, proj, comp.basis.transpose())
+    coords = _complement_coordinates(space, comp, full)
+    quot = _transport(a, comp.basis, coords, None)
+    return QuotientAlgebra(quot, coords.transpose(), comp.basis.transpose())
 
 
 def _transport(a: TriAlgebra, rows: Matrix, to_coords: Matrix, name: str | None) -> TriAlgebra:

@@ -13,7 +13,8 @@ against products, against a cochain, and against the universal cochain,
 whose value at (op, i, j) is the unknown of that column.  A defect is
 linear in the cochain, so the universal cochain's defect at (family,
 triple) is that constraint's row, and no other module knows how families
-map to columns.
+map to columns.  The Z^2 system goes from that sweep into the elimination
+one row at a time; no constraint matrix is built.
 
 A cochain is stored as its vector in F^(3 n^2 k), the space Z^2, B^2 and
 H^2 live in: the nonzero entries, indexed in a fixed order -- operation
@@ -28,11 +29,11 @@ makes that expansion exact, not a convention.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import OPS, TriAlgebra, _cleared, _identity_defects, _product_matrix
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, _complement_coordinates, _scalar_rows, kernel
+from .linalg import Matrix, Subspace, _complement_coordinates, _kernel, _scalar_rows
 
 __all__ = [
     "CochainTriple",
@@ -252,15 +253,15 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
     ]
 
 
-def _scalar_cocycle_matrix(b: TriAlgebra) -> Matrix:
-    """Constraint matrix of the k = 1 cocycle system, in the sparse form.
+def _cocycle_rows(b: TriAlgebra) -> Iterator[dict]:
+    """The rows of the k = 1 cocycle system, as a stream of int rows.
 
     The rows are the defects of the universal cochain, whose value at
     (op, i, j) is the unknown at column (o*n + i)*n + j: its defect at a
     (family, triple) is that constraint's row.  They come ordered by
     (family index, basis triple), zero rows left out, summed as ints from
     the algebra's denominator-cleared products: D times the true
-    constraints, so each carries D as its denominator.
+    constraints, which span the same space.
     """
     n = b.dim
     d, products = b._cleared_products()
@@ -268,8 +269,7 @@ def _scalar_cocycle_matrix(b: TriAlgebra) -> Matrix:
         op: {(i, j): {(o * n + i) * n + j: 1} for i in range(n) for j in range(n)}
         for o, op in enumerate(OPS)
     }
-    rows = tuple((slot, d) for _, _, slot in _identity_defects(b.field, products, universal))
-    return Matrix._from_ints(b.field, rows, 3 * n * n)
+    return (slot for _, _, slot in _identity_defects(b.field, products, universal))
 
 
 def _expand_subspace(sub: Subspace, k: int) -> Subspace:
@@ -296,7 +296,8 @@ def z2_space(b: TriAlgebra, k: int = 1) -> Subspace:
     if k < 1:
         raise ValueError("coefficient dimension must be >= 1")
     b.require_valid()
-    return _expand_subspace(b._memo("z2_scalar", lambda: kernel(_scalar_cocycle_matrix(b))), k)
+    n = b.dim
+    return _expand_subspace(b._memo("z2_scalar", lambda: _kernel(b.field, _cocycle_rows(b), 3 * n * n)), k)
 
 
 def _b2_scalar(b: TriAlgebra) -> Subspace:
@@ -350,9 +351,8 @@ class CohomologyResult:
         self.z2._coordinates_of(m)  # the membership check
         if not m.rows:  # no cochains, so no coset map to build
             return Matrix.zeros(m.field, 0, self.h2_dim)
-        if self._coords is None:
-            # Transposed: the coordinates of the rows are one product.
-            self._coords = _complement_coordinates(self.b2, self._complement, self.z2).transpose()
+        if self._coords is None:  # transposed, so the rows' coordinates are one product
+            self._coords = _complement_coordinates(self.b2, self._complement, self.z2)
         return m @ self._coords
 
     def class_coordinates(self, vec: Sequence) -> tuple:

@@ -27,9 +27,11 @@ its row space, so two subspaces are equal as sets exactly when their stored
 bases are identical entry-wise, and ``rref`` returns the unique RREF of the
 row space with its pivot columns.  Because that RREF depends on the row
 space alone, neither the order in which rows are eliminated nor the integer
-multiples they are held as can change it: ``rref`` keeps its echelon map
-fully reduced while it inserts the rows in input order, and returns each
-row as its ints over its lead, whose dense form reads ``x / lead``.  So a
+multiples they are held as can change it.  ``rref`` and ``kernel`` share
+one insertion loop, ``_echelon``, which keeps its echelon map fully reduced
+as rows arrive in input order from any iterable, so the cocycle system is
+streamed into it, never held.  ``rref`` returns each row as its ints over
+its lead, whose dense form reads ``x / lead``.  So a
 constraint system may be handed over as D times its rows, for the common
 denominator D of an algebra's structure constants, with no change to any
 result.  Everything downstream leans on that canonicity for exact equality
@@ -402,22 +404,18 @@ def _insert(row: dict, echelon: dict, mod: int) -> int | None:
     return p
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Unique reduced row-echelon form with its pivot columns.
-
-    The result has ``m.rows`` rows: the nonzero rows in pivot order, then
-    zero rows.  The rows are inserted in order into an echelon map that is
-    kept fully reduced: a new row is cleared of the pivots so far, and its
-    own pivot is then cleared from the earlier rows that hold it.  So tails
-    hold non-pivot columns only, a row costs one step per pivot column it
-    touches (most rows of a cocycle system reduce to zero), and the map
-    ends as the RREF.  It is returned in the sparse form, each row with its
-    lead as denominator, so its pivot entry reads 1.
+def _echelon(rows: Iterable[dict], mod: int) -> dict:
+    """The RREF of the span of ``rows`` as an echelon map, pivots in
+    insertion order.  ``rows`` are fresh int rows (residues over F_p), taken
+    one at a time, so a caller may stream rows that are never held.  Each is
+    cleared of the pivots so far, and its own pivot is then cleared from the
+    earlier rows that hold it.  So tails hold non-pivot columns only, and a
+    row costs one step per pivot column it touches (most rows of a cocycle
+    system reduce to zero).
     """
-    mod = _modulus(m.field)
     echelon: dict = {}
     holders: dict = {}  # column -> pivots whose tail may hold it (stale ones included)
-    for row, _ in _int_rows(m):
+    for row in rows:
         p = _insert(row, echelon, mod)
         if p is None:
             continue
@@ -432,6 +430,16 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
                     holders.setdefault(j, []).append(q)
         for j in cols:
             holders.setdefault(j, []).append(p)
+    return echelon
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Unique reduced row-echelon form with its pivot columns.
+
+    The result has ``m.rows`` rows: the rows of :func:`_echelon` in pivot
+    order, each over its lead so that its pivot entry reads 1, then zero rows.
+    """
+    echelon = _echelon((row for row, _ in _int_rows(m)), _modulus(m.field))
     out = [({p: lead, **tail}, lead) for p, (lead, tail) in sorted(echelon.items())]
     out += [({}, 1)] * (m.rows - len(echelon))
     return Matrix._from_ints(m.field, tuple(out), m.cols), tuple(sorted(echelon))
@@ -442,28 +450,31 @@ def rank(m: Matrix) -> int:
 
 
 def kernel(m: Matrix) -> "Subspace":
-    """Canonical basis of the right null space of ``m``.
+    """Canonical basis of the right null space of ``m``."""
+    return _kernel(m.field, (row for row, _ in _int_rows(m)), m.cols)
 
-    Free column c gives the vector with 1 at c and ``-row[c]`` at the pivot
-    of each RREF row; over Q it is held as ints over the lcm of those rows'
-    leads.
+
+def _kernel(field: Field, rows: Iterable[dict], cols: int) -> "Subspace":
+    """Canonical basis of the null space of the rows of ``rows``, which
+    :func:`_echelon` takes.  Free column c gives the vector with 1 at c and
+    ``-tail[c] / lead`` at the pivot of each echelon row; over Q it is held
+    as ints over the lcm of those rows' leads.
     """
-    mod = _modulus(m.field)
-    red, pivots = rref(m)
-    column: dict = {}  # column -> (pivot, entry, lead) of the RREF rows holding it
-    for p, (row, lead) in zip(pivots, red._sparse):
-        for j, x in row.items():
-            if j != p:
-                column.setdefault(j, []).append((p, x, lead))
+    mod = _modulus(field)
+    echelon = _echelon(rows, mod)
+    column: dict = {}  # column -> (pivot, entry, lead) of the echelon rows holding it
+    for p, (lead, tail) in sorted(echelon.items()):
+        for j, x in tail.items():
+            column.setdefault(j, []).append((p, x, lead))
     basis = []
-    for c in sorted(set(range(m.cols)) - set(pivots)):
+    for c in sorted(set(range(cols)) - echelon.keys()):
         held = column.get(c, ())
         if mod:
             basis.append(({c: 1, **{p: mod - x for p, x, _ in held}}, 1))
         else:
             d = lcm(*[lead for _, _, lead in held])
             basis.append(({c: d, **{p: -x * (d // lead) for p, x, lead in held}}, d))
-    return Subspace._span(Matrix._from_ints(m.field, tuple(basis), m.cols))
+    return Subspace._span(Matrix._from_ints(field, tuple(basis), cols))
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -666,7 +677,7 @@ class Subspace:
         Coordinates are taken against the pivot-completion complement, so
         the map is canonical given the two spaces.
         """
-        return _complement_coordinates(self, self.complement_in(sup), sup)
+        return _complement_coordinates(self, self.complement_in(sup), sup).transpose()
 
     def basis_rows(self) -> tuple[tuple, ...]:
         """The canonical basis as dense rows: an output view, like
@@ -690,19 +701,18 @@ class Subspace:
 
 
 def _complement_coordinates(sub: Subspace, comp: Subspace, sup: Subspace) -> Matrix:
-    """Matrix sending ``x`` in ``sup`` to its coordinates against ``comp``,
-    a complement of ``sub`` in ``sup``: the coefficients of the ``comp``
-    rows when ``x`` is written in the basis of ``sub`` followed by ``comp``.
+    """Transposed coordinates against ``comp``, a complement of ``sub`` in
+    ``sup``: for ``x`` in ``sup``, ``x @ map`` holds the coefficients of the
+    ``comp`` rows when ``x`` is written in the basis of ``sub`` then ``comp``.
 
     A vector of ``sup`` is fixed by its entries at ``sup.pivots``, so the
-    stacked basis restricted to those columns is invertible, and the map
-    reads those columns only.
+    stacked basis restricted to those columns, S, is invertible.  The map's
+    row at ``sup.pivots[c]`` is row c of S^-1 from column ``sub.dim`` on.
     """
-    f = sub.field
-    # Row j of select is the unit vector c when j is the pivot sup.pivots[c],
-    # and zero otherwise: ``@ select`` keeps the pivot columns of sup.
+    f, s = sub.field, sub.dim
     at = {pc: c for c, pc in enumerate(sup.pivots)}
     units = tuple(({at[j]: 1} if j in at else {}, 1) for j in range(sub.ambient_dim))
-    select = Matrix._from_ints(f, units, sup.dim)
-    inv = inverse((sub.basis.vstack(comp.basis) @ select).transpose())
-    return Matrix._from_ints(f, inv._sparse[sub.dim :], sup.dim) @ select.transpose()
+    inv = inverse(sub.basis.vstack(comp.basis) @ Matrix._from_ints(f, units, sup.dim))
+    part = [({j - s: x for j, x in row.items() if j >= s}, d) for row, d in inv._sparse]
+    rows = tuple(part[at[j]] if j in at else ({}, 1) for j in range(sub.ambient_dim))
+    return Matrix._from_ints(f, rows, comp.dim)

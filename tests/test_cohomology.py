@@ -9,6 +9,7 @@ from trialg.algebra import DASHV, OPS, PERP, TriAlgebra, VDASH, change_basis
 from trialg.cohomology import (
     CochainTriple,
     NotASectionError,
+    _cocycle_rows,
     _expand_subspace,
     b2_space,
     cocycle_defects,
@@ -392,6 +393,43 @@ def test_sparse_systems_match_dense_kernels(field):
         assert (z2.basis.data, z2.pivots) == dense_kernel(field, dense_cocycle_rows(alg, 1), 3 * n * n)
         center = alg.center().space
         assert (center.basis.data, center.pivots) == dense_kernel(field, dense_center_rows(alg), n)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_cocycle_rows_are_the_nonzero_dense_rows_in_order(field):
+    """The Z^2 system reaches elimination row by row in the dense oracle's
+    (family, triple) order, zero rows left out: over Q the row order drives
+    coefficient growth.  The rows are D times the constraints, for the
+    common denominator D of the structure constants."""
+    algs = _rebased_extensions(field, 5) + [cover_abelian(1, field)]
+    if field == QQ:
+        assert any(alg._cleared_products()[0] > 1 for alg in algs)
+    for alg in algs:
+        d, n = alg._cleared_products()[0], alg.dim
+        got = Matrix._from_ints(field, tuple((row, d) for row in _cocycle_rows(alg)), 3 * n * n).data
+        assert list(got) == [tuple(r) for r in dense_cocycle_rows(alg, 1) if any(r)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_z2_streams_its_system_into_elimination(field, monkeypatch):
+    """No matrix built while z2_space runs has more rows than the system
+    has columns, 3n^2, though each system here has more rows than that
+    (cover_abelian(2): 1,144 rows for 588 columns)."""
+    built = []
+    raw = Matrix.__dict__["_from_ints"].__func__
+
+    def counted(cls, fld, rows, cols):
+        built.append(len(rows))
+        return raw(cls, fld, rows, cols)
+
+    for alg in (cover_abelian(2, field), _rebased_extensions(field, 5)[2]):
+        cols = 3 * alg.dim * alg.dim
+        assert sum(1 for r in dense_cocycle_rows(alg, 1) if any(r)) > cols
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "_from_ints", classmethod(counted))
+            built.clear()
+            assert z2_space(alg).dim
+        assert built and max(built) <= cols
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
