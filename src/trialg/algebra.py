@@ -22,17 +22,21 @@ two-column display, 1-based):
     11  (x _|_ y) _|_ z  =  x _|_ (y _|_ z)
 
 Violation reports cite these indices; the cocycle constraint families of
-the cohomology module are aligned with them row by row.
+the cohomology module are aligned with them row by row.  Both come from
+one sweep, ``_identity_defects``, which reads the left-hand products from
+the algebra's tables and the right-hand values through one by-first-index
+function ``right(op, i)``, and accumulates one (identity, i) block of
+triples (i, j, l) at a time.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .fields import Field, QQ, check_same_field
 from .linalg import (
-    Matrix, Subspace, _complement_coordinates, _modulus, _residues, _row, _scalar_rows, inverse, kernel
+    Matrix, Subspace, _complement_coordinates, _kernel, _modulus, _residues, _row, _scalar_rows, inverse
 )
 
 __all__ = [
@@ -147,58 +151,71 @@ def _cleared(field: Field, tables: Mapping[str, Mapping]) -> tuple[int, dict]:
     }
 
 
-def _identity_defects(field: Field, left: dict, right: dict) -> Iterator[tuple]:
+def _by_first(table: Mapping) -> dict:
+    """The entries of a table ``{(i, j): vec}`` by first index: ``{i: [(j, vec)]}``."""
+    out: dict = {}
+    for (i, j), vec in table.items():
+        out.setdefault(i, []).append((j, vec))
+    return out
+
+
+def _reader(tables: Mapping) -> Callable:
+    """``right(op, i)`` of :func:`_identity_defects` for tables ``{op: {(i, j): vec}}``."""
+    index = {op: _by_first(tables[op]) for op in OPS}
+    return lambda op, i: index[op].get(i, ())
+
+
+def _identity_defects(field: Field, n: int, left: dict, right: Callable) -> Iterator[tuple]:
     """One sweep over the eleven identities on integer tables.
 
-    ``left`` holds an algebra's products and ``right`` a vector for each
-    basis pair, both as ``{op: {(i, j): {k: int}}}`` from :func:`_cleared`.
-    For identity (A, B, C, D) on the triple (i, j, l) the defect is
+    ``left`` holds the products of an algebra of dimension ``n`` as ``{op:
+    {(i, j): {k: int}}}`` from :func:`_cleared`.  The right-hand side is read
+    through one by-first-index function: ``right(op, i)`` lists ``(j, vec)``
+    for the basis pairs (i, j) where it has a nonzero value, ``vec`` a
+    ``{k: int}`` that is never modified.  For identity (A, B, C, D) on the
+    triple (i, j, l) the defect is
 
         sum_m left_A[i, j][m] right_B[m, l] - sum_m left_D[j, l][m] right_C[i, m],
 
-    which is (e_i A e_j) B e_l - e_i C (e_j D e_l) when ``right`` is
-    ``left``, and the cocycle constraint family when ``right`` is a cochain.
-    Only triples that touch a nonzero entry of ``left`` are visited.
-    Yields ``(identity index, triple, slot)`` for each nonzero defect, in
-    that order, one identity at a time, the slot a fresh ``{k: int}`` of its
-    nonzero coordinates: residues over F_p, and over Q the ints still scaled
-    by the product of the two tables' factors.
+    which is (e_i A e_j) B e_l - e_i C (e_j D e_l) when ``right`` reads
+    ``left``, and the cocycle constraint family when it reads a cochain.
+    The D products are indexed by coordinate, so the sweep accumulates one
+    (family, i) block at a time and visits only the triples that touch a
+    nonzero entry of ``left``.  Yields ``(identity index, triple, slot)``
+    for each nonzero defect in (family, i, j, l) order, the slot a fresh
+    ``{k: int}`` of its nonzero coordinates: residues over F_p, and over Q
+    the ints still scaled by the product of the two tables' factors.
     """
     mod = _modulus(field)
-    by_first: dict = {op: {} for op in OPS}
-    by_second: dict = {op: {} for op in OPS}
-    for op in OPS:
-        for (i, j), vec in right[op].items():
-            by_first[op].setdefault(i, []).append((j, vec))
-            by_second[op].setdefault(j, []).append((i, vec))
+    firsts = {op: _by_first(left[op]) for op in OPS}
     for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
-        acc: dict[tuple[int, int, int], dict[int, int]] = {}
-        right_b = by_first[op_b]
-        for (i, j), vec_a in left[op_a].items():
-            # Each (i, j) comes once, so its slots are fresh: build them per l.
-            slots: dict[int, dict[int, int]] = {}
-            for m, s in vec_a.items():
-                for l, vec in right_b.get(m, ()):  # noqa: E741
-                    slot = slots.get(l)
+        by_coord: dict = {}  # m -> [(j, l, coordinate m of e_j D e_l)]
+        for (j, l), vec in left[op_d].items():  # noqa: E741
+            for m, s in vec.items():
+                by_coord.setdefault(m, []).append((j, l, s))
+        first_a = firsts[op_a]
+        for i in range(n):
+            acc: dict[tuple[int, int], dict[int, int]] = {}
+            for j, vec_a in first_a.get(i, ()):
+                for m, s in vec_a.items():
+                    for l, vec in right(op_b, m):  # noqa: E741
+                        slot = acc.get((j, l))
+                        if slot is None:
+                            slot = acc[(j, l)] = {}
+                        for k, v in vec.items():
+                            slot[k] = slot.get(k, 0) + s * v
+            for m, vec in right(op_c, i):
+                for j, l, s in by_coord.get(m, ()):  # noqa: E741
+                    slot = acc.get((j, l))
                     if slot is None:
-                        slot = slots[l] = {}
-                    for k, v in vec.items():
-                        slot[k] = slot.get(k, 0) + s * v
-            for l, slot in slots.items():  # noqa: E741
-                acc[(i, j, l)] = slot
-        right_c = by_second[op_c]
-        for (j, l), vec_d in left[op_d].items():  # noqa: E741
-            for m, s in vec_d.items():
-                for i, vec in right_c.get(m, ()):
-                    slot = acc.get((i, j, l))
-                    if slot is None:
-                        slot = acc[(i, j, l)] = {}
+                        slot = acc[(j, l)] = {}
                     for k, v in vec.items():
                         slot[k] = slot.get(k, 0) - s * v
-        for triple in sorted(acc):
-            slot = _residues(acc[triple], mod) if mod else {k: v for k, v in acc[triple].items() if v}
-            if slot:
-                yield idx, triple, slot
+            for j, l in sorted(acc):  # noqa: E741
+                slot = acc[(j, l)]
+                slot = _residues(slot, mod) if mod else {k: v for k, v in slot.items() if v}
+                if slot:
+                    yield idx, (i, j, l), slot
 
 
 class TriAlgebra:
@@ -352,7 +369,7 @@ class TriAlgebra:
             d, table = self._cleared_products()
             violations = tuple(
                 AxiomViolation(idx, triple, Matrix._from_ints(self.field, ((slot, d * d),), self.dim).row(0))
-                for idx, triple, slot in _identity_defects(self.field, table, table)
+                for idx, triple, slot in _identity_defects(self.field, self.dim, table, _reader(table))
             )
             return AxiomReport(ok=not violations, violations=violations)
 
@@ -388,27 +405,11 @@ class TriAlgebra:
         return self._memo("derived", build)
 
     def center(self) -> "AlgSubspace":
-        """Elements z with z * x = x * z = 0 for all x and all products.
-
-        Computed as the kernel of the stacked left/right multiplication
-        constraints assembled from the denominator-cleared sparse tables: row
-        (op, left, j, k) holds the coordinate k of e_i op e_j at column i, and
-        (op, right, i, k) that of e_i op e_j at column j, each entry from
-        one product.
-        """
-
-        def build():
-            d, products = self._cleared_products()
-            rows_map: dict[tuple, dict] = {}
-            for op in OPS:
-                for (i, j), vec in products[op].items():
-                    for k, s in vec.items():
-                        rows_map.setdefault((op, 0, j, k), {})[i] = s
-                        rows_map.setdefault((op, 1, i, k), {})[j] = s
-            rows = tuple((rows_map[key], d) for key in sorted(rows_map))
-            return AlgSubspace(self, kernel(Matrix._from_ints(self.field, rows, self.dim)))
-
-        return self._memo("center", build)
+        """Elements z with z * x = x * z = 0 for all x and all products: the
+        null space of :func:`_center_rows`, streamed into the elimination."""
+        return self._memo(
+            "center", lambda: AlgSubspace(self, _kernel(self.field, _center_rows(self), self.dim))
+        )
 
     def __eq__(self, other):
         return (
@@ -423,6 +424,21 @@ class TriAlgebra:
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"TriAlgebra(dim {self.dim} over {self.field.name}{label})"
+
+
+def _center_rows(a: TriAlgebra) -> Iterable[dict]:
+    """The left/right multiplication constraints of the center as fresh int
+    rows, assembled from the denominator-cleared sparse tables: row (op,
+    left, j, k) holds the coordinate k of e_i op e_j at column i, and (op,
+    right, i, k) that of e_i op e_j at column j, each entry from one
+    product.  Their null space is Z(a)."""
+    rows: dict[tuple, dict] = {}
+    for op, table in a._cleared_products()[1].items():
+        for (i, j), vec in table.items():
+            for k, s in vec.items():
+                rows.setdefault((op, 0, j, k), {})[i] = s
+                rows.setdefault((op, 1, i, k), {})[j] = s
+    return rows.values()
 
 
 class _AlgSubspaceFields(NamedTuple):
@@ -473,9 +489,7 @@ def _product_matrix(a: TriAlgebra, us: Matrix, vs: Matrix) -> Matrix:
     mod = _modulus(a.field)
     rows = []
     for op in OPS:
-        by_first: dict = {}  # i -> [(j, e_i op e_j)]
-        for (i, j), vec in table[op].items():
-            by_first.setdefault(i, []).append((j, vec))
+        by_first = _by_first(table[op])  # i -> [(j, e_i op e_j)]
         for u, du in us._sparse:
             pairs = [(x, j, vec) for i, x in u.items() for j, vec in by_first.get(i, ())]
             for v, dv in vs._sparse:

@@ -13,8 +13,13 @@ against products, against a cochain, and against the universal cochain,
 whose value at (op, i, j) is the unknown of that column.  A defect is
 linear in the cochain, so the universal cochain's defect at (family,
 triple) is that constraint's row, and no other module knows how families
-map to columns.  The Z^2 system goes from that sweep into the elimination
-one row at a time; no constraint matrix is built.
+map to columns.  The sweep reads its right-hand side through one
+by-first-index function, ``right(op, i)``, the values at the pairs (i, j):
+an index of a cochain's table, or for the universal cochain a nested
+function that builds the n unit rows of (op, i) when asked, so no table
+of 3n^2 values is held.  The sweep yields one (family, i) block at a
+time, and the Z^2 system goes from it into the elimination one row at a
+time; no constraint matrix is built.
 
 A cochain is stored as its vector in F^(3 n^2 k), the space Z^2, B^2 and
 H^2 live in: the nonzero entries, indexed in a fixed order -- operation
@@ -31,7 +36,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .algebra import OPS, TriAlgebra, _cleared, _identity_defects, _product_matrix
+from .algebra import OPS, TriAlgebra, _cleared, _identity_defects, _product_matrix, _reader
 from .fields import check_same_field
 from .linalg import Matrix, Subspace, _complement_coordinates, _kernel, _scalar_rows
 
@@ -249,7 +254,7 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
     e, forms = _cleared(base.field, f._decode())
     return [
         CocycleViolation(idx, triple, Matrix._from_ints(base.field, ((slot, d * e),), f.coeff_dim).row(0))
-        for idx, triple, slot in _identity_defects(base.field, products, forms)
+        for idx, triple, slot in _identity_defects(base.field, base.dim, products, _reader(forms))
     ]
 
 
@@ -258,18 +263,22 @@ def _cocycle_rows(b: TriAlgebra) -> Iterator[dict]:
 
     The rows are the defects of the universal cochain, whose value at
     (op, i, j) is the unknown at column (o*n + i)*n + j: its defect at a
-    (family, triple) is that constraint's row.  They come ordered by
+    (family, triple) is that constraint's row.  The sweep reads that
+    cochain through ``universal``, which builds the unit rows of one (op, i)
+    on demand, so no table of 3n^2 values is held.  The rows come ordered by
     (family index, basis triple), zero rows left out, summed as ints from
     the algebra's denominator-cleared products: D times the true
     constraints, which span the same space.
     """
     n = b.dim
     d, products = b._cleared_products()
-    universal = {
-        op: {(i, j): {(o * n + i) * n + j: 1} for i in range(n) for j in range(n)}
-        for o, op in enumerate(OPS)
-    }
-    return (slot for _, _, slot in _identity_defects(b.field, products, universal))
+    start = {op: o * n * n for o, op in enumerate(OPS)}
+
+    def universal(op: str, i: int) -> list:
+        c = start[op] + i * n
+        return [(j, {c + j: 1}) for j in range(n)]
+
+    return (slot for _, _, slot in _identity_defects(b.field, n, products, universal))
 
 
 def _expand_subspace(sub: Subspace, k: int) -> Subspace:
@@ -389,22 +398,30 @@ def section_cocycle(
     mu(x) * mu(y) - mu(x * y), expressed in the kernel's canonical basis.
     Raises ``NotASectionError`` unless projection @ section is the identity.
     """
+    coords = _section_coordinates(total, base, projection, kernel_space, section)
+    k = kernel_space.dim
+    entries = {pair * k + t: x for pair, row in enumerate(_scalar_rows(coords)) for t, x in row.items()}
+    return CochainTriple._from_entries(base, k, entries)
+
+
+def _section_coordinates(
+    total: TriAlgebra, base: TriAlgebra, projection: Matrix, kernel_space: Subspace, section: Matrix
+) -> Matrix:
+    """The values of :func:`section_cocycle` as the int rows of a matrix:
+    row (op, i, j) holds the kernel coordinates of mu(e_i) op mu(e_j) -
+    mu(e_i op e_j)."""
     check_same_field(total.field, base.field)
     if projection @ section != Matrix.identity(base.field, base.dim):
         raise NotASectionError("map is not a right inverse of the projection")
-    k = kernel_space.dim
     mu = section.transpose()  # row i: mu(e_i)
     unit = Matrix.identity(base.field, base.dim)
-    # Row (op, i, j) of the defects is mu(e_i) op mu(e_j) - mu(e_i op e_j).
     defects = _product_matrix(total, mu, mu) - _product_matrix(base, unit, unit) @ mu
     try:
-        coords = kernel_space._coordinates_of(defects)
+        return kernel_space._coordinates_of(defects)
     except ValueError:
         raise NotASectionError(
             "section defect escapes the kernel; extension is not central over this kernel"
         ) from None
-    entries = {pair * k + t: x for pair, row in enumerate(_scalar_rows(coords)) for t, x in row.items()}
-    return CochainTriple._from_entries(base, k, entries)
 
 
 def is_cohomologous(f: CochainTriple, g: CochainTriple) -> bool:

@@ -9,18 +9,32 @@ A cover of L is constructed cohomologically: extend L by the canonical
 H^2 representatives stacked into one vector-valued cocycle, then quotient
 by the pivot complement of (kernel intersect derived) inside the kernel so
 the result is a stem extension with kernel of the multiplier dimension.
+
 The stable center Z*(L) is the image of the cover's center under the
-covering projection; L is unicentral when that image is all of Z(L).
+covering projection; L is unicentral when that image is all of Z(L).  It
+is computed without the cover, as the central z with g(z, y) = g(y, z) =
+0 for every cocycle g in Z^2(L, F), every operation and every y.  In the
+extension by the stacked representatives f, a lift s(z) of a central z
+has s(z) * s(y) = f(z, y) and s(y) * s(z) = f(y, z), both in M n K' (M
+the kernel, K' the derived subalgebra); the stem reduction divides by a
+complement of M n K' in M, so it is injective there, and s(z) stays
+central in the cover exactly when f(z, .) and f(., z) vanish.  A
+coboundary -eps(x * y) vanishes when x or y is central, so the
+representatives may be replaced by all of Z^2.  The cover,
+``CentralExtension.center_image`` and ``stem_center_image_check`` compute
+the image directly, and the tests check the two against each other.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import NamedTuple
 
 from .algebra import (
     AlgSubspace,
     TriAlgebra,
+    _center_rows,
     _product_matrix,
     product_subspace,
     quotient_algebra,
@@ -31,9 +45,10 @@ from .cohomology import (
     cocycle_defects,
     h2,
     section_cocycle,
+    z2_space,
 )
 from .linalg import (
-    Matrix, Subspace, _scalar_rows, kernel, random_combination, random_invertible, rank, solve_right
+    Matrix, Subspace, _kernel, _scalar_rows, kernel, random_combination, random_invertible, rank, solve_right
 )
 
 __all__ = [
@@ -197,9 +212,32 @@ def cover_fingerprint(l: TriAlgebra, reps=None) -> tuple[int, int, int, int, int
 
 
 def z_star(l: TriAlgebra) -> AlgSubspace:
-    """Image of the cover's center in ``l``; always inside the center.
-    Memoised on ``l``, like the cover it is read from."""
-    return l._memo("z_star", lambda: AlgSubspace(l, cover(l).extension.center_image()))
+    """Z*(L): the central z with g(z, e_y) = g(e_y, z) = 0 for every row g
+    of the k = 1 Z^2 basis, every operation and every basis vector e_y.
+
+    That is the image of the cover's center (see the module docstring), so
+    no cover is built.  Each g gives one row per (op, side, y) over the n
+    coordinates of z; they are streamed per g into the elimination after
+    the center's own rows, whose null space is Z(L).  Memoised on ``l``.
+    """
+
+    def build():
+        n = l.dim
+        z2 = z2_space(l, 1)
+
+        def rows():
+            for g, _ in z2.basis._sparse:
+                block: dict = {}
+                for c, x in g.items():
+                    pair, j = divmod(c, n)
+                    o, i = divmod(pair, n)
+                    block.setdefault((o, 0, j), {})[i] = x  # g(e_i, e_j), z = e_i
+                    block.setdefault((o, 1, i), {})[j] = x  # g(e_i, e_j), z = e_j
+                yield from block.values()
+
+        return AlgSubspace(l, _kernel(l.field, chain(_center_rows(l), rows()), n))
+
+    return l._memo("z_star", build)
 
 
 def is_unicentral(l: TriAlgebra) -> bool:

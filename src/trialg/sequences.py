@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import OPS, NotCentralIdealError, TriAlgebra, as_subspace, hom_to_field, quotient_algebra
-from .cohomology import h2, section_cocycle
+from .cohomology import _section_coordinates, h2
 from .extensions import z_star
 from .linalg import Matrix, Subspace, _scalar_rows, kernel
 
@@ -189,14 +189,16 @@ class _CentralIdealAnalysis:
         """Compose each map on Z with the cocycle of the extension
         0 -> Z -> L -> L/Z -> 0 for ``section`` (valued in Z coordinates)
         and take its class in H^2(L/Z, A)."""
-        cochain = section_cocycle(self.alg, self.quot.algebra, self.quot.projection, self.z, section)
-        k, d = self.k, self.z.dim
+        coords = _section_coordinates(self.alg, self.quot.algebra, self.quot.projection, self.z, section)
+        k = self.k
         # Hom(Z, A) is all of F^(k dim Z), so its canonical basis vector
-        # t*d + s is the map sending Z coordinate s to A coordinate t.
-        composed = Matrix._from_scalars(self.alg.field, [
-            {idx // d * k + t: x for idx, x in cochain._entries.items() if idx % d == s}
-            for t in range(k) for s in range(d)
-        ], self.coh_q.z2.ambient_dim)
+        # t*d + s is the map sending Z coordinate s to A coordinate t: it
+        # takes the cocycle's Z coordinate s, row s of the transposed
+        # coordinates, to the entries (op, i, j, t).
+        by_z = coords.transpose()._sparse
+        composed = Matrix._from_ints(self.alg.field, tuple(
+            ({pair * k + t: x for pair, x in row.items()}, e) for t in range(k) for row, e in by_z
+        ), self.coh_q.z2.ambient_dim)
         return _seq_map("tra", self.coh_q._classes(composed))
 
     @cached_property

@@ -260,7 +260,7 @@ def test_verify_names_a_malformed_basis_token(capsys, dim2_file, token):
     assert err == f"error: bad basis vector token {token!r}\n"
 
 
-def test_verify_all_central_builds_each_quotient_and_the_cover_once(capsys, monkeypatch, tmp_path):
+def test_verify_all_central_builds_each_quotient_once_and_no_cover(capsys, monkeypatch, tmp_path):
     import trialg.extensions
     import trialg.sequences
     from trialg.algebra import as_subspace
@@ -290,12 +290,12 @@ def test_verify_all_central_builds_each_quotient_and_the_cover_once(capsys, monk
     code, out, _ = run(capsys, "verify", str(path), "--all-central")
     assert code == 0 and kv(out)["ok"] == "true"
     assert set(quotients) == set(samples) and len(quotients) == len(set(samples))
-    assert len(covers) == 1
+    assert len(covers) == 0  # z_in_z_star reads Z* from the cocycle space
 
     # A second command reads a fresh algebra, so it builds everything again.
     code, again, _ = run(capsys, "verify", str(path), "--all-central")
     assert again == out
-    assert len(quotients) == 2 * len(set(samples)) and len(covers) == 2
+    assert len(quotients) == 2 * len(set(samples)) and len(covers) == 0
 
 
 def test_verify_all_central_complements_the_derived_subalgebra_once(capsys, monkeypatch, tmp_path):

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from trialg.generators import (
     abelian,
     cover_abelian,
     dim2_single_product,
+    random_extension,
     random_valid_algebra,
     unital_dim1,
 )
@@ -168,6 +170,34 @@ def test_z_star_examples(dim2):
 def test_z_star_contained_in_center(random_corpus):
     for alg in random_corpus:
         assert alg.center().space.contains(z_star(alg).space)
+
+
+def _direct_sum(a: TriAlgebra, b: TriAlgebra) -> TriAlgebra:
+    """A (+) B: the basis of A, then that of B, with no mixed products."""
+    n = a.dim
+    products = {op: dict(a.products[op]) for op in OPS}
+    for op in OPS:
+        for (i, j), vec in b.products[op].items():
+            products[op][(n + i, n + j)] = {n + k: x for k, x in vec.items()}
+    return TriAlgebra(n + b.dim, a.field, products)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=lambda f: f.name)
+def test_z_star_is_the_image_of_the_cover_center(field):
+    """Z* from the cocycle criterion equals the projected center of the
+    cover, on direct sums whose Z* is often a proper nonzero part of Z, and
+    on a random change of basis of each."""
+    proper = 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        a = random_extension(abelian(rng.randint(1, 2), field), rng.randint(1, 2), seed).total
+        b = rng.choice([abelian(1, field), abelian(2, field), cover_abelian(1, field)])
+        s = _direct_sum(a, b)
+        for alg in (s, change_basis(s, random_invertible(rng, s.dim, field))):
+            zs = z_star(alg).space
+            assert zs == cover(alg).extension.center_image(), (seed, alg)
+            proper += 0 < zs.dim < alg.center().dim
+    assert proper >= 12
 
 
 def test_is_unicentral(dim2):
