@@ -25,10 +25,12 @@ A cochain is stored as its vector in F^(3 n^2 k), the space Z^2, B^2 and
 H^2 live in: the nonzero entries, indexed in a fixed order -- operation
 ("vdash", "dashv", "perp"), then the basis pair (i, j) row-major, then the
 coefficient coordinate, so (op o, i, j, t) sits at ((o n + i) n + j) k + t.
-Its per-operation forms are a view decoded from those entries.  The constraint
-system splits per coefficient coordinate, so the k > 1 spaces are the
-k-fold coordinate expansions of the k = 1 spaces; canonicity of RREF bases
-makes that expansion exact, not a convention.
+Its per-operation forms are a view decoded from those entries, and the
+pull-back ``_pullback`` evaluates cochain rows at pairs of vectors as one
+product with a matrix in this layout.  The constraint system splits per
+coefficient coordinate, so the k > 1 spaces are the k-fold coordinate
+expansions of the k = 1 spaces; canonicity of RREF bases makes that
+expansion exact, not a convention.
 """
 
 from __future__ import annotations
@@ -240,6 +242,26 @@ class CochainTriple:
     def __repr__(self):
         nnz = sum(len(self.forms[op]) for op in OPS)
         return f"CochainTriple(base dim {self.base.dim}, k={self.coeff_dim}, {nnz} entries)"
+
+
+def _pullback(cochains: Matrix, k: int, pairs: Sequence[tuple[Matrix, Matrix]]) -> Matrix:
+    """Each F^k-valued cochain row f of ``cochains`` at the pairs of rows
+    (u_a, v_b) of each ``(us, vs)`` in ``pairs``: per operation one block
+    per pair, in list order, with f(op, u_a, v_b) at (a |vs| + b) k + t.
+    By bilinearity, ``cochains`` times one matrix of the u_a[i] v_b[j].
+    ``k`` is passed: rows of length 0 leave no cochain columns to read it from."""
+    mul = cochains.field.mul
+    blocks, width = [], 0  # per pair: its first column in an operation, |vs|, us and vs transposed
+    for us, vs in pairs:
+        blocks.append((width, vs.rows, _scalar_rows(us.transpose()), _scalar_rows(vs.transpose())))
+        width += us.rows * vs.rows * k
+    m = pairs[0][0].cols
+    rows = (
+        {o * width + start + (a * nv + b) * k + t: mul(x, y)
+         for start, nv, u, v in blocks for a, x in u[i].items() for b, y in v[j].items()}
+        for o in range(len(OPS)) for i in range(m) for j in range(m) for t in range(k)
+    )
+    return cochains @ Matrix._from_scalars(cochains.field, rows, len(OPS) * width)
 
 
 def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:

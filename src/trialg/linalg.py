@@ -467,7 +467,7 @@ def _kernel(field: Field, rows: Iterable[dict], cols: int) -> "Subspace":
         for j, x in tail.items():
             column.setdefault(j, []).append((p, x, lead))
     basis = []
-    for c in sorted(set(range(cols)) - echelon.keys()):
+    for c in (c for c in range(cols) if c not in echelon):  # the free columns, in order
         held = column.get(c, ())
         if mod:
             basis.append(({c: 1, **{p: mod - x for p, x, _ in held}}, 1))

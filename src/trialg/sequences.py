@@ -6,7 +6,8 @@ For a central ideal Z of L and trivial coefficients A = F^k, the maps
 
 (inflation, restriction, transgression, second inflation) are realized as
 matrices between canonical coordinate spaces, along with the evaluation
-map from H^2(L, F) into the paired blocks (L/L' (x) Z + Z (x) L/L')^3.
+map from H^2(L, F) into the paired blocks (L/L' (x) Z + Z (x) L/L')^3;
+that map and second inflation both go through the cochain pull-back.
 Exactness and the dimension statements they imply are checked by exact
 subspace equality; every report is computed, never assumed.
 
@@ -29,10 +30,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .algebra import OPS, NotCentralIdealError, TriAlgebra, as_subspace, hom_to_field, quotient_algebra
-from .cohomology import _section_coordinates, h2
+from .algebra import NotCentralIdealError, TriAlgebra, as_subspace, hom_to_field, quotient_algebra
+from .cohomology import _pullback, _section_coordinates, h2
 from .extensions import z_star
-from .linalg import Matrix, Subspace, _scalar_rows, kernel
+from .linalg import Matrix, Subspace, kernel
 
 __all__ = [
     "NotCentralIdealError",
@@ -203,26 +204,18 @@ class _CentralIdealAnalysis:
 
     @cached_property
     def inf2(self) -> SeqMap:
-        """Pull classes on L/Z back along the projection P: the entry at
-        (op, i, j, t) is the sum of rep(op, a, b, t) * P[a][i] * P[b][j], so
-        the pulled-back cochains are the representatives times the matrix
-        whose row (op, a, b, t) holds P[a][i] * P[b][j] at (op, i, j, t)."""
-        f, n, m, k = self.alg.field, self.alg.dim, self.quot.algebra.dim, self.k
-        p = _scalar_rows(self.quot.projection)
-        pull = [
-            {((o * n + i) * n + j) * k + t: f.mul(x, y)
-             for i, x in p[a].items() for j, y in p[b].items()}
-            for o in range(len(OPS)) for a in range(m) for b in range(m) for t in range(k)
-        ]
-        pulled = self.coh_q._complement.basis @ Matrix._from_scalars(f, pull, 3 * n * n * k)
+        """Pull classes on L/Z back along the projection P: each
+        representative, through the cochain pull-back, at every pair of
+        images (P e_i, P e_j), then its class in H^2(L, A)."""
+        images = self.quot.projection.transpose()  # row i: P e_i
+        pulled = _pullback(self.coh_q._complement.basis, self.k, [(images, images)])
         return _seq_map("inf2", self.coh_l._classes(pulled))
 
     @cached_property
     def delta(self) -> SeqMap:
         """Evaluate H^2(L, F) classes on (L/L' coset basis) x (Z basis)
-        pairs, both orders, per operation (k = 1 only): the representatives
-        times the matrix whose row (op, i, j) holds the values of the form
-        e_i* x e_j* of op at those pairs."""
+        pairs, per operation the (u, w) pairs and then the (w, u) pairs
+        (k = 1 only): the representatives through the cochain pull-back."""
         if self.k != 1:
             raise ValueError("the pairing-block map is defined for k = 1")
         alg = self.alg
@@ -230,21 +223,8 @@ class _CentralIdealAnalysis:
             "derived_complement",
             lambda: alg.derived().space.complement_in(Subspace.full(alg.field, alg.dim)),
         )
-        # Row i of each: the coefficients of e_i in the basis vectors.
-        us, ws = _scalar_rows(comp.basis.transpose()), _scalar_rows(self.z.basis.transpose())
-        a, b, n, mul = comp.dim, self.z.dim, alg.dim, alg.field.mul
-
-        def outer(left: dict, right: dict, start: int, width: int) -> dict:
-            """left (x) right, laid out row-major from column ``start``."""
-            return {start + r * width + s: mul(x, y) for r, x in left.items() for s, y in right.items()}
-
-        # Per operation o: the (u, w) pairs, then the (w, u) pairs.
-        pairing = [
-            {**outer(us[i], ws[j], 2 * o * a * b, b), **outer(ws[i], us[j], (2 * o + 1) * a * b, a)}
-            for o in range(len(OPS)) for i in range(n) for j in range(n)
-        ]
-        pairs = Matrix._from_scalars(alg.field, pairing, 6 * a * b)
-        return _seq_map("delta", self.coh_l._complement.basis @ pairs)
+        pairs = [(comp.basis, self.z.basis), (self.z.basis, comp.basis)]
+        return _seq_map("delta", _pullback(self.coh_l._complement.basis, 1, pairs))
 
     @cached_property
     def derived_cap_z(self) -> Subspace:

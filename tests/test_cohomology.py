@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trialg.algebra import DASHV, OPS, PERP, TriAlgebra, VDASH, change_basis
+from trialg.algebra import DASHV, OPS, PERP, TriAlgebra, VDASH, change_basis, quotient_algebra
 from trialg.cohomology import (
     CochainTriple,
     NotASectionError,
     _cocycle_rows,
     _expand_subspace,
+    _pullback,
     b2_space,
     cocycle_defects,
     h2,
@@ -512,3 +513,58 @@ def test_cochain_views_agree_with_its_vector(field, k, data):
     scalars = [CochainTriple.from_vector(base, 1, raw(width)) for _ in range(k)]
     zipped = [x for xs in zip(*(s.vectorize() for s in scalars)) for x in xs]
     assert CochainTriple.stack(base, scalars) == CochainTriple.from_vector(base, k, zipped)
+
+
+def evaluated_pairs(cochain, pairs):
+    """The pull-back row of ``cochain`` through ``evaluate``: per operation,
+    per pair in list order, its value at every (u_a, v_b)."""
+    out = []
+    for op in OPS:
+        for us, vs in pairs:
+            out += [x for u in us.data for v in vs.data for x in cochain.evaluate(u, v, op)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_pullback_matches_the_evaluate_construction(field, k):
+    rng = random.Random(31 + k)
+    ext = random_extension(abelian(2, field), 2, seed=5).total
+    algebras = [cover_abelian(1, field), ext, change_basis(ext, random_invertible(rng, ext.dim, field))]
+    checked = 0
+    for l in algebras:
+        n = l.dim
+        z = l.center().space
+        quot = quotient_algebra(l, z)
+        comp = l.derived().space.complement_in(Subspace.full(field, n)).basis
+        none = Matrix.zeros(field, 0, n)
+        rebase = random_invertible(rng, n, field)
+        images = quot.projection.transpose()  # row i: P e_i, on the quotient
+        section = quot.section.transpose()  # unit rows: the pivot lifts
+        cases = [
+            (l, [(rebase, rebase)]),
+            (l, [(rebase, Matrix.identity(field, n))]),
+            (quot.algebra, [(images, images)]),
+            (l, [(section, section)]),
+            (l, [(comp, z.basis), (z.basis, comp)]),
+            (l, [(comp, z.basis), (none, comp), (z.basis, comp)]),
+        ]
+        for base, pairs in cases:
+            cochains = [random_cochain(base, k, rng) for _ in range(2)]
+            cochains += [CochainTriple.from_vector(base, k, row) for row in z2_space(base, k).basis_rows()[:3]]
+            pulled = _pullback(Matrix(field, [c.vectorize() for c in cochains], 3 * base.dim**2 * k), k, pairs)
+            assert pulled.cols == len(OPS) * k * sum(us.rows * vs.rows for us, vs in pairs)
+            assert pulled.data == tuple(evaluated_pairs(c, pairs) for c in cochains)
+            checked += not pulled.is_zero()
+    assert checked >= 12
+    # ``k`` is an argument: on the 0-dimensional quotient of an abelian
+    # algebra by itself the cochains have no columns, and the pulled-back
+    # rows still have width 3 n^2 k; elsewhere a wrong ``k`` is rejected.
+    a = abelian(2, field)
+    images = quotient_algebra(a, a.center().space).projection.transpose()  # 2 x 0
+    assert _pullback(Matrix.zeros(field, 3, 0), k, [(images, images)]) == Matrix.zeros(field, 3, 12 * k)
+    unit = Matrix.identity(field, 2)
+    cochains = Matrix(field, [random_cochain(a, k, random.Random(k)).vectorize()], 12 * k)
+    assert _pullback(cochains, k, [(unit, unit)]) == cochains
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _pullback(cochains, k + 1, [(unit, unit)])
