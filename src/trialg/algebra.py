@@ -572,9 +572,9 @@ def hom_to_field(a: TriAlgebra, k: int) -> Subspace:
         echelon = {
             t * n + p: (lead, {t * n + j: x for j, x in tail.items()})
             for t in range(k)
-            for p, (lead, tail) in ann._tails().items()
+            for p, (lead, tail) in ann._echelon.items()
         }
-        return Subspace._from_echelon(a.field, k * n, echelon)
+        return Subspace(a.field, k * n, echelon)
 
     return a._memo(("hom_to_field", k), build)
 

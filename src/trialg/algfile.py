@@ -139,17 +139,22 @@ def emit(a: TriAlgebra) -> str:
     return "".join(parts)
 
 
-def parse(text: str) -> TriAlgebra:
+def parse(text: str | bytes) -> TriAlgebra:
+    """The algebra of a file's text, or of its bytes read as UTF-8."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting and over-long ints
         raise AlgebraFileError(f"invalid JSON: {exc}") from None
     return algebra_from_dict(doc)
 
 
 def load(path: str) -> TriAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise AlgebraFileError(f"invalid JSON: {exc}") from None
+    return parse(text)
 
 
 def save(path: str, a: TriAlgebra) -> None:

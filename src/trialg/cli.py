@@ -70,7 +70,7 @@ class _Report:
 
 def _read_algebra(path: str) -> TriAlgebra:
     if path == "-":
-        return algfile.parse(sys.stdin.read())
+        return algfile.parse(getattr(sys.stdin, "buffer", sys.stdin).read())  # bytes: no locale decoding
     return algfile.load(path)
 
 

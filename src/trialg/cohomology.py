@@ -316,10 +316,10 @@ def _expand_subspace(sub: Subspace, k: int) -> Subspace:
         return sub
     echelon = {
         p * k + t: (lead, {j * k + t: x for j, x in tail.items()})
-        for p, (lead, tail) in sub._tails().items()
+        for p, (lead, tail) in sub._echelon.items()
         for t in range(k)
     }
-    return Subspace._from_echelon(sub.field, sub.ambient_dim * k, echelon)
+    return Subspace(sub.field, sub.ambient_dim * k, echelon)
 
 
 def z2_space(b: TriAlgebra, k: int = 1) -> Subspace:

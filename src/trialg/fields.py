@@ -102,9 +102,6 @@ class RationalField(Field):
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
 
-    def div(self, a, b):
-        return a / b
-
     def to_str(self, value) -> str:
         return str(value)
 
@@ -164,9 +161,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def to_str(self, value) -> str:
         return str(value)

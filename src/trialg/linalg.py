@@ -22,20 +22,20 @@ is divided by its content, so no ``Fraction`` arithmetic runs in the loop.
 Over F_p the same loop runs with every lead normalised to 1; entries are
 reduced mod p only when read as a pivot entry and once at the end of a row.
 
-The outputs are canonical: a subspace is stored as the unique RREF basis of
-its row space, so two subspaces are equal as sets exactly when their stored
-bases are identical entry-wise, and ``rref`` returns the unique RREF of the
-row space with its pivot columns.  Because that RREF depends on the row
-space alone, neither the order in which rows are eliminated nor the integer
-multiples they are held as can change it.  ``rref`` and ``kernel`` share
-one insertion loop, ``_echelon``, which keeps its echelon map fully reduced
-as rows arrive in input order from any iterable, so the cocycle system is
-streamed into it, never held.  ``rref`` returns each row as its ints over
-its lead, whose dense form reads ``x / lead``.  So a
-constraint system may be handed over as D times its rows, for the common
-denominator D of an algebra's structure constants, with no change to any
-result.  Everything downstream leans on that canonicity for exact equality
-tests.
+The outputs are canonical: a subspace is stored as the echelon map of the
+unique RREF basis of its row space, in ascending pivot order, so two
+subspaces are equal as sets exactly when their maps are identical.  Its
+``basis`` matrix is a view of that map, built once on first read, and
+``rref`` pads a span's basis with zero rows.  Because that RREF depends on
+the row space alone, neither the order in which rows are eliminated nor the
+integer multiples they are held as can change it.  Spans and ``kernel``
+share one insertion loop, ``_echelon``, which keeps its echelon map fully
+reduced as rows arrive in input order from any iterable, so the cocycle
+system is streamed into it, never held.  A basis row is its ints over its
+lead, whose dense form reads ``x / lead``.  So a constraint system may be
+handed over as D times its rows, for the common denominator D of an
+algebra's structure constants, with no change to any result.  Everything
+downstream leans on that canonicity for exact equality tests.
 
 This module is also the one home of coordinates and seeded combinations.
 Coset coordinates modulo a subspace -- ``Subspace.quotient_map``, the
@@ -436,17 +436,16 @@ def _echelon(rows: Iterable[dict], mod: int) -> dict:
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Unique reduced row-echelon form with its pivot columns.
 
-    The result has ``m.rows`` rows: the rows of :func:`_echelon` in pivot
-    order, each over its lead so that its pivot entry reads 1, then zero rows.
+    The result has ``m.rows`` rows: the basis rows of the span of ``m``, each
+    over its lead so that its pivot entry reads 1, then zero rows.
     """
-    echelon = _echelon((row for row, _ in _int_rows(m)), _modulus(m.field))
-    out = [({p: lead, **tail}, lead) for p, (lead, tail) in sorted(echelon.items())]
-    out += [({}, 1)] * (m.rows - len(echelon))
-    return Matrix._from_ints(m.field, tuple(out), m.cols), tuple(sorted(echelon))
+    span = Subspace._span(m)
+    out = span.basis._sparse + (({}, 1),) * (m.rows - span.dim)
+    return Matrix._from_ints(m.field, out, m.cols), span.pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return Subspace._span(m).dim
 
 
 def kernel(m: Matrix) -> "Subspace":
@@ -521,38 +520,40 @@ def random_combination(rng, rows: Matrix) -> Matrix | None:
 
 
 class Subspace:
-    """Linear subspace of F^n held as its canonical RREF basis.
+    """Linear subspace of F^n held as the echelon map of its canonical RREF
+    basis.
 
-    Invariants: the basis matrix is in reduced row-echelon form with no
-    zero rows, the pivot list is ascending, and dim == number of rows ==
-    number of pivots.  Equality of ``Subspace`` values is equality of the
-    underlying sets.
+    ``_echelon`` sends each pivot column, in ascending order, to ``(lead,
+    tail)`` in the form :func:`_echelon` stores (over Q primitive with a
+    positive lead, over F_p with lead 1); its tails are shared, never
+    modified.  ``pivots`` is the tuple of its keys and dim their number.
+    ``basis`` is a read-only view of the map as a matrix, the row of pivot p
+    being ``{p: lead, **tail}`` over ``lead``, built on first read and kept.
+    Equality of ``Subspace`` values is equality of the underlying sets, and
+    so of the maps.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_echelon")
+    __slots__ = ("field", "ambient_dim", "pivots", "_echelon", "_basis")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: Matrix, pivots: tuple[int, ...]):
+    def __init__(self, field: Field, ambient_dim: int, echelon: dict):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self.pivots = pivots
-        self._echelon = None
+        self.pivots = tuple(echelon)
+        self._echelon = echelon
+        self._basis = None
+
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            rows = tuple(({p: lead, **tail}, lead) for p, (lead, tail) in self._echelon.items())
+            self._basis = Matrix._from_ints(self.field, rows, self.ambient_dim)
+        return self._basis
 
     @classmethod
     def _span(cls, m: Matrix) -> "Subspace":
         """Row space of ``m``."""
-        red, pivots = rref(m)
-        basis = Matrix._from_ints(m.field, red._sparse[: len(pivots)], m.cols)
-        return cls(m.field, m.cols, basis, pivots)
-
-    @classmethod
-    def _from_echelon(cls, field: Field, ambient_dim: int, echelon: dict) -> "Subspace":
-        """The subspace whose RREF basis is the echelon map ``echelon``,
-        given in ascending pivot order; its tails become shared."""
-        rows = tuple(({p: lead, **tail}, lead) for p, (lead, tail) in echelon.items())
-        sub = cls(field, ambient_dim, Matrix._from_ints(field, rows, ambient_dim), tuple(echelon))
-        sub._echelon = echelon
-        return sub
+        echelon = _echelon((row for row, _ in _int_rows(m)), _modulus(m.field))
+        return cls(m.field, m.cols, dict(sorted(echelon.items())))
 
     @classmethod
     def from_rows(cls, field: Field, ambient_dim: int, rows: Iterable[Iterable]) -> "Subspace":
@@ -560,11 +561,11 @@ class Subspace:
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.zeros(field, 0, ambient_dim), ())
+        return cls(field, ambient_dim, {})
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim), tuple(range(ambient_dim)))
+        return cls(field, ambient_dim, {i: (1, {}) for i in range(ambient_dim)})
 
     @property
     def dim(self) -> int:
@@ -572,15 +573,6 @@ class Subspace:
 
     def is_zero(self) -> bool:
         return self.dim == 0
-
-    def _tails(self) -> dict:
-        """The basis as an echelon map; its tails are shared, never modified."""
-        if self._echelon is None:
-            echelon = {}
-            for p, (tail, _) in zip(self.pivots, _int_rows(self.basis)):
-                echelon[p] = (tail.pop(p), tail)
-            self._echelon = echelon
-        return self._echelon
 
     def _as_row(self, v: Iterable) -> Matrix:
         """``v``, checked against the ambient dimension, as a one-row matrix."""
@@ -593,7 +585,7 @@ class Subspace:
         """The residual of ``v`` after eliminating this subspace's pivots, as
         nonzero ints and the factor they are scaled by."""
         (row, d), = _int_rows(self._as_row(v))
-        row, s = _eliminate(row, self._tails(), _modulus(self.field))
+        row, s = _eliminate(row, self._echelon, _modulus(self.field))
         return row, d * s
 
     def reduce_vector(self, v: Sequence) -> tuple:
@@ -614,11 +606,11 @@ class Subspace:
         coefficients are its entries at the pivots."""
         if m.cols != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        tails, mod = self._tails(), _modulus(self.field)
+        mod = _modulus(self.field)
         out = []
         for row, d in _int_rows(m):
             out.append(({c: row[p] for c, p in enumerate(self.pivots) if p in row}, d))
-            if _eliminate(row, tails, mod)[0]:
+            if _eliminate(row, self._echelon, mod)[0]:
                 raise ValueError("vector is not in the subspace")
         return Matrix._from_ints(self.field, tuple(out), self.dim)
 
@@ -626,10 +618,9 @@ class Subspace:
         check_same_field(self.field, other.field)
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        tails = self._tails()
         mod = _modulus(self.field)
-        for p, (lead, tail) in other._tails().items():
-            if _eliminate({p: lead, **tail}, tails, mod)[0]:
+        for p, (lead, tail) in other._echelon.items():
+            if _eliminate({p: lead, **tail}, self._echelon, mod)[0]:
                 return False
         return True
 
@@ -662,14 +653,14 @@ class Subspace:
         """
         if not sup.contains(self):
             raise ContainmentError("complement requires containment in the larger space")
-        echelon = dict(self._tails())
+        echelon = dict(self._echelon)
         mod = _modulus(self.field)
         kept = {
             p: (lead, tail)
-            for p, (lead, tail) in sup._tails().items()
+            for p, (lead, tail) in sup._echelon.items()
             if _insert({p: lead, **tail}, echelon, mod) is not None
         }
-        return Subspace._from_echelon(self.field, self.ambient_dim, kept)
+        return Subspace(self.field, self.ambient_dim, kept)
 
     def quotient_map(self, sup: "Subspace") -> Matrix:
         """Matrix sending ``x`` in ``sup`` to its coordinates in ``sup/self``.
@@ -689,12 +680,12 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and self._tails() == other._tails()
+            and self._echelon == other._echelon
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        rows = tuple((p, lead, frozenset(tail.items())) for p, (lead, tail) in self._echelon.items())
+        return hash((self.field, self.ambient_dim, rows))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.field.name}^{self.ambient_dim})"

@@ -76,6 +76,34 @@ def test_validate_parse_error_exit_2(capsys, tmp_path):
     assert "duplicate" in err
 
 
+HOSTILE_FILES = {
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "not_utf8": b'{"field": "Q\xff", "dim": 1, "products": []}',
+    "long_int": b'{"field": "Q", "dim": ' + b"9" * 5000 + b', "products": []}',
+}
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("kind", sorted(HOSTILE_FILES))
+def test_hostile_file_exit_2(capsys, monkeypatch, tmp_path, kind, source):
+    """Deep nesting, bytes that are not UTF-8 and an integer past CPython's
+    digit limit are bad input, read from a file or from a strict UTF-8
+    stdin alike."""
+    import io
+
+    data = HOSTILE_FILES[kind]
+    if source == "file":
+        path = tmp_path / "hostile.json"
+        path.write_bytes(data)
+        arg = str(path)
+    else:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        arg = "-"
+    code, out, err = run(capsys, "validate", arg)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "internal error" not in err
+
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/alg.json")
     assert code == 2

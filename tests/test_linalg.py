@@ -408,6 +408,17 @@ def test_subspace_equality_is_equality_of_spans(case, data):
         moved[0][free[-1]] = field.add(moved[0][free[-1]], field.one)
         other = Subspace.from_rows(field, ncols, moved)
         assert other.pivots == a.pivots and other != a and a != other
+    # Every constructor stores the same echelon map as a span of its rows.
+    full = Subspace.full(field, ncols)
+    identity = [[field.one if i == j else field.zero for j in range(ncols)] for i in range(ncols)]
+    built = [
+        (full, Subspace.from_rows(field, ncols, identity)),
+        (Subspace.zero(field, ncols), Subspace.from_rows(field, ncols, [])),
+    ]
+    for sub in (a.complement_in(full), kernel(Matrix(field, rows, cols=ncols))):
+        built.append((sub, Subspace.from_rows(field, ncols, sub.basis_rows())))
+    for sub, span in built:
+        assert sub == span and span == sub and hash(sub) == hash(span)
 
 
 @settings(max_examples=200, deadline=None)
