@@ -29,7 +29,7 @@ import json
 from typing import Any
 
 from .algebra import OPS, TriAlgebra
-from .fields import parse_field
+from .fields import QQ, parse_field
 
 __all__ = ["AlgebraFileError", "algebra_to_dict", "algebra_from_dict", "emit", "parse", "load", "save"]
 
@@ -141,8 +141,9 @@ def emit(a: TriAlgebra) -> str:
 
 def parse(text: str | bytes) -> TriAlgebra:
     """The algebra of a file's text, or of its bytes read as UTF-8."""
-    try:
-        doc = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    try:  # JSON integers are read by the scalar parser, for its digit-limit error
+        text = text if isinstance(text, str) else text.decode("utf-8")
+        doc = json.loads(text, parse_int=lambda digits: QQ.parse(digits).numerator)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, deep nesting and over-long ints
         raise AlgebraFileError(f"invalid JSON: {exc}") from None
     return algebra_from_dict(doc)

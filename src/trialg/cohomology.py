@@ -22,20 +22,21 @@ time, and the Z^2 system goes from it into the elimination one row at a
 time; no constraint matrix is built.
 
 A cochain is stored as its vector in F^(3 n^2 k), the space Z^2, B^2 and
-H^2 live in: the nonzero entries, indexed in a fixed order -- operation
-("vdash", "dashv", "perp"), then the basis pair (i, j) row-major, then the
-coefficient coordinate, so (op o, i, j, t) sits at ((o n + i) n + j) k + t.
-Its per-operation forms are a view decoded from those entries, and the
-pull-back ``_pullback`` evaluates cochain rows at pairs of vectors as one
-product with a matrix in this layout.  The constraint system splits per
-coefficient coordinate, so the k > 1 spaces are the k-fold coordinate
-expansions of the k = 1 spaces; canonicity of RREF bases makes that
-expansion exact, not a convention.
+H^2 live in, as a one-row ``Matrix``, so a basis row of those spaces is a
+cochain as it stands.  The entries are indexed in a fixed order --
+operation ("vdash", "dashv", "perp"), then the basis pair (i, j)
+row-major, then the coefficient coordinate, so (op o, i, j, t) sits at
+((o n + i) n + j) k + t.  Its per-operation forms are a view decoded from
+that row, and the pull-back ``_pullback`` evaluates cochain rows at pairs
+of vectors as one product with a matrix in this layout.  The constraint
+system splits per coefficient coordinate, so the k > 1 spaces are the
+k-fold coordinate expansions of the k = 1 spaces; canonicity of RREF
+bases makes that expansion exact, not a convention.
 """
 
 from __future__ import annotations
 
-from itertools import compress
+from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import OPS, TriAlgebra, _cleared, _identity_defects, _product_matrix, _reader
@@ -84,11 +85,11 @@ class CocycleViolation(NamedTuple):
 
 
 class CochainTriple:
-    """Three F^k-valued bilinear forms on a base algebra, held as the
-    nonzero entries ``{index: scalar}`` of their vector (see the module
+    """Three F^k-valued bilinear forms on a base algebra, held as their
+    vector: ``_row``, a one-row ``Matrix`` of width 3n^2k (see the module
     docstring for the index order)."""
 
-    __slots__ = ("base", "coeff_dim", "_entries", "_forms")
+    __slots__ = ("base", "coeff_dim", "_row", "_forms")
 
     def __init__(
         self,
@@ -120,17 +121,16 @@ class CochainTriple:
                         entries[start + t] = x
         self.base = base
         self.coeff_dim = coeff_dim
-        self._entries = entries
+        self._row = Matrix._from_scalars(base.field, (entries,), 3 * n * n * coeff_dim)
         self._forms = None
 
     @classmethod
-    def _from_entries(cls, base: TriAlgebra, coeff_dim: int, entries: dict) -> "CochainTriple":
-        """The cochain whose vector (see :meth:`vectorize`) has the nonzero
-        field scalars ``entries`` ``{index: scalar}`` and zeros elsewhere."""
+    def _from_row(cls, base: TriAlgebra, coeff_dim: int, m: Matrix, i: int = 0) -> "CochainTriple":
+        """The cochain whose vector is row ``i`` of ``m``; the int row is shared."""
         c = object.__new__(cls)
         c.base = base
         c.coeff_dim = coeff_dim
-        c._entries = entries
+        c._row = Matrix._from_ints(m.field, (m._sparse[i],), m.cols)
         c._forms = None
         return c
 
@@ -145,28 +145,28 @@ class CochainTriple:
         n = base.dim
         if len(vec) != 3 * n * n * coeff_dim:
             raise ValueError("vector length does not match 3*n^2*k")
-        coerce = base.field.coerce
-        return cls._from_entries(
-            base, coeff_dim, {i: x for i in compress(range(len(vec)), vec) if (x := coerce(vec[i]))}
-        )
+        return cls._from_row(base, coeff_dim, Matrix(base.field, [vec]))
 
     @classmethod
     def stack(cls, base: TriAlgebra, components: Sequence["CochainTriple"]) -> "CochainTriple":
-        """Combine k scalar-valued cochains into one F^k-valued cochain."""
+        """Combine k scalar-valued cochains into one F^k-valued cochain:
+        entry idx of component t goes to idx k + t, over the lcm of the
+        components' denominators."""
         k = len(components)
         for c in components:
             if c.base != base or c.coeff_dim != 1:
                 raise ValueError("stack expects scalar cochains on the same base")
-        return cls._from_entries(
-            base, k, {idx * k + t: x for t, c in enumerate(components) for idx, x in c._entries.items()}
-        )
+        rows = [c._row._sparse[0] for c in components]
+        e = lcm(*[d for _, d in rows])
+        row = {idx * k + t: x * (e // d) for t, (xs, d) in enumerate(rows) for idx, x in xs.items()}
+        return cls._from_row(base, k, Matrix._from_ints(base.field, ((row, e),), 3 * base.dim**2 * k))
 
     def _decode(self) -> dict:
         """The entries as ``{op: {(i, j): {t: scalar}}}``: every operation in
         ``OPS`` order, each table sorted by basis pair."""
         n, k = self.base.dim, self.coeff_dim
         tables: dict = {op: {} for op in OPS}
-        for idx, x in sorted(self._entries.items()):
+        for idx, x in sorted(_scalar_rows(self._row)[0].items()):
             pair, t = divmod(idx, k)
             o, ij = divmod(pair, n * n)
             tables[OPS[o]].setdefault(divmod(ij, n), {})[t] = x
@@ -210,31 +210,19 @@ class CochainTriple:
         return tuple(acc)
 
     def vectorize(self) -> tuple:
-        n = self.base.dim
-        out = [self.base.field.zero] * (3 * n * n * self.coeff_dim)
-        for idx, x in self._entries.items():
-            out[idx] = x
-        return tuple(out)
+        return self._row.row(0)
 
     def sub(self, other: "CochainTriple") -> "CochainTriple":
         if self.base != other.base or self.coeff_dim != other.coeff_dim:
             raise ValueError("cochains live on different bases")
-        f = self.base.field
-        entries = dict(self._entries)
-        for idx, y in other._entries.items():
-            x = f.sub(entries.get(idx, f.zero), y)
-            if x:
-                entries[idx] = x
-            else:
-                del entries[idx]
-        return CochainTriple._from_entries(self.base, self.coeff_dim, entries)
+        return CochainTriple._from_row(self.base, self.coeff_dim, self._row - other._row)
 
     def __eq__(self, other):
         return (
             isinstance(other, CochainTriple)
             and self.base == other.base
             and self.coeff_dim == other.coeff_dim
-            and self._entries == other._entries
+            and self._row == other._row
         )
 
     __hash__ = None
@@ -366,9 +354,8 @@ class CohomologyResult:
         self.coeff_dim = coeff_dim
         self.z2 = z2
         self.b2 = b2
-        self.h2_reps = tuple(
-            CochainTriple._from_entries(base, coeff_dim, row) for row in _scalar_rows(complement.basis)
-        )
+        rows = complement.basis
+        self.h2_reps = tuple(CochainTriple._from_row(base, coeff_dim, rows, i) for i in range(rows.rows))
         self._complement = complement
         self._coords = None
 
@@ -392,7 +379,7 @@ class CohomologyResult:
         return self._classes(self.z2._as_row(vec)).row(0)
 
     def class_of(self, cochain: CochainTriple) -> tuple:
-        return self.class_coordinates(cochain.vectorize())
+        return self._classes(cochain._row).row(0)
 
 
 def h2(b: TriAlgebra, k: int = 1) -> CohomologyResult:
@@ -420,10 +407,9 @@ def section_cocycle(
     mu(x) * mu(y) - mu(x * y), expressed in the kernel's canonical basis.
     Raises ``NotASectionError`` unless projection @ section is the identity.
     """
-    coords = _section_coordinates(total, base, projection, kernel_space, section)
-    k = kernel_space.dim
-    entries = {pair * k + t: x for pair, row in enumerate(_scalar_rows(coords)) for t, x in row.items()}
-    return CochainTriple._from_entries(base, k, entries)
+    coords = _section_coordinates(total, base, projection, kernel_space, section).transpose()
+    # row t holds coordinate t of every value: the scalar cochain stacked at t
+    return CochainTriple.stack(base, [CochainTriple._from_row(base, 1, coords, t) for t in range(coords.rows)])
 
 
 def _section_coordinates(
@@ -450,5 +436,4 @@ def is_cohomologous(f: CochainTriple, g: CochainTriple) -> bool:
     """True when f - g is a coboundary (same base, same coefficients)."""
     if f.base != g.base or f.coeff_dim != g.coeff_dim:
         raise ValueError("cochains live on different bases")
-    diff = f.sub(g).vectorize()
-    return b2_space(f.base, f.coeff_dim).contains_vector(diff)
+    return b2_space(f.base, f.coeff_dim).contains(Subspace._span(f.sub(g)._row))

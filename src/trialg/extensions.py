@@ -48,7 +48,7 @@ from .cohomology import (
     z2_space,
 )
 from .linalg import (
-    Matrix, Subspace, _kernel, _scalar_rows, kernel, random_combination, random_invertible, rank, solve_right
+    Matrix, Subspace, _kernel, kernel, random_combination, random_invertible, rank, solve_right
 )
 
 __all__ = [
@@ -295,7 +295,7 @@ def stem_center_image_check(l: TriAlgebra, trials: int = 5, seed: int = 0) -> St
             extra = random_combination(rng, reps_and_b2)
             if extra is not None:
                 vectors = vectors.vstack(extra)
-        reps = [CochainTriple._from_entries(l, 1, row) for row in _scalar_rows(vectors)]
+        reps = [CochainTriple._from_row(l, 1, vectors, i) for i in range(vectors.rows)]
         ext = _cover_from_reps(l, reps)
         if not ext.is_stem():
             all_stem = False

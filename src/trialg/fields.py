@@ -10,6 +10,7 @@ mixing descriptors raises :class:`FieldMismatchError`.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -44,14 +45,16 @@ class Field:
     name = "?"
 
     def parse(self, text: str):
-        """Parse an integer or ``p/q`` fraction string into a scalar."""
+        """Parse an integer or ``p/q`` fraction string into a scalar.  Past
+        CPython's digit limit the error names the limit, not how to raise it."""
         text = text.strip()
         if not _SCALAR_RE.match(text):
             raise ValueError(f"not an exact scalar string: {text!r}")
-        if "/" in text:
-            num, den = text.split("/")
-            return self.from_quotient(int(num), int(den))
-        return self.coerce(int(text))
+        try:
+            ints = [int(x) for x in text.split("/")]
+        except ValueError:  # the text is digits, so only the limit can fail
+            raise ValueError(f"integer exceeds the limit of {sys.get_int_max_str_digits()} digits") from None
+        return self.from_quotient(*ints) if len(ints) == 2 else self.coerce(ints[0])
 
     # hooks
     def coerce(self, value):

@@ -13,7 +13,7 @@ from .algebra import DASHV, OPS, PERP, NoCocyclesError, TriAlgebra, VDASH
 from .cohomology import CochainTriple, z2_space
 from .extensions import CentralExtension, build_central_extension
 from .fields import Field, QQ
-from .linalg import _scalar_rows, random_combination
+from .linalg import random_combination
 
 __all__ = [
     "abelian",
@@ -71,7 +71,7 @@ def random_cocycles(base: TriAlgebra, k: int, rng: random.Random) -> list[Cochai
         combo = None
         while combo is None:
             combo = random_combination(rng, z2.basis)
-        out.append(CochainTriple._from_entries(base, 1, _scalar_rows(combo)[0]))
+        out.append(CochainTriple._from_row(base, 1, combo))
     return out
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -80,15 +81,18 @@ HOSTILE_FILES = {
     "deep": b"[" * 100_000 + b"]" * 100_000,
     "not_utf8": b'{"field": "Q\xff", "dim": 1, "products": []}',
     "long_int": b'{"field": "Q", "dim": ' + b"9" * 5000 + b', "products": []}',
+    "long_scalar": b'{"field": "Q", "dim": 1, "products": [{"op": "vdash", "i": 0, "j": 0, "value": ["'
+    + b"9" * 5000 + b'"]}]}',
 }
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
 @pytest.mark.parametrize("kind", sorted(HOSTILE_FILES))
 def test_hostile_file_exit_2(capsys, monkeypatch, tmp_path, kind, source):
-    """Deep nesting, bytes that are not UTF-8 and an integer past CPython's
-    digit limit are bad input, read from a file or from a strict UTF-8
-    stdin alike."""
+    """Deep nesting, bytes that are not UTF-8 and an integer or a scalar
+    past CPython's digit limit are bad input, read from a file or from a
+    strict UTF-8 stdin alike.  The digit-limit errors name the limit without
+    CPython's advice to raise it, which a user of the CLI cannot follow."""
     import io
 
     data = HOSTILE_FILES[kind]
@@ -102,6 +106,9 @@ def test_hostile_file_exit_2(capsys, monkeypatch, tmp_path, kind, source):
     code, out, err = run(capsys, "validate", arg)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "internal error" not in err
+    assert "set_int_max_str_digits" not in err
+    if kind.startswith("long_"):
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in err
 
 
 def test_missing_file_exit_2(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -188,9 +189,10 @@ def test_class_coordinates_recover_representative_combinations(field, k):
 @pytest.mark.parametrize("field", [QQ, GF(7)])
 @pytest.mark.parametrize("k", [1, 2])
 def test_classes_of_sparse_rows_agree_with_class_of(field, k):
-    """The sequence maps hand ``_classes`` a sparse matrix of cochain
-    entries; ``class_of`` goes through the dense vector.  They agree on
-    random cocycles, and both reject a cochain outside Z^2."""
+    """The sequence maps hand ``_classes`` a matrix of cochain rows, and
+    ``class_of`` hands it one cochain's row.  They agree with each other
+    and with ``class_coordinates`` of the dense vector on random cocycles,
+    and all reject a cochain outside Z^2."""
     rng = random.Random(47 + k)
     corpus = [random_valid_algebra(rng, field, max_dim=3) for _ in range(2)]
     for alg in corpus + _rebased_extensions(field, 29):
@@ -201,17 +203,49 @@ def test_classes_of_sparse_rows_agree_with_class_of(field, k):
             combo = random_combination(rng, res.z2.basis)
             if combo is not None:
                 cocycles.append(CochainTriple.from_vector(alg, k, combo.row(0)))
-        classes = res._classes(Matrix._from_scalars(field, [c._entries for c in cocycles], width))
+        classes = res._classes(reduce(Matrix.vstack, [c._row for c in cocycles]))
         assert [classes.row(i) for i in range(len(cocycles))] == [res.class_of(c) for c in cocycles]
+        assert all(res.class_coordinates(c.vectorize()) == res.class_of(c) for c in cocycles)
         if res.z2.dim == width:
             continue
         c = random_cochain(alg, k, rng)
         while res.z2.contains_vector(c.vectorize()):
             c = random_cochain(alg, k, rng)
         with pytest.raises(ValueError):
-            res._classes(Matrix._from_scalars(field, [cocycles[-1]._entries, c._entries], width))
+            res._classes(cocycles[-1]._row.vstack(c._row))
         with pytest.raises(ValueError):
             res.class_of(c)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_class_of_and_is_cohomologous_eliminate_on_rows(monkeypatch, field, k):
+    """``class_of`` and ``is_cohomologous`` work on the cochains' rows: with
+    the dense vector and the coercing ``Matrix`` constructor refused, they
+    still place every representative and its coboundary shift in its class."""
+    alg = random_extension(abelian(2, field), 2, seed=3).total
+    res = h2(alg, k)
+    assert res.h2_dim >= 2 and res.b2.dim >= 1
+    units = Matrix.identity(field, res.h2_dim).data
+    b2_rows = res.b2.basis_rows()
+    shifts = [  # rep + 2 b, for a coboundary row b
+        CochainTriple.from_vector(alg, k, [x + 2 * y for x, y in zip(rep.vectorize(), b2_rows[i % len(b2_rows)])])
+        for i, rep in enumerate(res.h2_reps)
+    ]
+    zero = CochainTriple.zero(alg, k)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense cochain path taken")
+
+    monkeypatch.setattr(CochainTriple, "vectorize", refuse)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    for i, (rep, shift) in enumerate(zip(res.h2_reps, shifts)):
+        assert res.class_of(rep) == res.class_of(shift) == units[i]
+        assert is_cohomologous(rep, shift) and is_cohomologous(shift, rep)
+        assert not is_cohomologous(shift, zero)
+        assert not is_cohomologous(rep, res.h2_reps[i - 1])
+    assert res.class_of(zero) == (field.zero,) * res.h2_dim
+    assert is_cohomologous(shifts[0].sub(res.h2_reps[0]), zero)
 
 
 # --------------------------------------------------------- the keystone
@@ -473,6 +507,12 @@ def test_from_vector_matches_the_coercing_constructor(field):
         CochainTriple.from_vector(base, k, raw[:-1])
     with pytest.raises(ValueError, match="coefficient dimension"):
         CochainTriple.from_vector(base, -1, raw)
+    # Falsy values that are not scalars are refused, as by ``Matrix``.
+    for bad in ("", None, 0.0, []):
+        with pytest.raises((ValueError, TypeError)) as refused:
+            Matrix(field, [[bad]])
+        with pytest.raises(refused.type):
+            CochainTriple.from_vector(base, k, raw[:5] + [bad] + raw[6:])
 
 
 # Raw cochain values; the strings and, over GF(7), the multiples of 7 are
@@ -504,6 +544,10 @@ def test_cochain_views_agree_with_its_vector(field, k, data):
     for c in (a, b):
         assert CochainTriple(base, k, c.forms) == c
         assert CochainTriple.from_vector(base, k, c.vectorize()) == c
+        if field == QQ:  # over F_p a row is held as residues over 1
+            (xs, d), = c._row._sparse
+            doubled = Matrix._from_ints(field, (({j: 2 * x for j, x in xs.items()}, 2 * d),), c._row.cols)
+            assert CochainTriple._from_row(base, k, doubled) == c
         assert tuple(c.forms) == OPS
         for table in c.forms.values():
             assert list(table) == sorted(table)
