@@ -99,10 +99,7 @@ def _parse_z_spec(alg: TriAlgebra, spec: str) -> Subspace:
         if not token:
             continue
         if token.startswith("e"):
-            try:
-                idx = int(token[1:])
-            except ValueError:
-                raise ValueError(f"bad basis vector token {token!r}") from None
+            idx = _int(token[1:], "bad basis vector token", token)
             if not (1 <= idx <= alg.dim):
                 raise ValueError(f"basis vector {token} out of range for dim {alg.dim}")
             row = [alg.field.zero] * alg.dim
@@ -294,15 +291,27 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _count(minimum: int):
-    """argparse type: an integer >= ``minimum``."""
+def _int(text: str, label: str, echo: str) -> int:
+    """``int(text)``, else a ValueError of ``label`` and ``echo`` cut to 12
+    characters, naming the digit limit when ``text`` is an integer past it."""
+    try:
+        return int(text)
+    except ValueError:
+        error = f"{label} {echo[:12]!r}" + ("..." if len(echo) > 12 else "")
+        if re.fullmatch(r"\s*[+-]?[\d_]+\s*", text):
+            error += f": integer exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        raise ValueError(error) from None
+
+
+def _int_arg(minimum: int | None = None):
+    """argparse type: an integer, >= ``minimum`` when one is given."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if value < minimum:
+            value = _int(text, "invalid integer", text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
 
@@ -319,7 +328,7 @@ def _field_arg(text: str):
 def _base_arg(text: str):
     """``abelian<N>`` as the int N; anything else is a file path."""
     match = re.fullmatch(r"abelian(\d+)", text)
-    return int(match.group(1)) if match else text
+    return _int_arg()(match.group(1)) if match else text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -343,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("h2", cmd_h2, help="second cohomology dimensions")
     p.add_argument("path")
-    p.add_argument("-k", type=_count(1), default=1, help="coefficient dimension (default 1)")
+    p.add_argument("-k", type=_int_arg(1), default=1, help="coefficient dimension (default 1)")
     p.add_argument("--reps", action="store_true", help="dump class representatives")
 
     p = add("multiplier", cmd_h2, help="alias of h2 at k = 1")
@@ -365,19 +374,19 @@ def _build_parser() -> argparse.ArgumentParser:
     ideal = p.add_mutually_exclusive_group()
     ideal.add_argument("--z", help="central ideal basis: 'e2' or '0,1'; ';' separates vectors")
     ideal.add_argument("--all-central", action="store_true", help="sample central ideals")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_arg(), default=0)
 
     p = add("gen", cmd_gen, help="generate corpus algebras")
     p.add_argument("kind", choices=["abelian", "cover-abelian", "random-ext"])
-    p.add_argument("-n", type=_count(0), help="dimension parameter")
+    p.add_argument("-n", type=_int_arg(0), help="dimension parameter")
     p.add_argument("--field", type=_field_arg, default=QQ, help="Q (default) or Fp:<prime>")
     p.add_argument("--base", type=_base_arg, help="random-ext base: file path or abelian<N>")
-    p.add_argument("-k", type=_count(1), default=1, help="random-ext kernel dimension")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-k", type=_int_arg(1), default=1, help="random-ext kernel dimension")
+    p.add_argument("--seed", type=_int_arg(), default=0)
     p.add_argument("-o", "--output")
 
     p = add("table", cmd_table, help="dimension-bound table rows")
-    p.add_argument("-n", type=_count(1), default=10, help="largest n (default 10)")
+    p.add_argument("-n", type=_int_arg(1), default=10, help="largest n (default 10)")
 
     return parser
 

@@ -6,23 +6,25 @@ result satisfies the defining identities exactly when f is a cocycle, and
 identity i fails exactly when constraint family i does.
 
 A cover of L is constructed cohomologically: extend L by the canonical
-H^2 representatives stacked into one vector-valued cocycle, then quotient
-by the pivot complement of (kernel intersect derived) inside the kernel so
-the result is a stem extension with kernel of the multiplier dimension.
+H^2 representatives stacked into one vector-valued cocycle, then
+stem-reduce.  The kernel M of that extension is the block of its last
+coordinates, so the pivot complement of M n K' in M (K' the derived
+subalgebra) is spanned by unit vectors of M: dividing by it is extending
+again along the representatives whose kernel unit vectors are not in it.
 
 The stable center Z*(L) is the image of the cover's center under the
 covering projection; L is unicentral when that image is all of Z(L).  It
 is computed without the cover, as the central z with g(z, y) = g(y, z) =
 0 for every cocycle g in Z^2(L, F), every operation and every y.  In the
 extension by the stacked representatives f, a lift s(z) of a central z
-has s(z) * s(y) = f(z, y) and s(y) * s(z) = f(y, z), both in M n K' (M
-the kernel, K' the derived subalgebra); the stem reduction divides by a
-complement of M n K' in M, so it is injective there, and s(z) stays
-central in the cover exactly when f(z, .) and f(., z) vanish.  A
-coboundary -eps(x * y) vanishes when x or y is central, so the
-representatives may be replaced by all of Z^2.  The cover,
-``CentralExtension.center_image`` and ``stem_center_image_check`` compute
-the image directly, and the tests check the two against each other.
+has s(z) * s(y) = f(z, y) and s(y) * s(z) = f(y, z), both in M n K'; the
+stem reduction divides by a complement of M n K' in M, so it is
+injective there, and s(z) stays central in the cover exactly when
+f(z, .) and f(., z) vanish.  A coboundary -eps(x * y) vanishes when x or
+y is central, so the representatives may be replaced by all of Z^2.  The
+cover, ``CentralExtension.center_image`` and ``stem_center_image_check``
+compute the image directly, and the tests check the two against each
+other.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .algebra import (
     _center_rows,
     _product_matrix,
     product_subspace,
-    quotient_algebra,
 )
 from .cohomology import (
     CochainTriple,
@@ -138,26 +139,8 @@ def build_central_extension(b: TriAlgebra, k: int, f: CochainTriple) -> CentralE
     fld = b.field
     n = b.dim
     proj = Matrix.identity(fld, n).hstack(Matrix.zeros(fld, n, k))  # drops the F^k coordinates
-    return CentralExtension(total, b, AlgSubspace(total, kernel(proj)), proj, f)
-
-
-def _stem_reduce(ext: CentralExtension) -> CentralExtension:
-    """Quotient by a complement of (kernel intersect derived) in the kernel.
-
-    The result is a stem extension of the same base; when the kernel is
-    already inside the derived subalgebra the extension is returned as is.
-    """
-    total = ext.total
-    d_space = ext.kernel.space.intersection(total.derived().space)
-    e_space = d_space.complement_in(ext.kernel.space)
-    if e_space.dim == 0:
-        return ext
-    quot = quotient_algebra(total, e_space)
-    new_total = quot.algebra
-    new_proj = ext.projection @ quot.section
-    new_kernel = Subspace._span(ext.kernel.space.basis @ quot.projection.transpose())
-    reduced = CentralExtension(new_total, ext.base, AlgSubspace(new_total, new_kernel), new_proj)
-    return reduced._replace(cocycle=reduced.section_cocycle())
+    units = Subspace(fld, n + k, {n + t: (1, {}) for t in range(k)})  # its kernel: e_n, ..., e_{n+k-1}
+    return CentralExtension(total, b, AlgSubspace(total, units), proj, f)
 
 
 class CoverResult(NamedTuple):
@@ -183,9 +166,16 @@ def cover(l: TriAlgebra) -> CoverResult:
 
 
 def _cover_from_reps(l: TriAlgebra, reps) -> CentralExtension:
-    """Cover-style construction from an explicit list of scalar cocycles."""
-    stacked = CochainTriple.stack(l, list(reps))
-    return _stem_reduce(build_central_extension(l, len(reps), stacked))
+    """The extension by the stacked scalar cocycles ``reps``, stem-reduced
+    as the module docstring says; returned as built when M lies in K'."""
+    ext = build_central_extension(l, len(reps), CochainTriple.stack(l, reps))
+    derived = ext.total.derived().space._echelon  # M n K': its rows with a pivot in M's block
+    m_in_derived = Subspace(l.field, ext.total.dim, {p: row for p, row in derived.items() if p >= l.dim})
+    drop = m_in_derived.complement_in(ext.kernel.space).pivots
+    if not drop:
+        return ext
+    kept = [f for c, f in enumerate(reps, l.dim) if c not in drop]  # c: the rep's kernel coordinate
+    return build_central_extension(l, len(kept), CochainTriple.stack(l, kept))
 
 
 def cover_fingerprint(l: TriAlgebra, reps=None) -> tuple[int, int, int, int, int, int]:
@@ -270,9 +260,9 @@ def stem_center_image_check(l: TriAlgebra, trials: int = 5, seed: int = 0) -> St
 
     Even trials transform the canonical representatives by a random
     invertible matrix; odd trials additionally append a dependent cocycle
-    (a combination of representatives shifted by a coboundary) so the stem
-    reduction step has real work to do.  All trial images must agree with
-    one another and with Z*(L).
+    (a combination of representatives shifted by a coboundary), which stem
+    reduction drops: it keeps the cocycles whose kernel unit vectors are
+    not in the complement of M n K' in M.  All trial images must agree.
     """
     l.require_valid()
     rng = random.Random(seed)

@@ -13,9 +13,11 @@ from functools import reduce
 from itertools import product
 from math import lcm
 
-from trialg.algebra import IDENTITIES, OPS, TriAlgebra
+from trialg.algebra import IDENTITIES, OPS, AlgSubspace, TriAlgebra, quotient_algebra
+from trialg.cohomology import section_cocycle
+from trialg.extensions import CentralExtension
 from trialg.fields import PrimeField, RationalField
-from trialg.linalg import Subspace
+from trialg.linalg import Matrix, Subspace, solve_right
 
 
 def dense_algebra_dict(alg):
@@ -322,3 +324,23 @@ def dense_change_basis(a, rows):
     ``rows[i]``: new coordinates are old ones times the inverse."""
     to_new = list(zip(*dense_inverse(a.field, rows)))
     return dense_transport(a, rows, lambda x: dense_matvec(a.field, to_new, x), a.name)
+
+
+def quotient_stem_reduce(ext):
+    """Stem reduction of the central extension ``ext`` through the quotient
+    algebra: divide the total algebra by the pivot complement E of
+    (kernel n derived) in the kernel, carry the projection and the kernel
+    through the quotient, and read the cocycle off the section that solves
+    the projection with free variables zero.  ``ext`` itself when E is zero."""
+    total, base, kern = ext.total, ext.base, ext.kernel.space
+    e_space = kern.intersection(total.derived().space).complement_in(kern)
+    if e_space.dim == 0:
+        return ext
+    quot = quotient_algebra(total, e_space)
+    new_total = quot.algebra
+    proj = ext.projection @ quot.section
+    kernel_rows = (kern.basis @ quot.projection.transpose()).data
+    new_kernel = Subspace.from_rows(total.field, new_total.dim, kernel_rows)
+    section = solve_right(proj, Matrix.identity(base.field, base.dim))
+    cocycle = section_cocycle(new_total, base, proj, new_kernel, section)
+    return CentralExtension(new_total, base, AlgSubspace(new_total, new_kernel), proj, cocycle)

@@ -116,6 +116,9 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+LONG_INT = "9" * 5000  # past CPython's default limit of 4,300 digits
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -124,13 +127,25 @@ def test_missing_file_exit_2(capsys):
         ["gen", "random-ext", "--base", "abelian2", "-k", "0"],
         ["gen", "abelian", "-n", "2", "--field", "Fp:8"],
         ["table", "-n", "0"],
+        pytest.param(["gen", "abelian", "-n", LONG_INT], id="gen-n-long"),
+        pytest.param(["h2", "unused.json", "-k", LONG_INT], id="h2-k-long"),
+        pytest.param(["gen", "abelian", "-n", "2", "--seed", LONG_INT], id="gen-seed-long"),
+        pytest.param(["verify", "unused.json", "--seed", LONG_INT], id="verify-seed-long"),
+        pytest.param(["gen", "random-ext", "--base", "abelian" + LONG_INT], id="gen-base-long"),
     ],
 )
 def test_bad_arguments_exit_2(capsys, argv):
+    """Bad arguments exit 2 with argparse's message.  An over-long integer
+    is refused with the digit limit named, the argument cut to a short
+    prefix and no private function name."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error: argument" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: argument" in err
+    assert len(err.encode()) < 300 and "_base_arg" not in err
+    if any(LONG_INT in arg for arg in argv):
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in err
 
 
 def test_base_without_cocycles_exit_2(capsys):
@@ -288,11 +303,16 @@ def test_verify_refuses_both_ideal_specs(capsys, dim2_file):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", ["e", "e1e", "ex"])
+@pytest.mark.parametrize("token", ["e", "e1e", "ex", pytest.param("e" + LONG_INT, id="e-long")])
 def test_verify_names_a_malformed_basis_token(capsys, dim2_file, token):
     code, _, err = run(capsys, "verify", dim2_file, "--z", f"e2;{token}")
     assert code == 2
-    assert err == f"error: bad basis vector token {token!r}\n"
+    if token[1:] == LONG_INT:
+        limit = f"integer exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        assert err == f"error: bad basis vector token {token[:12]!r}...: {limit}\n"
+    else:
+        assert err == f"error: bad basis vector token {token!r}\n"
+    assert len(err.encode()) < 300
 
 
 def test_verify_all_central_builds_each_quotient_once_and_no_cover(capsys, monkeypatch, tmp_path):

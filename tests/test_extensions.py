@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from trialg.algebra import OPS, change_basis, quotient_algebra
 from trialg.cohomology import CochainTriple, NotACocycleError, h2, is_cohomologous
 from trialg.extensions import (
+    _cover_from_reps,
     build_central_extension,
     cover,
     cover_fingerprint,
@@ -24,8 +25,10 @@ from trialg.generators import (
     random_valid_algebra,
     unital_dim1,
 )
-from trialg.linalg import Subspace, inverse, random_invertible
+from trialg.linalg import Matrix, Subspace, inverse, random_combination, random_invertible
 from trialg.algebra import TriAlgebra
+
+from oracles import quotient_stem_reduce
 
 
 # ------------------------------------------------------------- building
@@ -232,6 +235,57 @@ def test_stem_center_image_random(random_corpus):
     for alg in random_corpus[:4]:
         report = stem_center_image_check(alg, trials=3, seed=4)
         assert report.all_stem and report.images_agree and report.equals_z_star
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2)], ids=lambda f: f.name)
+def test_stem_reduction_matches_the_quotient_oracle(field):
+    """``_cover_from_reps`` keeps the representatives whose kernel unit
+    vectors lie outside the complement of M n K'; dividing the extension by
+    that complement in the quotient algebra must give the same total
+    algebra, kernel, projection and cocycle.  Each list mixes the H^2
+    representatives by a random invertible matrix and inserts, at random
+    places, dependent cocycles: combinations shifted by coboundaries, pure
+    coboundaries and copies, so some lists drop an index other than the
+    last."""
+    rng = random.Random(19)
+    bases = [
+        abelian(2, field),
+        dim2_single_product(field),
+        unital_dim1(field),
+        cover_abelian(1, field),
+        random_extension(abelian(2, field), 1, seed=3).total,
+    ]
+    reduced = dropped_before_last = 0
+    for l in bases:
+        res = h2(l, 1)
+        rep_vectors = Matrix(field, [rep.vectorize() for rep in res.h2_reps], cols=3 * l.dim**2)
+        for _ in range(5):
+            vectors = random_invertible(rng, res.h2_dim, field) @ rep_vectors
+            reps = [CochainTriple.from_vector(l, 1, row) for row in vectors.data]
+            for _ in range(rng.randint(1, 2)):
+                kind = rng.randrange(3)
+                if kind == 2 and reps:
+                    extra = rng.choice(reps)
+                else:
+                    rows = res.b2.basis if kind == 1 else rep_vectors.vstack(res.b2.basis)
+                    combo = random_combination(rng, rows)
+                    if combo is None:
+                        continue
+                    extra = CochainTriple.from_vector(l, 1, combo.row(0))
+                reps.insert(rng.randint(0, len(reps)), extra)
+            ext = _cover_from_reps(l, reps)
+            ref = quotient_stem_reduce(build_central_extension(l, len(reps), CochainTriple.stack(l, reps)))
+            assert ext.total == ref.total
+            assert ext.kernel.space == ref.kernel.space
+            assert ext.projection == ref.projection
+            assert ext.cocycle == ref.cocycle
+            ext.validate()
+            ref.validate()
+            assert ext.is_stem() and ext.kernel_dim == res.h2_dim
+            if ext.kernel_dim < len(reps):
+                reduced += 1
+                dropped_before_last += ext.cocycle != CochainTriple.stack(l, reps[: ext.kernel_dim])
+    assert reduced and dropped_before_last
 
 
 # ------------------------------------------------- cocycle equivalence
