@@ -18,15 +18,17 @@ omitted), so parse(emit(x)) round-trips exactly.
 
 Both directions work from the nonzero coordinates.  ``algebra_to_dict``
 formats only the stored entries of each product over a list of ``"0"``;
-``emit`` writes the text of ``json.dumps(algebra_to_dict(a), indent=2)``
-directly, one product at a time; parsing skips a coordinate that is
-exactly ``"0"`` and hands every other value to ``field.parse``.
+``emit(a, out)`` writes the text of ``json.dumps(algebra_to_dict(a),
+indent=2)`` itself, one product at a time, to the text file ``out`` (or
+returns it when no destination is given), so writing a large cover never
+holds its whole document; parsing skips a coordinate that is exactly
+``"0"`` and hands every other value to ``field.parse``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, TextIO
 
 from .algebra import OPS, TriAlgebra
 from .fields import QQ, parse_field
@@ -120,23 +122,25 @@ def algebra_from_dict(doc: Any) -> TriAlgebra:
     return TriAlgebra(dim, field, products)
 
 
-def emit(a: TriAlgebra) -> str:
-    """``json.dumps(algebra_to_dict(a), indent=2) + "\\n"``, written
-    directly: the scalar strings need no escaping, so each value list is
-    one join."""
-    doc = algebra_to_dict(a)
-    head = f'{{\n  "field": {json.dumps(doc["field"])},\n  "dim": {doc["dim"]},\n  "products": '
-    if not doc["products"]:
-        return head + "[]\n}\n"
-    parts = [head + "[\n"]
-    for e in doc["products"]:
-        parts.append(
-            f'    {{\n      "op": "{e["op"]}",\n      "i": {e["i"]},\n      "j": {e["j"]},\n'
-            f'      "value": [\n        "{_VALUE_SEP.join(e["value"])}"\n      ]\n    }}'
-        )
-        parts.append(",\n")
-    parts[-1] = "\n  ]\n}\n"
-    return "".join(parts)
+def emit(a: TriAlgebra, out: TextIO | None = None) -> str | None:
+    """``json.dumps(algebra_to_dict(a), indent=2) + "\\n"``, formatted one
+    product at a time from ``a.products``: the scalar strings need no
+    escaping, so each value list is one join.  Each product's text is
+    written to ``out`` as soon as it is formatted, so the whole document is
+    never held; without ``out`` the text is returned."""
+    parts: list[str] = []
+    write = parts.append if out is None else out.write
+    write(f'{{\n  "field": {json.dumps(a.field.name)},\n  "dim": {a.dim},\n  "products": [')
+    sep = "\n"
+    for op in OPS:
+        table = a.products[op]
+        for (i, j) in sorted(table):
+            value = _VALUE_SEP.join(scalar_strings(a.field, a.dim, table[(i, j)]))
+            write(f'{sep}    {{\n      "op": "{op}",\n      "i": {i},\n      "j": {j},\n'
+                  f'      "value": [\n        "{value}"\n      ]\n    }}')
+            sep = ",\n"
+    write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
+    return "".join(parts) if out is None else None
 
 
 def parse(text: str | bytes) -> TriAlgebra:
@@ -160,4 +164,4 @@ def load(path: str) -> TriAlgebra:
 
 def save(path: str, a: TriAlgebra) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(emit(a))
+        emit(a, fh)

@@ -4,13 +4,16 @@ Commands: validate, invariants, h2, multiplier, cover, zstar, unicentral,
 verify, gen, table.  Reports go to standard output as stable ``key = value``
 lines; ``--json`` emits the same content as one JSON object.  Exit codes:
 0 pass, 1 identity/theorem-check failure, 2 input error, 3 internal error
-(any other exception: a bug, reported with its traceback on stderr).
+(any other exception: a bug, reported with its traceback on stderr), 141
+standard output closed before the command finished writing (``| head``;
+nothing is printed, as for a tool that SIGPIPE ended).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -34,6 +37,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a tool that SIGPIPE ended
 
 # Exceptions that report bad input rather than a bug.
 _INPUT_ERRORS = (
@@ -168,10 +172,9 @@ def cmd_cover(args) -> int:
     alg = _read_algebra(args.path)
     result = extensions.cover(alg)
     ext = result.extension
-    document = algfile.emit(ext.total)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(document)
+            algfile.emit(ext.total, fh)
         out = _Report()
         out.add("multiplier_dim", result.multiplier_dim)
         out.add("cover_dim", ext.total.dim)
@@ -182,7 +185,7 @@ def cmd_cover(args) -> int:
         out.add("output", args.output)
         out.print(args.json)
     else:
-        sys.stdout.write(document)
+        algfile.emit(ext.total, sys.stdout)
     return EXIT_OK
 
 
@@ -274,12 +277,11 @@ def cmd_gen(args) -> int:
         else:
             base = _read_algebra(args.base)
         alg = generators.random_extension(base, args.k, args.seed).total
-    document = algfile.emit(alg)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(document)
+            algfile.emit(alg, fh)
     else:
-        sys.stdout.write(document)
+        algfile.emit(alg, sys.stdout)
     return EXIT_OK
 
 
@@ -395,7 +397,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone: send what is still buffered to devnull, so the
+        # flush at exit reports nothing (the recipe of Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _INPUT_ERRORS as exc:
         return _fail_input(str(exc))
     except InvalidAlgebraError as exc:

@@ -1,5 +1,7 @@
+import io
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -117,12 +119,14 @@ def valid_algebras(draw):
 
 
 def test_emit_is_the_json_encoders_text():
-    """``emit`` writes the bytes of ``json.dumps(..., indent=2)`` itself."""
+    """``emit`` writes the bytes of ``json.dumps(..., indent=2)`` itself,
+    the same whether it returns them or writes them to a file."""
     negative = TriAlgebra(3, QQ, {VDASH: {(0, 1): {2: QQ.parse("-2/3")}, (1, 1): {0: -5, 2: 7}},
                                   DASHV: {(2, 0): {1: QQ.parse("12/35")}}})
     algebras = [
         TriAlgebra(0, QQ),
         TriAlgebra(2, QQ),
+        abelian(3, GF(7)),
         negative,
         dim2_single_product(GF(7)),
         cover_abelian(1, GF(7)),
@@ -132,9 +136,35 @@ def test_emit_is_the_json_encoders_text():
     ]
     for alg in algebras:
         assert algebra_to_dict(alg) == dense_algebra_dict(alg)
-        assert emit(alg) == json_emit(alg)
+        text = emit(alg)
+        assert text == json_emit(alg)
+        buf = io.StringIO()
+        assert emit(alg, buf) is None and buf.getvalue() == text
     assert '"products": []' in emit(TriAlgebra(2, QQ))
     assert '"-2/3"' in emit(negative) and '"12/35"' in emit(negative)
+
+
+def test_emit_to_a_file_never_holds_the_document():
+    """Written to a destination, ``emit`` keeps one product's text at a
+    time: its traced peak is a small fraction of the document."""
+    alg = cover(cover_abelian(2, GF(7))).extension.total
+    size = len(emit(alg))
+
+    class ByteCount:
+        written = 0
+
+        def write(self, text):
+            self.written += len(text)
+
+    sink = ByteCount()
+    tracemalloc.start()
+    try:
+        emit(alg, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written == size
+    assert peak < size / 10
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from trialg.algfile import emit, parse
 from trialg.cli import main
+from trialg.fields import GF
 from trialg.generators import abelian, cover_abelian, dim2_single_product
 
 
@@ -240,6 +244,60 @@ def test_cover_to_stdout_is_parseable(capsys, dim2_file):
     code, out, _ = run(capsys, "cover", dim2_file)
     assert code == 0
     assert parse(out).dim == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "dim2"],
+    ["cover", "a3_f7"],
+    ["gen", "cover-abelian", "-n", "2", "--field", "Fp:7"],
+    ["gen", "random-ext", "--base", "abelian3", "-k", "2", "--seed", "5"],
+])
+def test_stdout_and_output_file_are_the_same_bytes(capsys, tmp_path, dim2_file, argv):
+    a3_f7 = tmp_path / "a3_f7.json"
+    a3_f7.write_text(emit(abelian(3, GF(7))))
+    argv = [{"dim2": dim2_file, "a3_f7": str(a3_f7)}.get(arg, arg) for arg in argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    written = tmp_path / "out.json"
+    code, _, _ = run(capsys, *argv, "-o", str(written))
+    assert code == 0
+    assert written.read_bytes() == out.encode("utf-8")
+
+
+def _read_100_bytes_then_close(argv):
+    """Run ``trialg <argv>`` with stdout on a one-page pipe, read 100 bytes
+    and close the pipe while the command is still writing."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe size cannot be set on this platform")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)  # far less than the output
+    proc = subprocess.Popen([sys.executable, "-c", "import sys, trialg.cli; sys.exit(trialg.cli.main())", *argv],
+                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    head = b""
+    while len(head) < 100:
+        chunk = os.read(read_end, 100 - len(head))
+        if not chunk:
+            break
+        head += chunk
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    return proc.returncode, head, err
+
+
+@pytest.mark.parametrize("command", ["gen", "cover"])
+def test_closed_stdout_exits_141_quietly(tmp_path, command):
+    argv = ["gen", "cover-abelian", "-n", "3", "--field", "Fp:7"]
+    if command == "cover":
+        path = tmp_path / "a3_f7.json"
+        path.write_text(emit(abelian(3, GF(7))))
+        argv = ["cover", str(path)]
+    code, head, err = _read_100_bytes_then_close(argv)
+    assert len(head) == 100 and head.startswith(b'{\n  "field": "Fp:7",\n  "dim": 30,')
+    assert (code, err) == (141, b"")
 
 
 # --------------------------------------------------- zstar / unicentral
@@ -520,7 +578,6 @@ def test_vector_lines_match_the_dense_views(capsys, tmp_path):
 
     from trialg.algebra import change_basis
     from trialg.extensions import cover, z_star
-    from trialg.fields import GF
     from trialg.generators import random_extension
     from trialg.linalg import random_invertible
 
