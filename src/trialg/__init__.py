@@ -33,7 +33,7 @@ _EXPORTS = {
     "algfile": ("AlgebraFileError", "emit", "load", "parse", "save"),
     "cohomology": (
         "CochainTriple", "CohomologyResult", "NotACocycleError", "NotASectionError",
-        "b2_space", "cocycle_defects", "h2", "is_cohomologous", "section_cocycle", "z2_space",
+        "b2_space", "cocycle_defects", "h2", "section_cocycle", "z2_space",
     ),
     "extensions": (
         "CentralExtension", "CoverResult", "StemImageReport", "build_central_extension",
@@ -42,8 +42,7 @@ _EXPORTS = {
     ),
     "fields": ("GF", "QQ", "FieldMismatchError", "PrimeField", "RationalField", "parse_field"),
     "generators": (
-        "abelian", "cover_abelian", "dim2_single_product", "random_extension",
-        "random_valid_algebra", "unital_dim1",
+        "abelian", "cover_abelian", "dim2_single_product", "random_extension", "unital_dim1",
     ),
     "linalg": (
         "ContainmentError", "Matrix", "Subspace", "inverse", "kernel", "rank", "rref",

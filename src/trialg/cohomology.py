@@ -28,7 +28,10 @@ operation ("vdash", "dashv", "perp"), then the basis pair (i, j)
 row-major, then the coefficient coordinate, so (op o, i, j, t) sits at
 ((o n + i) n + j) k + t.  Its per-operation forms are a view decoded from
 that row, and the pull-back ``_pullback`` evaluates cochain rows at pairs
-of vectors as one product with a matrix in this layout.  The constraint
+of vectors as one product with a matrix in this layout; it is the only
+evaluation of a cochain at vectors (the dense one it is tested against is
+a test oracle).  Two cocycles f, g are cohomologous exactly when
+``b2_space(b, k).contains_vector(f.sub(g).vectorize())``.  The constraint
 system splits per coefficient coordinate, so the k > 1 spaces are the
 k-fold coordinate expansions of the k = 1 spaces; canonicity of RREF
 bases makes that expansion exact, not a convention.
@@ -54,24 +57,20 @@ __all__ = [
     "h2",
     "CohomologyResult",
     "section_cocycle",
-    "is_cohomologous",
 ]
 
 
 class NotACocycleError(ValueError):
     """Raised when a triple violates the cocycle constraints.
 
-    Carries the violated identity indices so callers can match them against
-    an axiom report of the corresponding raw extension.
+    Carries the violations, whose identity indices callers can match
+    against an axiom report of the corresponding raw extension.
     """
 
     def __init__(self, violations):
         self.violations = tuple(violations)
         axioms = sorted({v.axiom for v in self.violations})
         super().__init__(f"triple violates cocycle constraint families {axioms}")
-
-    def violated_axioms(self):
-        return tuple(sorted({v.axiom for v in self.violations}))
 
 
 class NotASectionError(ValueError):
@@ -184,30 +183,6 @@ class CochainTriple:
                 for op, table in self._decode().items()
             }
         return self._forms
-
-    def entry(self, op: str, i: int, j: int) -> tuple:
-        val = self.forms[op].get((i, j))
-        if val is None:
-            return (self.base.field.zero,) * self.coeff_dim
-        return val
-
-    def evaluate(self, x: Sequence, y: Sequence, op: str) -> tuple:
-        """Bilinear extension: value of the ``op`` form at (x, y)."""
-        f = self.base.field
-        add, mul = f.add, f.mul
-        acc = [f.zero] * self.coeff_dim
-        for (i, j), val in self.forms[op].items():
-            xi = x[i]
-            if not xi:
-                continue
-            yj = y[j]
-            if not yj:
-                continue
-            c = mul(xi, yj)
-            for t, v in enumerate(val):
-                if v:
-                    acc[t] = add(acc[t], mul(c, v))
-        return tuple(acc)
 
     def vectorize(self) -> tuple:
         return self._row.row(0)
@@ -430,10 +405,3 @@ def _section_coordinates(
         raise NotASectionError(
             "section defect escapes the kernel; extension is not central over this kernel"
         ) from None
-
-
-def is_cohomologous(f: CochainTriple, g: CochainTriple) -> bool:
-    """True when f - g is a coboundary (same base, same coefficients)."""
-    if f.base != g.base or f.coeff_dim != g.coeff_dim:
-        raise ValueError("cochains live on different bases")
-    return b2_space(f.base, f.coeff_dim).contains(Subspace._span(f.sub(g)._row))

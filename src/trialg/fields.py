@@ -97,9 +97,6 @@ class RationalField(Field):
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
@@ -156,9 +153,6 @@ class PrimeField(Field):
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def inv(self, a):
         if a % self.p == 0:

@@ -2,7 +2,9 @@
 
 The cover of the n-dimensional abelian algebra is built directly here
 (every basis product hits its own kernel generator), which doubles as an
-independent cross-check of the cohomological cover construction.
+independent cross-check of the cohomological cover construction.  The
+seeded random central extensions start from ``random_cocycles``; the
+tests build their random valid algebras from it too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "unital_dim1",
     "random_cocycles",
     "random_extension",
-    "random_valid_algebra",
     "NoCocyclesError",
 ]
 
@@ -81,26 +82,3 @@ def random_extension(base: TriAlgebra, k: int, seed: int) -> CentralExtension:
     cocycles = random_cocycles(base, k, rng)
     stacked = CochainTriple.stack(base, cocycles)
     return build_central_extension(base, k, stacked)
-
-
-def random_valid_algebra(rng: random.Random, field: Field = QQ, max_dim: int = 6) -> TriAlgebra:
-    """A validated algebra of dimension <= max_dim: a random base from the
-    corpus, extended by random cocycle layers while room remains."""
-    builders = [
-        lambda: abelian(rng.randint(1, 3), field),
-        lambda: dim2_single_product(field),
-        lambda: unital_dim1(field),
-    ]
-    alg = rng.choice(builders)()
-    for _ in range(rng.randint(0, 2)):
-        room = max_dim - alg.dim
-        if room < 1:
-            break
-        k = rng.randint(1, min(2, room))
-        try:
-            cocycles = random_cocycles(alg, k, rng)
-        except NoCocyclesError:
-            break
-        stacked = CochainTriple.stack(alg, cocycles)
-        alg = build_central_extension(alg, k, stacked).total
-    return alg

@@ -7,13 +7,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from trialg.fields import QQ
-from trialg.generators import (
-    abelian,
-    cover_abelian,
-    dim2_single_product,
-    random_valid_algebra,
-    unital_dim1,
-)
+from trialg.generators import abelian, cover_abelian, dim2_single_product, unital_dim1
+
+from oracles import random_valid_algebra
 
 
 @pytest.fixture

@@ -5,6 +5,14 @@ code paths: ranks come from fraction-free integer elimination (or plain
 modular elimination over a prime field), identity defects from direct
 evaluation of both sides of each identity via ``multiply``, and cocycle
 constraints from a dense all-triples assembly.
+
+The dense products of an algebra (``product_vector``, ``multiply``,
+``tensor`` and its inverse ``from_tensors``), the value of a cochain at two dense
+vectors (``evaluate``) and the central-extension check
+``check_extension`` work on dense vectors and these oracles only, so they
+too stay independent of the package's sparse elimination.
+``random_valid_algebra`` draws the random corpus of the property tests
+from the package's public constructors.
 """
 
 import json
@@ -14,17 +22,105 @@ from itertools import product
 from math import lcm
 
 from trialg.algebra import IDENTITIES, OPS, AlgSubspace, TriAlgebra, quotient_algebra
-from trialg.cohomology import section_cocycle
-from trialg.extensions import CentralExtension
-from trialg.fields import PrimeField, RationalField
+from trialg.cohomology import CochainTriple, section_cocycle
+from trialg.extensions import CentralExtension, build_central_extension
+from trialg.fields import QQ, PrimeField, RationalField
+from trialg.generators import NoCocyclesError, abelian, dim2_single_product, random_cocycles, unital_dim1
 from trialg.linalg import Matrix, Subspace, solve_right
+
+
+def product_vector(alg, op, i, j):
+    """Dense coordinate vector of e_i op e_j."""
+    vec = alg.products[op].get((i, j), {})
+    return tuple(vec.get(k, alg.field.zero) for k in range(alg.dim))
+
+
+def multiply(alg, x, y, op):
+    """Bilinear extension of the ``op`` table to the dense vectors x, y."""
+    f = alg.field
+    out = [f.zero] * alg.dim
+    for (i, j), vec in alg.products[op].items():
+        c = f.mul(x[i], y[j])
+        if c:
+            for k, v in vec.items():
+                out[k] = f.add(out[k], f.mul(c, v))
+    return tuple(out)
+
+
+def tensor(alg, op):
+    """Dense n x n x n tensor of one operation."""
+    return tuple(tuple(product_vector(alg, op, i, j) for j in range(alg.dim)) for i in range(alg.dim))
+
+
+def from_tensors(field, tensors, name=None):
+    """The algebra of dense n x n x n coordinate tensors, one per operation."""
+    n = len(next(iter(tensors.values())))
+    products = {op: {(i, j): vec for i, plane in enumerate(t) for j, vec in enumerate(plane)}
+                for op, t in tensors.items()}
+    return TriAlgebra(n, field, products, name=name)
+
+
+def evaluate(cochain, x, y, op):
+    """Value of the ``op`` form of ``cochain`` at the dense vectors (x, y)."""
+    f = cochain.base.field
+    acc = [f.zero] * cochain.coeff_dim
+    for (i, j), val in cochain.forms[op].items():
+        c = f.mul(x[i], y[j])
+        if c:
+            acc = [f.add(a, f.mul(c, v)) for a, v in zip(acc, val)]
+    return tuple(acc)
+
+
+def check_extension(ext):
+    """Assert that ``ext`` is a central extension: its kernel is central in
+    the total algebra, and the projection P is a surjective algebra
+    homomorphism with that kernel as its null space."""
+    total, base, field = ext.total, ext.base, ext.total.field
+    units = [unit_vector(field, total.dim, i) for i in range(total.dim)]
+    for z in ext.kernel.space.basis_rows():
+        for op in OPS:
+            for e in units:
+                assert not any(multiply(total, z, e, op)) and not any(multiply(total, e, z, op)), \
+                    "kernel is not central in the total algebra"
+    proj = ext.projection.data
+    assert oracle_rank(field, proj) == base.dim, "projection is not surjective"
+    assert dense_kernel(field, proj, total.dim)[0] == ext.kernel.space.basis_rows(), \
+        "projection kernel differs from the stored kernel"
+    images = list(zip(*proj))  # images[i]: P e_i
+    for op in OPS:
+        for i, j in product(range(total.dim), repeat=2):
+            image = dense_matvec(field, proj, product_vector(total, op, i, j))
+            assert image == multiply(base, images[i], images[j], op), "projection is not an algebra homomorphism"
+
+
+def random_valid_algebra(rng, field=QQ, max_dim=6):
+    """A validated algebra of dimension <= max_dim: a random base from the
+    corpus, extended by random cocycle layers while room remains."""
+    builders = [
+        lambda: abelian(rng.randint(1, 3), field),
+        lambda: dim2_single_product(field),
+        lambda: unital_dim1(field),
+    ]
+    alg = rng.choice(builders)()
+    for _ in range(rng.randint(0, 2)):
+        room = max_dim - alg.dim
+        if room < 1:
+            break
+        k = rng.randint(1, min(2, room))
+        try:
+            cocycles = random_cocycles(alg, k, rng)
+        except NoCocyclesError:
+            break
+        stacked = CochainTriple.stack(alg, cocycles)
+        alg = build_central_extension(alg, k, stacked).total
+    return alg
 
 
 def dense_algebra_dict(alg):
     """The algebra-file document, every coordinate formatted from the
     dense product vector."""
     entries = [
-        {"op": op, "i": i, "j": j, "value": [alg.field.to_str(x) for x in alg.product(op, i, j)]}
+        {"op": op, "i": i, "j": j, "value": [alg.field.to_str(x) for x in product_vector(alg, op, i, j)]}
         for op in OPS
         for (i, j) in sorted(alg.products[op])
     ]
@@ -121,8 +217,8 @@ def direct_identity_defects(alg):
     bad = []
     for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
         for i, j, l in product(range(n), repeat=3):  # noqa: E741
-            lhs = alg.multiply(alg.multiply(basis[i], basis[j], op_a), basis[l], op_b)
-            rhs = alg.multiply(basis[i], alg.multiply(basis[j], basis[l], op_d), op_c)
+            lhs = multiply(alg, multiply(alg, basis[i], basis[j], op_a), basis[l], op_b)
+            rhs = multiply(alg, basis[i], multiply(alg, basis[j], basis[l], op_d), op_c)
             if lhs != rhs:
                 bad.append((idx, (i, j, l), tuple(alg.field.sub(a, b) for a, b in zip(lhs, rhs))))
     return bad
@@ -153,8 +249,8 @@ def _labelled_cocycle_rows(base, k):
     for idx, (op_a, op_b, op_c, op_d) in enumerate(IDENTITIES, start=1):
         ob, oc = OPS.index(op_b), OPS.index(op_c)
         for i, j, l in product(range(n), repeat=3):  # noqa: E741
-            ca = base.product(op_a, i, j)
-            cd = base.product(op_d, j, l)
+            ca = product_vector(base, op_a, i, j)
+            cd = product_vector(base, op_d, j, l)
             if not any(ca) and not any(cd):
                 continue
             for t in range(k):
@@ -180,8 +276,8 @@ def dense_center_rows(alg):
     for op in OPS:
         for j in range(n):
             for k in range(n):
-                rows.append([alg.product(op, i, j)[k] for i in range(n)])
-                rows.append([alg.product(op, j, i)[k] for i in range(n)])
+                rows.append([product_vector(alg, op, i, j)[k] for i in range(n)])
+                rows.append([product_vector(alg, op, j, i)[k] for i in range(n)])
     return rows
 
 
@@ -238,7 +334,7 @@ def dense_kernel(field, rows, ncols):
         v = [field.zero] * ncols
         v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(red[r][fc])
+            v[pc] = field.sub(field.zero, red[r][fc])
         basis.append(v)
     return dense_span(field, basis, ncols)
 
@@ -286,13 +382,13 @@ def dense_inverse(field, rows):
 
 # Subspace products, quotients and changes of basis as the package built
 # them before it moved to the sparse product tables: dense vectors
-# multiplied through ``TriAlgebra.multiply``.
+# multiplied through ``multiply``.
 
 
 def dense_product_subspace(s, t):
     """Span of every ``u op v`` for u, v dense basis rows of ``s`` and ``t``."""
     a = s.parent
-    rows = [a.multiply(u, v, op) for u in s.space.basis_rows() for v in t.space.basis_rows() for op in OPS]
+    rows = [multiply(a, u, v, op) for u in s.space.basis_rows() for v in t.space.basis_rows() for op in OPS]
     return Subspace.from_rows(a.field, a.dim, rows)
 
 
@@ -301,7 +397,7 @@ def dense_transport(a, rows, to_coords, name=None):
     ``rows[r]`` of ``a``: e_r op e_s has the coordinates
     ``to_coords(rows[r] op rows[s])``."""
     products = {
-        op: {(r, s): to_coords(a.multiply(u, v, op)) for r, u in enumerate(rows) for s, v in enumerate(rows)}
+        op: {(r, s): to_coords(multiply(a, u, v, op)) for r, u in enumerate(rows) for s, v in enumerate(rows)}
         for op in OPS
     }
     return TriAlgebra(len(rows), a.field, products, name=name)

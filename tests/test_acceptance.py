@@ -23,12 +23,7 @@ from trialg.extensions import (
     z_star,
 )
 from trialg.fields import GF, QQ
-from trialg.generators import (
-    abelian,
-    cover_abelian,
-    dim2_single_product,
-    random_valid_algebra,
-)
+from trialg.generators import abelian, cover_abelian, dim2_single_product
 from trialg.linalg import Subspace
 from trialg.sequences import (
     tra_image_check,
@@ -36,6 +31,8 @@ from trialg.sequences import (
     verify_five_term,
     verify_inf_delta,
 )
+
+from oracles import random_valid_algebra
 
 
 def _random_cochain(base, rng, density=0.5):

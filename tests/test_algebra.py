@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from trialg.algebra import (
+    AlgSubspace,
     DASHV,
     IDENTITIES,
     MalformedAlgebraError,
@@ -27,7 +28,6 @@ from trialg.generators import (
     abelian,
     dim2_single_product,
     random_extension,
-    random_valid_algebra,
     unital_dim1,
 )
 from trialg.linalg import Subspace, random_invertible
@@ -37,6 +37,10 @@ from oracles import (
     dense_product_subspace,
     dense_quotient_algebra,
     direct_identity_defects,
+    from_tensors,
+    multiply,
+    random_valid_algebra,
+    tensor,
     unit_vector,
 )
 
@@ -66,7 +70,7 @@ def test_single_vdash_product_fails_axiom_1():
     a = TriAlgebra(2, QQ, {VDASH: {(0, 1): {0: 1}}})
     report = a.axiom_report()
     assert not report.ok
-    assert 1 in report.violated_axioms()
+    assert 1 in {v.axiom for v in report.violations}
     v = next(v for v in report.violations if v.axiom == 1)
     assert v.triple == (0, 1, 1)
     assert v.defect == (Fraction(1), Fraction(0))
@@ -138,8 +142,8 @@ def test_malformed_rejected():
 
 
 def test_from_tensors_roundtrip(dim2):
-    tensors = {op: dim2.tensor(op) for op in OPS}
-    rebuilt = TriAlgebra.from_tensors(QQ, tensors)
+    tensors = {op: tensor(dim2, op) for op in OPS}
+    rebuilt = from_tensors(QQ, tensors)
     assert rebuilt == dim2
 
 
@@ -150,14 +154,14 @@ def test_multiply_abelian_is_zero():
     a = abelian(3)
     x = (Fraction(1), Fraction(2), Fraction(3))
     for op in OPS:
-        assert a.multiply(x, x, op) == (Fraction(0),) * 3
+        assert multiply(a, x, x, op) == (Fraction(0),) * 3
 
 
 def test_multiply_example_cover(example_cover_1):
     x = unit_vector(QQ, 4, 0)
-    assert example_cover_1.multiply(x, x, VDASH) == unit_vector(QQ, 4, 1)
-    assert example_cover_1.multiply(x, x, DASHV) == unit_vector(QQ, 4, 2)
-    assert example_cover_1.multiply(x, x, PERP) == unit_vector(QQ, 4, 3)
+    assert multiply(example_cover_1, x, x, VDASH) == unit_vector(QQ, 4, 1)
+    assert multiply(example_cover_1, x, x, DASHV) == unit_vector(QQ, 4, 2)
+    assert multiply(example_cover_1, x, x, PERP) == unit_vector(QQ, 4, 3)
 
 
 def test_multiply_bilinear(dim2):
@@ -168,13 +172,13 @@ def test_multiply_bilinear(dim2):
     for op in OPS:
         two_x = tuple(f.mul(Fraction(2), c) for c in x)
         y_plus_z = tuple(f.add(a, b) for a, b in zip(y, z))
-        left = dim2.multiply(two_x, y_plus_z, op)
+        left = multiply(dim2, two_x, y_plus_z, op)
         right = tuple(
             f.add(
                 f.mul(Fraction(2), a),
                 f.mul(Fraction(2), b),
             )
-            for a, b in zip(dim2.multiply(x, y, op), dim2.multiply(x, z, op))
+            for a, b in zip(multiply(dim2, x, y, op), multiply(dim2, x, z, op))
         )
         assert left == right
 
@@ -183,7 +187,7 @@ def test_multiply_bilinear(dim2):
 
 
 def test_product_subspace_examples(dim2, example_cover_1):
-    zero = dim2.zero_subspace()
+    zero = AlgSubspace(dim2, Subspace.zero(QQ, 2))
     assert product_subspace(zero, dim2.full_subspace()).dim == 0
 
     full_k = example_cover_1.full_subspace()
@@ -201,7 +205,7 @@ def test_derived_enumeration_oracle(dim2):
         for i in range(2):
             for j in range(2):
                 rows.append(
-                    dim2.multiply(unit_vector(QQ, 2, i), unit_vector(QQ, 2, j), op)
+                    multiply(dim2, unit_vector(QQ, 2, i), unit_vector(QQ, 2, j), op)
                 )
     assert dim2.derived().space == Subspace.from_rows(QQ, 2, rows)
 
@@ -223,8 +227,8 @@ def test_derived_in_kernel_for_central_extension_of_abelian():
 
 
 def test_is_ideal(dim2, small_corpus):
-    assert is_ideal(dim2.subspace([[0, 1]]))
-    assert not is_ideal(dim2.subspace([[1, 0]]))
+    assert is_ideal(AlgSubspace(dim2, Subspace.from_rows(QQ, 2, [[0, 1]])))
+    assert not is_ideal(AlgSubspace(dim2, Subspace.from_rows(QQ, 2, [[1, 0]])))
     for alg in small_corpus:
         assert is_ideal(alg.center())
         assert is_ideal(alg.derived())
@@ -242,8 +246,8 @@ def test_product_subspace_monotone(random_corpus):
     for alg in random_corpus[:6]:
         n = alg.dim
         rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(2)]
-        small = alg.subspace(rows[:1])
-        big = alg.subspace(rows)
+        small = AlgSubspace(alg, Subspace.from_rows(QQ, n, rows[:1]))
+        big = AlgSubspace(alg, Subspace.from_rows(QQ, n, rows))
         lhs = product_subspace(small, small)
         rhs = product_subspace(big, big)
         assert rhs.space.contains(lhs.space)
@@ -253,7 +257,7 @@ def test_product_subspace_monotone(random_corpus):
 
 
 def test_quotient_example_cover_by_kernel(example_cover_1):
-    ideal = example_cover_1.subspace([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    ideal = AlgSubspace(example_cover_1, Subspace.from_rows(QQ, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
     quot = quotient_algebra(example_cover_1, ideal)
     assert quot.algebra.dim == 1
     assert all(not quot.algebra.products[op] for op in OPS)
@@ -261,7 +265,7 @@ def test_quotient_example_cover_by_kernel(example_cover_1):
 
 
 def test_quotient_by_zero_ideal_is_same_algebra(dim2):
-    quot = quotient_algebra(dim2, dim2.zero_subspace())
+    quot = quotient_algebra(dim2, Subspace.zero(QQ, 2))
     assert quot.algebra == dim2
 
 
@@ -273,7 +277,7 @@ def test_quotient_dim2_by_derived(dim2):
 
 def test_quotient_requires_ideal(dim2):
     with pytest.raises(NotAnIdealError):
-        quotient_algebra(dim2, dim2.subspace([[1, 0]]))
+        quotient_algebra(dim2, Subspace.from_rows(QQ, 2, [[1, 0]]))
 
 
 def test_quotient_projection_section_consistency(random_corpus):
@@ -326,7 +330,7 @@ def test_bounds_tight_on_example_cover(example_cover_1):
     assert rep.central_quotient_dim == 1
     assert rep.derived_dim == 3 == rep.derived_bound
     assert rep.ok
-    kernel = example_cover_1.subspace([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    kernel = AlgSubspace(example_cover_1, Subspace.from_rows(QQ, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
     rep2 = check_dim_bounds(example_cover_1, pair_kernel=kernel)
     assert rep2.pair_base_dim == 1
     assert rep2.total_bound == 4 == example_cover_1.dim
@@ -364,8 +368,8 @@ def _associativity_defects(alg, op):
     for i in range(n):
         for j in range(n):
             for l in range(n):  # noqa: E741
-                lhs = alg.multiply(alg.multiply(basis[i], basis[j], op), basis[l], op)
-                rhs = alg.multiply(basis[i], alg.multiply(basis[j], basis[l], op), op)
+                lhs = multiply(alg, multiply(alg, basis[i], basis[j], op), basis[l], op)
+                rhs = multiply(alg, basis[i], multiply(alg, basis[j], basis[l], op), op)
                 if lhs != rhs:
                     bad.append((i, j, l))
     return bad
@@ -421,8 +425,9 @@ def test_products_quotients_and_rebasing_match_the_dense_constructions(field):
     covers = [cover(a).extension.total for a in (abelian(1, field), dim2_single_product(field))]
     quotients = 0
     for a in valid + rebased + covers:
-        line = a.subspace([[field.coerce(rng.randint(-2, 2)) for _ in range(a.dim)]])
-        spaces = [a.full_subspace(), a.zero_subspace(), a.derived(), a.center(), line]
+        row = [field.coerce(rng.randint(-2, 2)) for _ in range(a.dim)]
+        line = AlgSubspace(a, Subspace.from_rows(field, a.dim, [row]))
+        spaces = [a.full_subspace(), AlgSubspace(a, Subspace.zero(field, a.dim)), a.derived(), a.center(), line]
         for s in spaces:
             for t in spaces:
                 got, ref = product_subspace(s, t).space, dense_product_subspace(s, t)

@@ -11,10 +11,10 @@ from trialg.algebra import DASHV, TriAlgebra, VDASH, change_basis
 from trialg.algfile import AlgebraFileError, algebra_to_dict, emit, parse
 from trialg.extensions import cover
 from trialg.fields import GF, QQ
-from trialg.generators import abelian, cover_abelian, dim2_single_product, random_valid_algebra
+from trialg.generators import abelian, cover_abelian, dim2_single_product
 from trialg.linalg import random_invertible
 
-from oracles import dense_algebra_dict, json_emit
+from oracles import dense_algebra_dict, json_emit, random_valid_algebra
 
 
 def test_roundtrip_on_generated_files(dim2, example_cover_1):

@@ -6,9 +6,11 @@ executed on first attribute access.  Which of them a command executes is
 observed in a fresh interpreter, since this one has already run them all.
 """
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,7 +96,7 @@ def test_commands_execute_the_modules_they_use(tmp_path):
     ]
 
 
-# Every name trialg exported when its __init__ imported all of its modules.
+# Every name trialg exports, by the module that defines it.
 PUBLIC = {
     "algebra": [
         "AlgSubspace", "AxiomReport", "AxiomViolation", "DASHV", "IDENTITIES",
@@ -106,7 +108,7 @@ PUBLIC = {
     "algfile": ["AlgebraFileError", "emit", "load", "parse", "save"],
     "cohomology": [
         "CochainTriple", "CohomologyResult", "NotACocycleError", "NotASectionError",
-        "b2_space", "cocycle_defects", "h2", "is_cohomologous", "section_cocycle", "z2_space",
+        "b2_space", "cocycle_defects", "h2", "section_cocycle", "z2_space",
     ],
     "extensions": [
         "CentralExtension", "CoverResult", "StemImageReport", "build_central_extension",
@@ -115,8 +117,7 @@ PUBLIC = {
     ],
     "fields": ["GF", "QQ", "FieldMismatchError", "PrimeField", "RationalField", "parse_field"],
     "generators": [
-        "abelian", "cover_abelian", "dim2_single_product", "random_extension",
-        "random_valid_algebra", "unital_dim1",
+        "abelian", "cover_abelian", "dim2_single_product", "random_extension", "unital_dim1",
     ],
     "linalg": [
         "ContainmentError", "Matrix", "Subspace", "inverse", "kernel", "rank", "rref",
@@ -153,3 +154,46 @@ def test_exceptions_keep_their_public_homes():
     assert trialg.sequences.NotCentralIdealError is trialg.NotCentralIdealError
     assert issubclass(trialg.generators.NoCocyclesError, ValueError)
     assert trialg.sequences.verify_five_term is trialg.verify_five_term
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Functions and methods that neither the package nor the benchmark calls
+# and README.md does not name, each with the reason it stays.
+KEEP = {
+    "_make": "NamedTuple hook: AlgSubspace._replace calls it",
+    "cover_fingerprint": "ROADMAP item 7: criterion 7's pre-filter until an isomorphism certificate replaces it",
+    "stem_center_image_check": "the paper's center-image criterion, run by the acceptance suite",
+    "delta_map": "one accessor API with inf1, res, tra and inf2",
+    # Test-only, but linalg.py keeps its size: without these two the module
+    # compiles into a heap that leaves h2's peak RSS 0.3 MB higher.
+    "matvec": "linalg.py's size holds peak_rss_mb (CHANGES.md)",
+    "coordinates": "linalg.py's size holds peak_rss_mb (CHANGES.md)",
+}
+
+
+def test_every_function_has_a_caller_or_a_reason():
+    """Each function or method of ``src/trialg`` (dunders aside) is used as
+    code in the package or in ``perfbench/``, written in backticks in
+    README.md, or listed in KEEP: helpers only the tests call live in the
+    tests."""
+    package = sorted((ROOT / "src" / "trialg").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in package}
+    used = set()
+    for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py"))]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    readme = {name for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+              for name in re.findall(r"[A-Za-z_]\w*", span)}
+    uncalled = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used and node.name not in readme and node.name not in KEEP
+    ]
+    assert not uncalled, uncalled
