@@ -16,13 +16,14 @@ integer strings.  Duplicate (op, i, j) entries are rejected.  Emission is
 canonical (operation order vdash/dashv/perp, then i, then j; zero entries
 omitted), so parse(emit(x)) round-trips exactly.
 
-Both directions work from the nonzero coordinates.  ``algebra_to_dict``
-formats only the stored entries of each product over a list of ``"0"``;
-``emit(a, out)`` writes the text of ``json.dumps(algebra_to_dict(a),
-indent=2)`` itself, one product at a time, to the text file ``out`` (or
+Both directions work from the nonzero coordinates.  ``emit(a, out)`` is
+the one writer of the document: it formats only the stored entries of each
+product over a list of ``"0"`` and writes the JSON module's ``indent=2``
+text of the document, one product at a time, to the text file ``out`` (or
 returns it when no destination is given), so writing a large cover never
-holds its whole document; parsing skips a coordinate that is exactly
-``"0"`` and hands every other value to ``field.parse``.
+holds its whole document.  ``algebra_to_dict`` is that text read back.
+Parsing skips a coordinate that is exactly ``"0"`` and hands every other
+value to ``field.parse``.
 """
 
 from __future__ import annotations
@@ -56,13 +57,8 @@ def scalar_strings(field, n: int, entries: dict) -> list[str]:
 
 
 def algebra_to_dict(a: TriAlgebra) -> dict:
-    entries = []
-    for op in OPS:
-        table = a.products[op]
-        for (i, j) in sorted(table):
-            value = scalar_strings(a.field, a.dim, table[(i, j)])
-            entries.append({"op": op, "i": i, "j": j, "value": value})
-    return {"field": a.field.name, "dim": a.dim, "products": entries}
+    """The document of ``a``, as ``emit`` writes it."""
+    return json.loads(emit(a))
 
 
 def _is_index(x: Any) -> bool:
@@ -123,11 +119,12 @@ def algebra_from_dict(doc: Any) -> TriAlgebra:
 
 
 def emit(a: TriAlgebra, out: TextIO | None = None) -> str | None:
-    """``json.dumps(algebra_to_dict(a), indent=2) + "\\n"``, formatted one
-    product at a time from ``a.products``: the scalar strings need no
-    escaping, so each value list is one join.  Each product's text is
-    written to ``out`` as soon as it is formatted, so the whole document is
-    never held; without ``out`` the text is returned."""
+    """The text of the document of ``a``, as ``json.dumps(doc, indent=2) +
+    "\\n"`` writes it, formatted one product at a time from ``a.products``:
+    the scalar strings need no escaping, so each value list is one join.
+    Each product's text is written to ``out`` as soon as it is formatted,
+    so the whole document is never held; without ``out`` the text is
+    returned."""
     parts: list[str] = []
     write = parts.append if out is None else out.write
     write(f'{{\n  "field": {json.dumps(a.field.name)},\n  "dim": {a.dim},\n  "products": [')

@@ -31,7 +31,7 @@ from .algebra import (
     hom_to_field,
 )
 from .fields import QQ, FieldMismatchError, parse_field
-from .linalg import Matrix, Subspace, _scalar_rows, random_combination
+from .linalg import Subspace, _scalar_rows, random_combination
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -58,9 +58,16 @@ class _Report:
     def add(self, key, value):
         self.items.append((key, value))
 
-    def extend(self, prefix, mapping):
-        for key, value in mapping.items():
-            self.add(f"{prefix}.{key}", value)
+    def record(self, prefix, record) -> bool:
+        """Add a report record's fields in order, each tuple as a comma list,
+        then its verdict (``ok``, or ``agree`` for the criteria) unless the
+        verdict is a field; return the verdict."""
+        for key, value in zip(record._fields, record):
+            self.add(f"{prefix}.{key}", ",".join(map(str, value)) if isinstance(value, tuple) else value)
+        key, verdict = ("agree", record.agree) if hasattr(record, "agree") else ("ok", record.ok)
+        if key not in record._fields:
+            self.add(f"{prefix}.{key}", verdict)
+        return verdict
 
     def print(self, as_json: bool):
         if as_json:
@@ -214,8 +221,8 @@ def _central_ideal_samples(alg: TriAlgebra, seed: int) -> list[tuple[str, Subspa
     center = alg.center().space
     fld = alg.field
     samples = [("zero", Subspace.zero(fld, alg.dim))]
-    for idx, row in enumerate(_scalar_rows(center.basis)):
-        samples.append((f"center_line[{idx}]", Subspace._span(Matrix._from_scalars(fld, (row,), alg.dim))))
+    for idx, (p, row) in enumerate(center._echelon.items()):  # an RREF basis row is its line's RREF
+        samples.append((f"center_line[{idx}]", Subspace(fld, alg.dim, {p: row})))
     rng = random.Random(seed)
     for t in range(2):
         if center.dim < 2:
@@ -245,17 +252,15 @@ def cmd_verify(args) -> int:
     all_ok = True
     for label, z in targets:
         out.add(f"{label}.dim", z.dim)
-        five = sequences.verify_five_term(alg, z, 1)
-        out.extend(f"{label}.five_term", five.as_dict())
-        infdelta = sequences.verify_inf_delta(alg, z)
-        out.extend(f"{label}.inf_delta", infdelta.as_dict())
-        tra_img = sequences.tra_image_check(alg, z)
-        out.extend(f"{label}.tra_image", tra_img.as_dict())
-        criteria = sequences.unicentrality_criteria(alg, z)
-        out.extend(f"{label}.criteria", criteria.as_dict())
-        stallings = sequences.stallings_check(alg, z)
-        out.extend(f"{label}.stallings", stallings.as_dict())
-        ok = five.ok and infdelta.ok and tra_img.ok and criteria.agree and stallings.ok
+        ok = True
+        for name, check in (
+            ("five_term", sequences.verify_five_term),
+            ("inf_delta", sequences.verify_inf_delta),
+            ("tra_image", sequences.tra_image_check),
+            ("criteria", sequences.unicentrality_criteria),
+            ("stallings", sequences.stallings_check),
+        ):
+            ok = out.record(f"{label}.{name}", check(alg, z)) and ok
         out.add(f"{label}.ok", ok)
         all_ok = all_ok and ok
     out.add("ok", all_ok)

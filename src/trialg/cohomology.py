@@ -44,7 +44,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .algebra import OPS, TriAlgebra, _cleared, _identity_defects, _product_matrix, _reader
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, _complement_coordinates, _kernel, _scalar_rows
+from .linalg import Matrix, Subspace, _complement_coordinates, _kernel, _modulus, _row, _scalar_rows
 
 __all__ = [
     "CochainTriple",
@@ -211,20 +211,28 @@ def _pullback(cochains: Matrix, k: int, pairs: Sequence[tuple[Matrix, Matrix]]) 
     """Each F^k-valued cochain row f of ``cochains`` at the pairs of rows
     (u_a, v_b) of each ``(us, vs)`` in ``pairs``: per operation one block
     per pair, in list order, with f(op, u_a, v_b) at (a |vs| + b) k + t.
-    By bilinearity, ``cochains`` times one matrix of the u_a[i] v_b[j].
+    By bilinearity, ``cochains`` times one matrix of the u_a[i] v_b[j], built
+    from the int rows of ``us`` and ``vs`` transposed over one denominator
+    per (i, j); the (i, j) that no pair reaches share one empty row.
     ``k`` is passed: rows of length 0 leave no cochain columns to read it from."""
-    mul = cochains.field.mul
+    mod = _modulus(cochains.field)
     blocks, width = [], 0  # per pair: its first column in an operation, |vs|, us and vs transposed
     for us, vs in pairs:
-        blocks.append((width, vs.rows, _scalar_rows(us.transpose()), _scalar_rows(vs.transpose())))
+        blocks.append((width, vs.rows, us.transpose()._sparse, vs.transpose()._sparse))
         width += us.rows * vs.rows * k
     m = pairs[0][0].cols
-    rows = (
-        {o * width + start + (a * nv + b) * k + t: mul(x, y)
-         for start, nv, u, v in blocks for a, x in u[i].items() for b, y in v[j].items()}
-        for o in range(len(OPS)) for i in range(m) for j in range(m) for t in range(k)
-    )
-    return cochains @ Matrix._from_scalars(cochains.field, rows, len(OPS) * width)
+    cells = []  # per (i, j): its int row at the first operation and t = 0
+    for i in range(m):
+        for j in range(m):
+            parts = [(start, nv, u[i], v[j]) for start, nv, u, v in blocks]
+            d = lcm(*[du * dv for _, _, (_, du), (_, dv) in parts])
+            cells.append(_row({start + (a * nv + b) * k: x * y * (d // (du * dv))
+                               for start, nv, (u, du), (v, dv) in parts
+                               for a, x in u.items() for b, y in v.items()}, d, mod))
+    empty = ({}, 1)
+    rows = tuple(({c + o * width + t: x for c, x in cell.items()}, d) if cell else empty
+                 for o in range(len(OPS)) for cell, d in cells for t in range(k))
+    return cochains @ Matrix._from_ints(cochains.field, rows, len(OPS) * width)
 
 
 def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:

@@ -9,7 +9,9 @@ matrices between canonical coordinate spaces, along with the evaluation
 map from H^2(L, F) into the paired blocks (L/L' (x) Z + Z (x) L/L')^3;
 that map and second inflation both go through the cochain pull-back.
 Exactness and the dimension statements they imply are checked by exact
-subspace equality; every report is computed, never assumed.
+subspace equality; every report is computed, never assumed.  A report's
+fields, in order, are its keys in ``trialg verify``, followed by its
+verdict (``ok``, or ``agree`` for the criteria) when that is not a field.
 
 All of them read from one analysis of (L, Z, k), made the first time any
 map or report asks for it and memoised on L under the canonical basis of
@@ -164,11 +166,10 @@ class _CentralIdealAnalysis:
         ``chi`` of ``hom``, a k x ``right.rows`` matrix flattened row-major:
         the rows of ``hom.basis`` times the block-diagonal matrix with k
         blocks ``right``."""
-        f, n, w, k = self.alg.field, right.rows, right.cols, self.k
-        blocks = Matrix.zeros(f, 0, k * w)
-        for t in range(k):
-            block = Matrix.zeros(f, n, t * w).hstack(right).hstack(Matrix.zeros(f, n, (k - 1 - t) * w))
-            blocks = blocks.vstack(block)
+        w, k = right.cols, self.k
+        blocks = Matrix._from_ints(self.alg.field, tuple(
+            ({t * w + c: x for c, x in row.items()}, d) for t in range(k) for row, d in right._sparse
+        ), k * w)
         return target._coordinates_of(hom.basis @ blocks)
 
     @cached_property
@@ -241,7 +242,7 @@ class _CentralIdealAnalysis:
             inf1_injective=ranks[0] == dims[0],
             exact_at_hom_l=m1.image() == m2.kernel_space(),
             exact_at_hom_z=m2.image() == m3.kernel_space(),
-            exact_at_h2_q=m3.image() == m4.kernel_space(),
+            exact_at_h2_quotient=m3.image() == m4.kernel_space(),
         )
 
 
@@ -280,7 +281,7 @@ class FiveTermReport(NamedTuple):
     inf1_injective: bool
     exact_at_hom_l: bool
     exact_at_hom_z: bool
-    exact_at_h2_q: bool
+    exact_at_h2_quotient: bool
 
     @property
     def ok(self) -> bool:
@@ -288,19 +289,8 @@ class FiveTermReport(NamedTuple):
             self.inf1_injective
             and self.exact_at_hom_l
             and self.exact_at_hom_z
-            and self.exact_at_h2_q
+            and self.exact_at_h2_quotient
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "dims": ",".join(str(d) for d in self.dims),
-            "ranks": ",".join(str(r) for r in self.ranks),
-            "inf1_injective": self.inf1_injective,
-            "exact_at_hom_l": self.exact_at_hom_l,
-            "exact_at_hom_z": self.exact_at_hom_z,
-            "exact_at_h2_quotient": self.exact_at_h2_q,
-            "ok": self.ok,
-        }
 
 
 def verify_five_term(l: TriAlgebra, z, k: int = 1) -> FiveTermReport:
@@ -314,21 +304,7 @@ class InfDeltaReport(NamedTuple):
     block_dim: int
     inf2_rank: int
     delta_rank: int
-    exact: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.exact
-
-    def as_dict(self) -> dict:
-        return {
-            "h2_quotient_dim": self.h2_quotient_dim,
-            "h2_dim": self.h2_dim,
-            "block_dim": self.block_dim,
-            "inf2_rank": self.inf2_rank,
-            "delta_rank": self.delta_rank,
-            "ok": self.ok,
-        }
+    ok: bool
 
 
 def verify_inf_delta(l: TriAlgebra, z) -> InfDeltaReport:
@@ -340,7 +316,7 @@ def verify_inf_delta(l: TriAlgebra, z) -> InfDeltaReport:
         block_dim=an.delta.codomain_dim,
         inf2_rank=an.inf2.rank,
         delta_rank=an.delta.rank,
-        exact=an.inf2.image() == an.delta.kernel_space(),
+        ok=an.inf2.image() == an.delta.kernel_space(),
     )
 
 
@@ -351,13 +327,6 @@ class TraImageReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.tra_rank == self.derived_cap_z_dim
-
-    def as_dict(self) -> dict:
-        return {
-            "tra_rank": self.tra_rank,
-            "derived_cap_z_dim": self.derived_cap_z_dim,
-            "ok": self.ok,
-        }
 
 
 def tra_image_check(l: TriAlgebra, z) -> TraImageReport:
@@ -393,15 +362,6 @@ class UnicentralityReport(NamedTuple):
     def agree(self) -> bool:
         return len(set(self.booleans)) == 1
 
-    def as_dict(self) -> dict:
-        return {
-            "delta_trivial": self.delta_trivial,
-            "inf2_surjective": self.inf2_surjective,
-            "multiplier_dims_match": self.multiplier_dims_match,
-            "z_in_z_star": self.z_in_z_star,
-            "agree": self.agree,
-        }
-
 
 def unicentrality_criteria(l: TriAlgebra, z) -> UnicentralityReport:
     an = _analysis(l, z)
@@ -424,11 +384,11 @@ class StallingsReport(NamedTuple):
     dimensions."""
 
     node_dims: tuple[int, int, int, int, int]
+    ranks: tuple[int, int, int, int]
     dual_exact: bool
     tail_surjective: bool
     res_rank_matches: bool        # rank Res = dim((Z+L')/L')
     tra_rank_matches: bool        # rank Tra = dim(Z n L')
-    ranks: tuple[int, int, int, int]
 
     @property
     def ok(self) -> bool:
@@ -438,17 +398,6 @@ class StallingsReport(NamedTuple):
             and self.res_rank_matches
             and self.tra_rank_matches
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "node_dims": ",".join(str(d) for d in self.node_dims),
-            "ranks": ",".join(str(r) for r in self.ranks),
-            "dual_exact": self.dual_exact,
-            "tail_surjective": self.tail_surjective,
-            "res_rank_matches": self.res_rank_matches,
-            "tra_rank_matches": self.tra_rank_matches,
-            "ok": self.ok,
-        }
 
 
 def stallings_check(l: TriAlgebra, z) -> StallingsReport:
@@ -465,9 +414,9 @@ def stallings_check(l: TriAlgebra, z) -> StallingsReport:
     )
     return StallingsReport(
         node_dims=node_dims,
+        ranks=five.ranks,
         dual_exact=five.ok,
         tail_surjective=five.ranks[0] == node_dims[4],
         res_rank_matches=five.ranks[1] == z_plus_derived.dim - derived.dim,
         tra_rank_matches=five.ranks[2] == an.derived_cap_z.dim,
-        ranks=five.ranks,
     )

@@ -8,7 +8,7 @@ import pytest
 
 from trialg.algfile import emit, parse
 from trialg.cli import main
-from trialg.fields import GF
+from trialg.fields import GF, QQ
 from trialg.generators import abelian, cover_abelian, dim2_single_product
 
 
@@ -340,6 +340,57 @@ def test_verify_all_central(capsys, abelian2_file):
     code, out, _ = run(capsys, "verify", abelian2_file, "--all-central")
     assert code == 0
     assert kv(out)["ok"] == "true"
+
+
+def test_verify_report_keys_are_the_record_fields(capsys, dim2_file):
+    """Each report lists its record's fields in order, then its verdict
+    (``ok``, or ``agree`` for the criteria) unless the verdict is a field;
+    ``--json`` has the text report's keys in the same order."""
+    from trialg.sequences import (
+        FiveTermReport,
+        InfDeltaReport,
+        StallingsReport,
+        TraImageReport,
+        UnicentralityReport,
+    )
+
+    reports = {"five_term": (FiveTermReport, "ok"), "inf_delta": (InfDeltaReport, "ok"),
+               "tra_image": (TraImageReport, "ok"), "criteria": (UnicentralityReport, "agree"),
+               "stallings": (StallingsReport, "ok")}
+    expected = ["z.dim"]
+    for prefix, (cls, verdict) in reports.items():
+        names = list(cls._fields) + [verdict] * (verdict not in cls._fields)
+        expected += [f"z.{prefix}.{name}" for name in names]
+    expected += ["z.ok", "ok"]
+    code, out, _ = run(capsys, "verify", dim2_file, "--z", "e2")
+    assert code == 0
+    assert [line.split(" = ", 1)[0] for line in out.splitlines()] == expected
+    code, out, _ = run(capsys, "verify", dim2_file, "--z", "e2", "--json")
+    assert code == 0
+    assert list(json.loads(out)) == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_center_lines_are_the_spans_of_the_center_rows(field):
+    """Each ``center_line[i]`` sample of ``--all-central`` is the line of
+    the i-th center basis row, in a random basis where over Q the rows'
+    stored leads are not 1."""
+    import random
+
+    from trialg.algebra import change_basis
+    from trialg.cli import _central_ideal_samples
+    from trialg.generators import random_extension
+    from trialg.linalg import Subspace, random_invertible
+
+    ext = random_extension(abelian(2, field), 2, seed=3).total
+    alg = change_basis(ext, random_invertible(random.Random(8), ext.dim, field))
+    center = alg.center().space
+    assert center.dim >= 2
+    if field == QQ:
+        assert any(lead != 1 for lead, _ in center._echelon.values())
+    lines = [(label, z) for label, z in _central_ideal_samples(alg, 0) if label.startswith("center_line")]
+    assert lines == [(f"center_line[{idx}]", Subspace.from_rows(field, alg.dim, [row]))
+                     for idx, row in enumerate(center.basis_rows())]
 
 
 def test_verify_non_central_ideal_exit_2(capsys, dim2_file):

@@ -60,14 +60,14 @@ FIELDS = {
                       "identity_extension_image_dim"),
     SeqMap: ("label", "matrix", "domain_dim", "codomain_dim"),
     FiveTermReport: ("dims", "ranks", "inf1_injective", "exact_at_hom_l", "exact_at_hom_z",
-                     "exact_at_h2_q"),
+                     "exact_at_h2_quotient"),
     InfDeltaReport: ("h2_quotient_dim", "h2_dim", "block_dim", "inf2_rank", "delta_rank",
-                     "exact"),
+                     "ok"),
     TraImageReport: ("tra_rank", "derived_cap_z_dim"),
     UnicentralityReport: ("delta_trivial", "inf2_surjective", "multiplier_dims_match",
                           "z_in_z_star"),
-    StallingsReport: ("node_dims", "dual_exact", "tail_surjective", "res_rank_matches",
-                      "tra_rank_matches", "ranks"),
+    StallingsReport: ("node_dims", "ranks", "dual_exact", "tail_surjective",
+                      "res_rank_matches", "tra_rank_matches"),
 }
 
 HOMES = {
