@@ -475,28 +475,10 @@ def _transport(a: TriAlgebra, rows: Matrix, to_coords: Matrix, name: str | None)
     return TriAlgebra(n, a.field, products, name=name)
 
 
-def hom_to_field(a: TriAlgebra, k: int) -> Subspace:
-    """Space of homomorphisms into the k-dimensional trivial module.
-
-    Such a map is a k x n matrix whose rows annihilate the derived
-    subalgebra; matrices are flattened row-major into F^(k*n).  The basis is
-    built as an echelon map: block t holds the RREF basis of the annihilator
-    shifted by t*n, so the rows in (t, pivot) order are already an RREF.
-    """
-    if k < 1:
-        raise ValueError("coefficient dimension must be >= 1")
-
-    def build():
-        n = a.dim
-        ann = a.derived().space.annihilator()
-        echelon = {
-            t * n + p: (lead, {t * n + j: x for j, x in tail.items()})
-            for t in range(k)
-            for p, (lead, tail) in ann._echelon.items()
-        }
-        return Subspace(a.field, k * n, echelon)
-
-    return a._memo(("hom_to_field", k), build)
+def hom_to_field(a: TriAlgebra) -> Subspace:
+    """Hom(L, F): the linear forms on L that vanish on the derived
+    subalgebra, as the annihilator of L'; memoised on the algebra."""
+    return a._memo("hom_to_field", lambda: a.derived().space.annihilator())
 
 
 class BoundReport(NamedTuple):

@@ -32,7 +32,7 @@ import json
 from typing import Any, TextIO
 
 from .algebra import OPS, TriAlgebra
-from .fields import QQ, parse_field
+from .fields import QQ, _echo, parse_field
 
 __all__ = ["AlgebraFileError", "algebra_to_dict", "algebra_from_dict", "emit", "parse", "load", "save"]
 
@@ -78,7 +78,7 @@ def algebra_from_dict(doc: Any) -> TriAlgebra:
         raise AlgebraFileError(f"bad field tag: {exc}") from None
     dim = doc["dim"]
     if not _is_index(dim):
-        raise AlgebraFileError(f"bad dim: {dim!r}")
+        raise AlgebraFileError(f"bad dim: {_echo(dim)}")
     entries = doc["products"]
     if not isinstance(entries, list):
         raise AlgebraFileError("products must be a list")
@@ -93,9 +93,9 @@ def algebra_from_dict(doc: Any) -> TriAlgebra:
                 raise AlgebraFileError(f"{where}: missing member {member!r}")
         op, i, j, value = entry["op"], entry["i"], entry["j"], entry["value"]
         if op not in OPS:
-            raise AlgebraFileError(f"{where}: unknown op {op!r}")
+            raise AlgebraFileError(f"{where}: unknown op {_echo(op)}")
         if not (_is_index(i) and _is_index(j) and i < dim and j < dim):
-            raise AlgebraFileError(f"{where}: indices ({i!r}, {j!r}) out of range for dim {dim}")
+            raise AlgebraFileError(f"{where}: indices ({_echo(i)}, {_echo(j)}) out of range for dim {dim}")
         if (op, i, j) in seen:
             raise AlgebraFileError(f"{where}: duplicate product entry ({op}, {i}, {j})")
         seen.add((op, i, j))

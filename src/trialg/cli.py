@@ -30,7 +30,7 @@ from .algebra import (
     dimension_bound_table,
     hom_to_field,
 )
-from .fields import QQ, FieldMismatchError, parse_field
+from .fields import QQ, FieldMismatchError, _echo, parse_field
 from .linalg import Subspace, _scalar_rows, random_combination
 
 EXIT_OK = 0
@@ -112,14 +112,14 @@ def _parse_z_spec(alg: TriAlgebra, spec: str) -> Subspace:
         if token.startswith("e"):
             idx = _int(token[1:], "bad basis vector token", token)
             if not (1 <= idx <= alg.dim):
-                raise ValueError(f"basis vector {token} out of range for dim {alg.dim}")
+                raise ValueError(f"basis vector {_echo(token)} out of range for dim {alg.dim}")
             row = [alg.field.zero] * alg.dim
             row[idx - 1] = alg.field.one
             rows.append(row)
         else:
             parts = [p.strip() for p in token.split(",")]
             if len(parts) != alg.dim:
-                raise ValueError(f"vector {token!r} must have {alg.dim} coordinates")
+                raise ValueError(f"vector {_echo(token)} must have {alg.dim} coordinates")
             rows.append([alg.field.parse(p) for p in parts])
     return Subspace.from_rows(alg.field, alg.dim, rows)
 
@@ -150,7 +150,7 @@ def cmd_invariants(args) -> int:
     out.add("derived_dim", derived.dim)
     out.add("center_dim", center.dim)
     out.add("derived_cap_center_dim", derived.intersection(center).dim)
-    out.add("hom_dim", hom_to_field(alg, 1).dim)
+    out.add("hom_dim", hom_to_field(alg).dim)
     bounds = check_dim_bounds(alg)
     out.add("derived_bound", bounds.derived_bound)
     out.add("derived_bound_ok", bounds.derived_ok)
@@ -299,12 +299,12 @@ def cmd_table(args) -> int:
 
 
 def _int(text: str, label: str, echo: str) -> int:
-    """``int(text)``, else a ValueError of ``label`` and ``echo`` cut to 12
-    characters, naming the digit limit when ``text`` is an integer past it."""
+    """``int(text)``, else a ValueError of ``label`` and ``echo`` cut to a
+    short prefix, naming the digit limit when ``text`` is an integer past it."""
     try:
         return int(text)
     except ValueError:
-        error = f"{label} {echo[:12]!r}" + ("..." if len(echo) > 12 else "")
+        error = f"{label} {_echo(echo)}"
         if re.fullmatch(r"\s*[+-]?[\d_]+\s*", text):
             error += f": integer exceeds the limit of {sys.get_int_max_str_digits()} digits"
         raise ValueError(error) from None

@@ -27,14 +27,14 @@ cochain as it stands.  The entries are indexed in a fixed order --
 operation ("vdash", "dashv", "perp"), then the basis pair (i, j)
 row-major, then the coefficient coordinate, so (op o, i, j, t) sits at
 ((o n + i) n + j) k + t.  Its per-operation forms are a view decoded from
-that row, and the pull-back ``_pullback`` evaluates cochain rows at pairs
-of vectors as one product with a matrix in this layout; it is the only
-evaluation of a cochain at vectors (the dense one it is tested against is
-a test oracle).  Two cocycles f, g are cohomologous exactly when
-``b2_space(b, k).contains_vector(f.sub(g).vectorize())``.  The constraint
-system splits per coefficient coordinate, so the k > 1 spaces are the
-k-fold coordinate expansions of the k = 1 spaces; canonicity of RREF
-bases makes that expansion exact, not a convention.
+that row, and the pull-back ``_pullback`` evaluates F-valued cochain
+rows at pairs of vectors as one product with a matrix in this layout; it
+is the only evaluation of a cochain at vectors (the dense one it is
+tested against is a test oracle).  Two cocycles f, g are cohomologous
+exactly when ``b2_space(b, k).contains_vector(f.sub(g).vectorize())``.
+The constraint system splits per coefficient coordinate, so the k > 1
+spaces are the k-fold coordinate expansions of the k = 1 spaces;
+canonicity of RREF bases makes that expansion exact, not a convention.
 """
 
 from __future__ import annotations
@@ -207,31 +207,30 @@ class CochainTriple:
         return f"CochainTriple(base dim {self.base.dim}, k={self.coeff_dim}, {nnz} entries)"
 
 
-def _pullback(cochains: Matrix, k: int, pairs: Sequence[tuple[Matrix, Matrix]]) -> Matrix:
-    """Each F^k-valued cochain row f of ``cochains`` at the pairs of rows
+def _pullback(cochains: Matrix, pairs: Sequence[tuple[Matrix, Matrix]]) -> Matrix:
+    """Each F-valued cochain row f of ``cochains`` at the pairs of rows
     (u_a, v_b) of each ``(us, vs)`` in ``pairs``: per operation one block
-    per pair, in list order, with f(op, u_a, v_b) at (a |vs| + b) k + t.
+    per pair, in list order, with f(op, u_a, v_b) at a |vs| + b.
     By bilinearity, ``cochains`` times one matrix of the u_a[i] v_b[j], built
     from the int rows of ``us`` and ``vs`` transposed over one denominator
-    per (i, j); the (i, j) that no pair reaches share one empty row.
-    ``k`` is passed: rows of length 0 leave no cochain columns to read it from."""
+    per (i, j); the (i, j) that no pair reaches share one empty row."""
     mod = _modulus(cochains.field)
     blocks, width = [], 0  # per pair: its first column in an operation, |vs|, us and vs transposed
     for us, vs in pairs:
         blocks.append((width, vs.rows, us.transpose()._sparse, vs.transpose()._sparse))
-        width += us.rows * vs.rows * k
+        width += us.rows * vs.rows
     m = pairs[0][0].cols
-    cells = []  # per (i, j): its int row at the first operation and t = 0
+    cells = []  # per (i, j): its int row at the first operation
     for i in range(m):
         for j in range(m):
             parts = [(start, nv, u[i], v[j]) for start, nv, u, v in blocks]
             d = lcm(*[du * dv for _, _, (_, du), (_, dv) in parts])
-            cells.append(_row({start + (a * nv + b) * k: x * y * (d // (du * dv))
+            cells.append(_row({start + a * nv + b: x * y * (d // (du * dv))
                                for start, nv, (u, du), (v, dv) in parts
                                for a, x in u.items() for b, y in v.items()}, d, mod))
     empty = ({}, 1)
-    rows = tuple(({c + o * width + t: x for c, x in cell.items()}, d) if cell else empty
-                 for o in range(len(OPS)) for cell, d in cells for t in range(k))
+    rows = tuple(({c + o * width: x for c, x in cell.items()}, d) if cell else empty
+                 for o in range(len(OPS)) for cell, d in cells)
     return cochains @ Matrix._from_ints(cochains.field, rows, len(OPS) * width)
 
 

@@ -30,6 +30,17 @@ _SCALAR_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 _RANDOM_BOUND = 3
 
 
+def _echo(value) -> str:
+    """``value`` as an error message quotes it, cut to a short prefix so that
+    hostile input gives a short message: a string as the repr of its first
+    12 characters, anything else as the first 12 characters of its repr,
+    then ``...`` when cut."""
+    if isinstance(value, str):
+        return repr(value[:12]) + ("..." if len(value) > 12 else "")
+    text = repr(value)
+    return text[:12] + ("..." if len(text) > 12 else "")
+
+
 class FieldMismatchError(ValueError):
     """Values with different ground-field descriptors were combined."""
 
@@ -49,7 +60,7 @@ class Field:
         CPython's digit limit the error names the limit, not how to raise it."""
         text = text.strip()
         if not _SCALAR_RE.match(text):
-            raise ValueError(f"not an exact scalar string: {text!r}")
+            raise ValueError(f"not an exact scalar string: {_echo(text)}")
         try:
             ints = [int(x) for x in text.split("/")]
         except ValueError:  # the text is digits, so only the limit can fail
@@ -120,9 +131,9 @@ class PrimeField(Field):
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
-            raise ValueError(f"modulus must be a prime >= 2, got {p!r}")
+            raise ValueError(f"modulus must be a prime >= 2, got {_echo(p)}")
         if p >= _PRIME_LIMIT:
-            raise ValueError(f"modulus {p} is too large: prime moduli must be below {_PRIME_LIMIT}")
+            raise ValueError(f"modulus {_echo(p)} is too large: must be below {_PRIME_LIMIT}")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
@@ -211,6 +222,8 @@ def GF(p: int) -> PrimeField:
 
 def parse_field(name: str) -> Field:
     """Parse a field tag: ``"Q"`` or ``"Fp:<prime>"``."""
+    if not isinstance(name, str):
+        raise ValueError(f"field tag must be a string, got {_echo(name)}")
     name = name.strip()
     if name == "Q":
         return QQ
@@ -218,6 +231,6 @@ def parse_field(name: str) -> Field:
         try:
             p = int(name[3:])
         except ValueError:
-            raise ValueError(f"bad prime-field tag: {name!r}") from None
+            raise ValueError(f"bad prime-field tag: {_echo(name)}") from None
         return PrimeField(p)
-    raise ValueError(f"unknown field tag: {name!r} (expected 'Q' or 'Fp:<prime>')")
+    raise ValueError(f"unknown field tag: {_echo(name)} (expected 'Q' or 'Fp:<prime>')")

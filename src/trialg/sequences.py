@@ -1,8 +1,8 @@
 """Low-degree cohomology maps for a central ideal, as explicit matrices.
 
-For a central ideal Z of L and trivial coefficients A = F^k, the maps
+For a central ideal Z of L and trivial coefficients F, the maps
 
-    0 -> Hom(L/Z, A) -> Hom(L, A) -> Hom(Z, A) -> H^2(L/Z, A) -> H^2(L, A)
+    0 -> Hom(L/Z, F) -> Hom(L, F) -> Hom(Z, F) -> H^2(L/Z, F) -> H^2(L, F)
 
 (inflation, restriction, transgression, second inflation) are realized as
 matrices between canonical coordinate spaces, along with the evaluation
@@ -12,19 +12,20 @@ Exactness and the dimension statements they imply are checked by exact
 subspace equality; every report is computed, never assumed.  A report's
 fields, in order, are its keys in ``trialg verify``, followed by its
 verdict (``ok``, or ``agree`` for the criteria) when that is not a field.
+Coefficients F^k would give the k-fold direct sum of these sequences, so
+only F is built.
 
-All of them read from one analysis of (L, Z, k), made the first time any
+All of them read from one analysis of (L, Z), made the first time any
 map or report asks for it and memoised on L under the canonical basis of
-Z: the quotient L/Z, the three Hom spaces, H^2(L) and H^2(L/Z) (each also
+Z: the quotient L/Z, the Hom spaces, H^2(L) and H^2(L/Z) (each also
 memoised on its algebra) are built once, and each map, L' n Z and the
 five-term report once, on first read.  The report functions and the
-module-level maps are views of that analysis; only ``tra`` with an
-explicit section builds a map afresh.
+module-level maps are views of that analysis.
 
-Coordinates: a Hom node is a subspace of flattened k x dim matrices; an
-H^2 node uses coset coordinates against the stored complement of B^2 in
-Z^2, which is canonical, so kernels and images at a node live in one fixed
-coordinate system.
+Coordinates: a Hom node is a subspace of F^dim (Hom(Z, F) is all of
+F^dim Z); an H^2 node uses coset coordinates against the stored complement
+of B^2 in Z^2, which is canonical, so kernels and images at a node live in
+one fixed coordinate system.
 """
 
 from __future__ import annotations
@@ -127,105 +128,75 @@ class SeqMap:
         return self.matrix.is_zero()
 
 
-def _analysis(l: TriAlgebra, z, k: int = 1) -> "_CentralIdealAnalysis":
-    """The analysis of (l, z, k), memoised on ``l`` under the canonical
-    basis of ``z``; checks validity and centrality before the first build."""
-    if k < 1:
-        raise ValueError("coefficient dimension must be >= 1")
+def _analysis(l: TriAlgebra, z) -> "_CentralIdealAnalysis":
+    """The analysis of (l, z), memoised on ``l`` under the canonical basis
+    of ``z``; checks validity and centrality before the first build."""
     l.require_valid()
     space = as_subspace(l, z)
 
     def build():
         _require_central(l, space)
-        return _CentralIdealAnalysis(l, space, k)
+        return _CentralIdealAnalysis(l, space)
 
-    return l._memo(("central_ideal", space, k), build)
+    return l._memo(("central_ideal", space), build)
 
 
 class _CentralIdealAnalysis:
     """The quotient, Hom spaces, H^2 groups, maps and five-term report of
-    one central ideal ``z`` of ``alg`` with coefficients F^k.
+    one central ideal ``z`` of ``alg``.
 
     The quotient, Hom spaces and both H^2 results are made on construction;
     each map, L' n Z and the five-term report the first time it is read.
     """
 
-    def __init__(self, l: TriAlgebra, z: Subspace, k: int):
+    def __init__(self, l: TriAlgebra, z: Subspace):
         self.alg = l
         self.z = z
-        self.k = k
         self.quot = quotient_algebra(l, z)
-        self.hom_l = hom_to_field(l, k)
-        self.hom_q = hom_to_field(self.quot.algebra, k)
-        self.hom_z = Subspace.full(l.field, k * z.dim)
-        self.coh_l = h2(l, k)
-        self.coh_q = h2(self.quot.algebra, k)
-
-    def _precompose(self, hom: Subspace, right: Matrix, target: Subspace) -> Matrix:
-        """Coordinates in ``target`` of ``chi @ right`` for each basis vector
-        ``chi`` of ``hom``, a k x ``right.rows`` matrix flattened row-major:
-        the rows of ``hom.basis`` times the block-diagonal matrix with k
-        blocks ``right``."""
-        w, k = right.cols, self.k
-        blocks = Matrix._from_ints(self.alg.field, tuple(
-            ({t * w + c: x for c, x in row.items()}, d) for t in range(k) for row, d in right._sparse
-        ), k * w)
-        return target._coordinates_of(hom.basis @ blocks)
+        self.hom_l = hom_to_field(l)
+        self.hom_q = hom_to_field(self.quot.algebra)
+        self.coh_l = h2(l)
+        self.coh_q = h2(self.quot.algebra)
 
     @cached_property
     def inf1(self) -> SeqMap:
         """Precomposition with the canonical projection L -> L/Z."""
-        return _seq_map("inf1", self._precompose(self.hom_q, self.quot.projection, self.hom_l))
+        return _seq_map("inf1", self.hom_l._coordinates_of(self.hom_q.basis @ self.quot.projection))
 
     @cached_property
     def res(self) -> SeqMap:
-        """Restriction along the inclusion Z -> L."""
-        return _seq_map("res", self._precompose(self.hom_l, self.z.basis.transpose(), self.hom_z))
+        """Restriction along the inclusion Z -> L, into Hom(Z, F) = F^dim Z."""
+        return _seq_map("res", self.hom_l.basis @ self.z.basis.transpose())
 
     @cached_property
     def tra(self) -> SeqMap:
-        """Transgression along the cocycle of the canonical pivot section."""
-        return self.transgression(self.quot.section)
-
-    def transgression(self, section: Matrix) -> SeqMap:
-        """Compose each map on Z with the cocycle of the extension
-        0 -> Z -> L -> L/Z -> 0 for ``section`` (valued in Z coordinates)
-        and take its class in H^2(L/Z, A)."""
-        coords = _section_coordinates(self.alg, self.quot.algebra, self.quot.projection, self.z, section)
-        k = self.k
-        # Hom(Z, A) is all of F^(k dim Z), so its canonical basis vector
-        # t*d + s is the map sending Z coordinate s to A coordinate t: it
-        # takes the cocycle's Z coordinate s, row s of the transposed
-        # coordinates, to the entries (op, i, j, t).
-        by_z = coords.transpose()._sparse
-        composed = Matrix._from_ints(self.alg.field, tuple(
-            ({pair * k + t: x for pair, x in row.items()}, e) for t in range(k) for row, e in by_z
-        ), self.coh_q.z2.ambient_dim)
-        return _seq_map("tra", self.coh_q._classes(composed))
+        """The class in H^2(L/Z, F) of each Z coordinate of the cocycle of
+        0 -> Z -> L -> L/Z -> 0 along the canonical pivot section."""
+        quot = self.quot
+        coords = _section_coordinates(self.alg, quot.algebra, quot.projection, self.z, quot.section)
+        return _seq_map("tra", self.coh_q._classes(coords.transpose()))
 
     @cached_property
     def inf2(self) -> SeqMap:
         """Pull classes on L/Z back along the projection P: each
         representative, through the cochain pull-back, at every pair of
-        images (P e_i, P e_j), then its class in H^2(L, A)."""
+        images (P e_i, P e_j), then its class in H^2(L, F)."""
         images = self.quot.projection.transpose()  # row i: P e_i
-        pulled = _pullback(self.coh_q._complement.basis, self.k, [(images, images)])
+        pulled = _pullback(self.coh_q._complement.basis, [(images, images)])
         return _seq_map("inf2", self.coh_l._classes(pulled))
 
     @cached_property
     def delta(self) -> SeqMap:
         """Evaluate H^2(L, F) classes on (L/L' coset basis) x (Z basis)
-        pairs, per operation the (u, w) pairs and then the (w, u) pairs
-        (k = 1 only): the representatives through the cochain pull-back."""
-        if self.k != 1:
-            raise ValueError("the pairing-block map is defined for k = 1")
+        pairs, per operation the (u, w) pairs and then the (w, u) pairs:
+        the representatives through the cochain pull-back."""
         alg = self.alg
         comp = alg._memo(
             "derived_complement",
             lambda: alg.derived().space.complement_in(Subspace.full(alg.field, alg.dim)),
         )
         pairs = [(comp.basis, self.z.basis), (self.z.basis, comp.basis)]
-        return _seq_map("delta", _pullback(self.coh_l._complement.basis, 1, pairs))
+        return _seq_map("delta", _pullback(self.coh_l._complement.basis, pairs))
 
     @cached_property
     def derived_cap_z(self) -> Subspace:
@@ -234,7 +205,7 @@ class _CentralIdealAnalysis:
     @cached_property
     def five_term(self) -> "FiveTermReport":
         m1, m2, m3, m4 = self.inf1, self.res, self.tra, self.inf2
-        dims = (self.hom_q.dim, self.hom_l.dim, self.hom_z.dim, self.coh_q.h2_dim, self.coh_l.h2_dim)
+        dims = (self.hom_q.dim, self.hom_l.dim, self.z.dim, self.coh_q.h2_dim, self.coh_l.h2_dim)
         ranks = (m1.rank, m2.rank, m3.rank, m4.rank)
         return FiveTermReport(
             dims=dims,
@@ -253,22 +224,20 @@ def _seq_map(label: str, cols: Matrix) -> SeqMap:
 
 
 
-def inf1(l: TriAlgebra, z, k: int = 1) -> SeqMap:
-    return _analysis(l, z, k).inf1
+def inf1(l: TriAlgebra, z) -> SeqMap:
+    return _analysis(l, z).inf1
 
 
-def res(l: TriAlgebra, z, k: int = 1) -> SeqMap:
-    return _analysis(l, z, k).res
+def res(l: TriAlgebra, z) -> SeqMap:
+    return _analysis(l, z).res
 
 
-def tra(l: TriAlgebra, z, k: int = 1, section: Matrix | None = None) -> SeqMap:
-    """Transgression; with an explicit ``section`` it is built afresh."""
-    an = _analysis(l, z, k)
-    return an.tra if section is None else an.transgression(section)
+def tra(l: TriAlgebra, z) -> SeqMap:
+    return _analysis(l, z).tra
 
 
-def inf2(l: TriAlgebra, z, k: int = 1) -> SeqMap:
-    return _analysis(l, z, k).inf2
+def inf2(l: TriAlgebra, z) -> SeqMap:
+    return _analysis(l, z).inf2
 
 
 def delta_map(l: TriAlgebra, z) -> SeqMap:
@@ -293,9 +262,9 @@ class FiveTermReport(NamedTuple):
         )
 
 
-def verify_five_term(l: TriAlgebra, z, k: int = 1) -> FiveTermReport:
+def verify_five_term(l: TriAlgebra, z) -> FiveTermReport:
     """Exactness of the five-term sequence for the central ideal ``z``."""
-    return _analysis(l, z, k).five_term
+    return _analysis(l, z).five_term
 
 
 class InfDeltaReport(NamedTuple):

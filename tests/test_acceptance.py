@@ -166,15 +166,15 @@ def test_criterion_3_cocycle_extension_oracle(criterion3_extensions):
 def test_criterion_4_five_term_exactness(criterion3_extensions):
     pairs = 0
     for ext in criterion3_extensions:
-        report = verify_five_term(ext.total, ext.kernel.space, 1)
+        report = verify_five_term(ext.total, ext.kernel.space)
         assert report.ok
         pairs += 1
     d2 = dim2_single_product()
     for z in (Subspace.zero(QQ, 2), Subspace.from_rows(QQ, 2, [[0, 1]])):
-        report = verify_five_term(d2, z, 1)
+        report = verify_five_term(d2, z)
         assert report.ok
         pairs += 1
-    instance = verify_five_term(d2, Subspace.from_rows(QQ, 2, [[0, 1]]), 1)
+    instance = verify_five_term(d2, Subspace.from_rows(QQ, 2, [[0, 1]]))
     # frozen from the independent rank computations of the map-level tests
     assert instance.dims == (1, 1, 1, 3, 2)
     assert instance.ranks == (1, 0, 1, 2)
@@ -258,15 +258,15 @@ def test_criterion_9_field_generality():
         # criterion 4 on the regression pairs and a sample of the corpus
         d2 = dim2_single_product(fp)
         z_line = Subspace.from_rows(fp, 2, [[0, 1]])
-        instance = verify_five_term(d2, z_line, 1)
+        instance = verify_five_term(d2, z_line)
         assert instance.ok
         assert instance.dims == (1, 1, 1, 3, 2)
         assert instance.ranks == (1, 0, 1, 2)
         for n in (1, 2):
             a = abelian(n, fp)
-            rep = verify_five_term(a, Subspace.full(fp, n), 1)
+            rep = verify_five_term(a, Subspace.full(fp, n))
             assert rep.ok
             assert rep.dims == (0, n, n, 0, 3 * n * n)
         for ext in extensions[:15]:
-            assert verify_five_term(ext.total, ext.kernel.space, 1).ok
+            assert verify_five_term(ext.total, ext.kernel.space).ok
     print("\nACCEPTANCE 9: PASS - criteria 1/3/4 dimensions reproduced over Fp:5 and Fp:7")

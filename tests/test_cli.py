@@ -424,6 +424,49 @@ def test_verify_names_a_malformed_basis_token(capsys, dim2_file, token):
     assert len(err.encode()) < 300
 
 
+LONG_TEXT = "x" * 5000
+HOSTILE_DOCS = {
+    "field-long": {"field": LONG_TEXT, "dim": 1, "products": []},
+    "field-prime-long": {"field": "Fp:" + "9" * 4000, "dim": 1, "products": []},
+    "field-not-a-string": {"field": 5, "dim": 1, "products": []},
+    "dim-long": {"field": "Q", "dim": LONG_TEXT, "products": []},
+    "scalar-long": {"field": "Q", "dim": 1, "products": [{"op": "vdash", "i": 0, "j": 0, "value": [LONG_TEXT]}]},
+    "op-long": {"field": "Q", "dim": 1, "products": [{"op": LONG_TEXT, "i": 0, "j": 0, "value": ["1"]}]},
+    "index-long": {"field": "Q", "dim": 1, "products": [{"op": "vdash", "i": [0] * 2000, "j": 0, "value": ["1"]}]},
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["gen", "abelian", "-n", "2", "--field", LONG_TEXT], id="gen-field-long"),
+        pytest.param(["gen", "abelian", "-n", "2", "--field", "Fp:" + LONG_INT], id="gen-field-digits"),
+        pytest.param(["gen", "abelian", "-n", "2", "--field", "Fp:" + LONG_INT[:4000]], id="gen-field-prime-long"),
+        pytest.param(["gen", "abelian", "-n", "2", "--field", "Fp:-" + LONG_INT[:4000]], id="gen-field-negative-long"),
+        *(pytest.param(["validate", name], id=name) for name in HOSTILE_DOCS),
+        pytest.param(["verify", "dim2", "--z", LONG_TEXT], id="z-long"),
+        pytest.param(["verify", "dim2", "--z", "1," + LONG_TEXT], id="z-scalar-long"),
+        pytest.param(["verify", "dim2", "--z", "e" + LONG_INT[:4000]], id="z-basis-long"),
+    ],
+)
+def test_hostile_input_is_echoed_as_a_short_prefix(capsys, tmp_path, dim2_file, argv):
+    """Long or malformed input text is an input error (exit 2), quoted in
+    the message only as a short prefix: under 300 bytes of stderr."""
+    if argv[1] in HOSTILE_DOCS:
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(HOSTILE_DOCS[argv[1]]))
+        argv = [argv[0], str(path)]
+    elif argv[1] == "dim2":
+        argv = [argv[0], dim2_file, *argv[2:]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "internal error" not in err
+    assert len(err.encode()) < 300, err[:400]
+
+
 def test_verify_all_central_builds_each_quotient_once_and_no_cover(capsys, monkeypatch, tmp_path):
     import trialg.extensions
     import trialg.sequences
@@ -616,7 +659,7 @@ def test_cover_quotient_reproduces_invariants(capsys, tmp_path, dim2_file):
             derived.dim,
             center.dim,
             derived.intersection(center).dim,
-            hom_to_field(alg, 1).dim,
+            hom_to_field(alg).dim,
         )
 
     assert invariants(quot) == invariants(dim2_single_product())

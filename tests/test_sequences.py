@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -38,14 +37,14 @@ def dim2_z(dim2):
 
 
 def test_inf1_zero_ideal_is_identity(dim2):
-    m = inf1(dim2, Subspace.zero(QQ, 2), 1)
+    m = inf1(dim2, Subspace.zero(QQ, 2))
     assert m.domain_dim == m.codomain_dim == 1
     assert m.matrix == Matrix.identity(QQ, 1)
 
 
 def test_inf1_abelian_full_center_domain_is_zero_dim():
     a = abelian(2)
-    m = inf1(a, Subspace.full(QQ, 2), 1)
+    m = inf1(a, Subspace.full(QQ, 2))
     assert m.domain_dim == 0
     assert m.codomain_dim == 2
 
@@ -53,7 +52,7 @@ def test_inf1_abelian_full_center_domain_is_zero_dim():
 def test_inf1_injective_random_sweep(random_corpus):
     rng = random.Random(15)
     algebras = list(random_corpus) + [
-        random_valid_algebra(rng, QQ, max_dim=5) for _ in range(20)
+        random_valid_algebra(rng, QQ, max_dim=5) for _ in range(50)
     ]
     count = 0
     for alg in algebras:
@@ -62,27 +61,26 @@ def test_inf1_injective_random_sweep(random_corpus):
             continue
         take = rng.randint(1, center.dim)
         z = Subspace.from_rows(QQ, alg.dim, center.basis.data[:take])
-        for k in (1, 2):
-            m = inf1(alg, z, k)
-            assert m.rank == m.domain_dim
-            count += 1
+        m = inf1(alg, z)
+        assert m.rank == m.domain_dim
+        count += 1
     assert count >= 50
 
 
 def test_res_examples(dim2, dim2_z):
-    m = res(dim2, Subspace.zero(QQ, 2), 1)
+    m = res(dim2, Subspace.zero(QQ, 2))
     assert m.codomain_dim == 0
     a = abelian(2)
-    mfull = res(a, Subspace.full(QQ, 2), 1)
+    mfull = res(a, Subspace.full(QQ, 2))
     assert mfull.domain_dim == mfull.codomain_dim == 2
     assert mfull.rank == 2
-    mz = res(dim2, dim2_z, 1)
+    mz = res(dim2, dim2_z)
     assert mz.domain_dim == 1 and mz.codomain_dim == 1
     assert mz.is_zero()
 
 
 def test_tra_dim2(dim2, dim2_z):
-    m = tra(dim2, dim2_z, 1)
+    m = tra(dim2, dim2_z)
     assert m.domain_dim == 1
     assert m.codomain_dim == 3
     assert m.rank == 1
@@ -92,56 +90,44 @@ def test_tra_split_ideal_is_zero():
     # direct sum: central line with a complemented subalgebra section
     a = abelian(3)
     z = line(3, 2)
-    m = tra(a, z, 1)
+    m = tra(a, z)
     assert m.is_zero()
 
 
-def test_tra_section_independence(dim2, dim2_z):
-    rng = random.Random(44)
-    base = tra(dim2, dim2_z, 1)
-    # canonical pivot section is e0 -> e0; shift it into the ideal
-    for shift in (1, -2, 3):
-        section = Matrix(QQ, [[1], [Fraction(shift)]])
-        moved = tra(dim2, dim2_z, 1, section=section)
-        assert moved.matrix == base.matrix
-
-
 def test_inf2_examples(dim2, dim2_z):
-    m0 = inf2(dim2, Subspace.zero(QQ, 2), 1)
+    m0 = inf2(dim2, Subspace.zero(QQ, 2))
     assert m0.matrix == Matrix.identity(QQ, 2)
     a = abelian(2)
-    mfull = inf2(a, Subspace.full(QQ, 2), 1)
+    mfull = inf2(a, Subspace.full(QQ, 2))
     assert mfull.domain_dim == 0 and mfull.codomain_dim == 12
-    mz = inf2(dim2, dim2_z, 1)
+    mz = inf2(dim2, dim2_z)
     assert mz.domain_dim == 3 and mz.codomain_dim == 2
     assert mz.rank == 2
 
 
-def forms_tra(l, z, k, section=None):
+def forms_tra(l, z):
     """Transgression columns through per-pair forms: the section cocycle's
     values composed with each map chi on Z, via the coercing constructor."""
     quot = quotient_algebra(l, z)
-    section = quot.section if section is None else section
-    cochain = section_cocycle(l, quot.algebra, quot.projection, z, section)
+    cochain = section_cocycle(l, quot.algebra, quot.projection, z, quot.section)
     cols = []
-    for vec in Subspace.full(l.field, k * z.dim).basis_rows():
-        chi = Matrix(l.field, [vec[t * z.dim:(t + 1) * z.dim] for t in range(k)], z.dim)
-        forms = {op: {key: dense_matvec(l.field, chi.data, val) for key, val in table.items()}
+    for chi in Subspace.full(l.field, z.dim).basis_rows():
+        forms = {op: {key: dense_matvec(l.field, [chi], val) for key, val in table.items()}
                  for op, table in cochain.forms.items()}
-        cols.append(h2(quot.algebra, k).class_of(CochainTriple(quot.algebra, k, forms)))
+        cols.append(h2(quot.algebra).class_of(CochainTriple(quot.algebra, 1, forms)))
     return cols
 
 
-def forms_inf2(l, z, k):
+def forms_inf2(l, z):
     """Second-inflation columns through ``evaluate`` at every basis pair."""
     quot = quotient_algebra(l, z)
     images = quot.projection.transpose().data
     cols = []
-    for rep in h2(quot.algebra, k).h2_reps:
+    for rep in h2(quot.algebra).h2_reps:
         forms = {op: {(i, j): evaluate(rep, x, y, op)
                       for i, x in enumerate(images) for j, y in enumerate(images)}
                  for op in OPS}
-        cols.append(h2(l, k).class_of(CochainTriple(l, k, forms)))
+        cols.append(h2(l).class_of(CochainTriple(l, 1, forms)))
     return cols
 
 
@@ -192,17 +178,9 @@ def test_tra_inf2_match_the_forms_construction(field):
         ideals = [Subspace.from_rows(field, l.dim, [row]) for row in center.basis_rows()]
         ideals.append(center)
         for z in ideals:
-            for k in (1, 2):
-                assert columns(tra(l, z, k)) == forms_tra(l, z, k)
-                assert columns(inf2(l, z, k)) == forms_inf2(l, z, k)
-                checked += tra(l, z, k).rank + inf2(l, z, k).rank
-            # another section: add (r + 1) * (first basis vector of Z) to column r
-            quot = quotient_algebra(l, z)
-            z0 = z.basis_rows()[0]
-            section = Matrix(field, [[field.add(x, field.mul(field.coerce(r + 1), z0[i]))
-                                      for r, x in enumerate(row)]
-                                     for i, row in enumerate(quot.section.data)], quot.algebra.dim)
-            assert columns(tra(l, z, 1, section=section)) == forms_tra(l, z, 1, section)
+            assert columns(tra(l, z)) == forms_tra(l, z)
+            assert columns(inf2(l, z)) == forms_inf2(l, z)
+            checked += tra(l, z).rank + inf2(l, z).rank
     assert checked > 0
 
 
@@ -232,7 +210,7 @@ def test_delta_kills_coboundaries(dim2, dim2_z):
 
 def test_maps_require_central_ideal(dim2):
     with pytest.raises(NotCentralIdealError):
-        verify_five_term(dim2, line(2, 0), 1)
+        verify_five_term(dim2, line(2, 0))
 
 
 def test_reports_repeat_on_equal_inputs():
@@ -248,7 +226,7 @@ def test_reports_repeat_on_equal_inputs():
 
 
 def test_five_term_dim2(dim2, dim2_z):
-    report = verify_five_term(dim2, dim2_z, 1)
+    report = verify_five_term(dim2, dim2_z)
     assert report.ok
     assert report.dims == (1, 1, 1, 3, 2)
     assert report.ranks == (1, 0, 1, 2)
@@ -257,21 +235,15 @@ def test_five_term_dim2(dim2, dim2_z):
 def test_five_term_abelian_full_center():
     for n in (1, 2, 3, 4):
         a = abelian(n)
-        report = verify_five_term(a, Subspace.full(QQ, n), 1)
+        report = verify_five_term(a, Subspace.full(QQ, n))
         assert report.ok
         assert report.dims == (0, n, n, 0, 3 * n * n)
         assert report.ranks == (0, n, 0, 0)
 
 
 def test_five_term_zero_ideal(dim2):
-    report = verify_five_term(dim2, Subspace.zero(QQ, 2), 1)
+    report = verify_five_term(dim2, Subspace.zero(QQ, 2))
     assert report.ok
-
-
-def test_five_term_higher_coefficients(dim2, dim2_z):
-    report = verify_five_term(dim2, dim2_z, 2)
-    assert report.ok
-    assert report.dims == (2, 2, 2, 6, 4)
 
 
 def test_five_term_random_extensions_sweep():
@@ -287,7 +259,7 @@ def test_five_term_random_extensions_sweep():
             continue
         total = ext.total
         z = ext.kernel.space
-        report = verify_five_term(total, z, 1)
+        report = verify_five_term(total, z)
         assert report.ok, (base.name, trial)
         count += 1
     assert count >= 15
@@ -349,10 +321,10 @@ def test_composites_vanish_on_corpus(small_corpus):
             ideals.append(Subspace.from_rows(QQ, alg.dim, [center.basis_rows()[0]]))
         for z in ideals:
             m1, m2, m3, m4 = (
-                inf1(alg, z, 1),
-                res(alg, z, 1),
-                tra(alg, z, 1),
-                inf2(alg, z, 1),
+                inf1(alg, z),
+                res(alg, z),
+                tra(alg, z),
+                inf2(alg, z),
             )
             d = delta_map(alg, z)
             assert (m2.matrix @ m1.matrix).is_zero()
