@@ -4,10 +4,10 @@ An algebra of dimension n over an exact field is stored as three sparse
 product tables, one per operation ("vdash", "dashv", "perp"), mapping a
 basis pair (i, j) to the nonzero coordinates of e_i * e_j.  The eleven
 defining identities are checked on basis triples only, which suffices by
-trilinearity.  Vectors are multiplied as the rows of two matrices, every
-pair at once, from the denominator-cleared tables (``_product_matrix``);
-the dense product of a single pair, which the tests compare against, is a
-test oracle.
+trilinearity.  One kernel, ``_product_matrix``, evaluates a bilinear map
+held as int tables over a denominator at every pair of rows of two
+matrices: the products, from the denominator-cleared tables, and the
+cochains of the cohomology module.  The dense evaluation is a test oracle.
 
 Identity indexing is fixed once and for all (reading order of the usual
 two-column display, 1-based):
@@ -400,16 +400,16 @@ def as_subspace(parent: TriAlgebra, z) -> Subspace:
     raise TypeError(f"expected Subspace or AlgSubspace, got {type(z).__name__}")
 
 
-def _product_matrix(a: TriAlgebra, us: Matrix, vs: Matrix) -> Matrix:
-    """The matrix whose row (op, r, s), in that order, is ``u_r op v_s`` for
-    the rows u_r of ``us`` and v_s of ``vs``, vectors of ``a``: the cleared
-    table of op summed over the products of nonzero entries of the two
-    rows."""
-    d, table = a._cleared_products()
-    mod = _modulus(a.field)
+def _product_matrix(cleared: tuple[int, dict], cols: int, us: Matrix, vs: Matrix) -> Matrix:
+    """The matrix whose row (op, r, s), in that order, is f(op, u_r, v_s)
+    for the rows u_r of ``us``, v_s of ``vs`` and the bilinear map f into
+    F^cols held as ``cleared``, int tables (d, {op: {(i, j): {k: int}}})
+    over d: each table summed over the products of nonzero row entries."""
+    d, table = cleared
+    mod = _modulus(us.field)
     rows = []
     for op in OPS:
-        by_first = _by_first(table[op])  # i -> [(j, e_i op e_j)]
+        by_first = _by_first(table[op])  # i -> [(j, f(op, e_i, e_j))]
         for u, du in us._sparse:
             pairs = [(x, j, vec) for i, x in u.items() for j, vec in by_first.get(i, ())]
             for v, dv in vs._sparse:
@@ -420,21 +420,20 @@ def _product_matrix(a: TriAlgebra, us: Matrix, vs: Matrix) -> Matrix:
                         for k, z in vec.items():
                             acc[k] = acc.get(k, 0) + c * z
                 rows.append(_row(acc, du * dv * d, mod))
-    return Matrix._from_ints(a.field, tuple(rows), a.dim)
+    return Matrix._from_ints(us.field, tuple(rows), cols)
 
 
 def product_subspace(s: AlgSubspace, t: AlgSubspace) -> AlgSubspace:
     """Span of all products of ``s`` by ``t`` under the three operations."""
-    if s.parent != t.parent:
+    a = s.parent
+    if a != t.parent:
         raise ValueError("subspaces have different parent algebras")
-    return AlgSubspace(s.parent, Subspace._span(_product_matrix(s.parent, s.space.basis, t.space.basis)))
+    return AlgSubspace(a, Subspace._span(_product_matrix(a._cleared_products(), a.dim, s.space.basis, t.space.basis)))
 
 
 def is_ideal(s: AlgSubspace) -> bool:
     full = s.parent.full_subspace()
-    return s.space.contains(product_subspace(full, s).space) and s.space.contains(
-        product_subspace(s, full).space
-    )
+    return all(s.space.contains(product_subspace(x, y).space) for x, y in ((full, s), (s, full)))
 
 
 class QuotientAlgebra(NamedTuple):
@@ -467,7 +466,7 @@ def _transport(a: TriAlgebra, rows: Matrix, to_coords: Matrix, name: str | None)
     vector of ``a``: e_r op e_s has the coordinates ``(row r op row s) @
     to_coords``."""
     n = rows.rows
-    coords = _scalar_rows(_product_matrix(a, rows, rows) @ to_coords)
+    coords = _scalar_rows(_product_matrix(a._cleared_products(), a.dim, rows, rows) @ to_coords)
     products = {op: {} for op in OPS}
     for idx, entries in enumerate(coords):
         o, rs = divmod(idx, n * n)

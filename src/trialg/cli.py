@@ -338,8 +338,17 @@ def _base_arg(text: str):
     return _int_arg()(match.group(1)) if match else text
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, quoting a bad choice as a short prefix; subcommands too."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {_echo(value)} (choose from {choices})")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trialg",
         description="Exact structure-constant toolkit for triassociative algebras.",
     )
@@ -400,7 +409,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # quoted as short prefixes, as a bad choice is
+        parser.error("unrecognized arguments: " + " ".join(map(_echo, extra)))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
@@ -410,8 +421,8 @@ def main(argv=None) -> int:
         # flush at exit reports nothing (the recipe of Python's signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except _INPUT_ERRORS as exc:
-        return _fail_input(str(exc))
+    except _INPUT_ERRORS as exc:  # a file name is quoted only as a short prefix
+        return _fail_input(f"{exc.strerror}: {_echo(exc.filename)}" if getattr(exc, "filename", None) else str(exc))
     except InvalidAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -26,15 +26,15 @@ H^2 live in, as a one-row ``Matrix``, so a basis row of those spaces is a
 cochain as it stands.  The entries are indexed in a fixed order --
 operation ("vdash", "dashv", "perp"), then the basis pair (i, j)
 row-major, then the coefficient coordinate, so (op o, i, j, t) sits at
-((o n + i) n + j) k + t.  Its per-operation forms are a view decoded from
-that row, and the pull-back ``_pullback`` evaluates F-valued cochain
-rows at pairs of vectors as one product with a matrix in this layout; it
-is the only evaluation of a cochain at vectors (the dense one it is
-tested against is a test oracle).  Two cocycles f, g are cohomologous
-exactly when ``b2_space(b, k).contains_vector(f.sub(g).vectorize())``.
-The constraint system splits per coefficient coordinate, so the k > 1
-spaces are the k-fold coordinate expansions of the k = 1 spaces;
-canonicity of RREF bases makes that expansion exact, not a convention.
+((o n + i) n + j) k + t.  Its values are read in one place,
+``_cochain_tables``, as int tables like the cleared products, and the
+pull-back ``_pullback`` evaluates F-valued cochain rows at pairs of
+vectors with the kernel that multiplies vectors (the dense evaluation is
+a test oracle).  Two cocycles f, g are cohomologous exactly when
+``b2_space(b, k).contains_vector(f.sub(g).vectorize())``.  The
+constraint system splits per coefficient coordinate, so the k > 1 spaces
+are the k-fold coordinate expansions of the k = 1 spaces; canonicity of
+RREF bases makes that expansion exact, not a convention.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
-from .algebra import OPS, TriAlgebra, _cleared, _identity_defects, _product_matrix, _reader
+from .algebra import OPS, TriAlgebra, _identity_defects, _product_matrix, _reader
 from .fields import check_same_field
-from .linalg import Matrix, Subspace, _complement_coordinates, _kernel, _modulus, _row, _scalar_rows
+from .linalg import Matrix, Subspace, _complement_coordinates, _kernel
 
 __all__ = [
     "CochainTriple",
@@ -160,28 +160,16 @@ class CochainTriple:
         row = {idx * k + t: x * (e // d) for t, (xs, d) in enumerate(rows) for idx, x in xs.items()}
         return cls._from_row(base, k, Matrix._from_ints(base.field, ((row, e),), 3 * base.dim**2 * k))
 
-    def _decode(self) -> dict:
-        """The entries as ``{op: {(i, j): {t: scalar}}}``: every operation in
-        ``OPS`` order, each table sorted by basis pair."""
-        n, k = self.base.dim, self.coeff_dim
-        tables: dict = {op: {} for op in OPS}
-        for idx, x in sorted(_scalar_rows(self._row)[0].items()):
-            pair, t = divmod(idx, k)
-            o, ij = divmod(pair, n * n)
-            tables[OPS[o]].setdefault(divmod(ij, n), {})[t] = x
-        return tables
-
     @property
     def forms(self) -> dict:
         """The forms as ``{op: {(i, j): value}}``: every operation in ``OPS``
         order, each table sorted by basis pair and holding the nonzero
         values as ``coeff_dim``-tuples.  Built on first read."""
         if self._forms is None:
-            zero, k = self.base.field.zero, self.coeff_dim
-            self._forms = {
-                op: {key: tuple(slot.get(t, zero) for t in range(k)) for key, slot in table.items()}
-                for op, table in self._decode().items()
-            }
+            field, k = self.base.field, self.coeff_dim
+            e, tables = _cochain_tables(self._row, self.base.dim, k)
+            self._forms = {op: {key: Matrix._from_ints(field, ((slot, e),), k).row(0) for key, slot in table.items()}
+                           for op, table in tables.items()}
         return self._forms
 
     def vectorize(self) -> tuple:
@@ -207,31 +195,30 @@ class CochainTriple:
         return f"CochainTriple(base dim {self.base.dim}, k={self.coeff_dim}, {nnz} entries)"
 
 
+def _cochain_tables(m: Matrix, n: int, k: int) -> tuple[int, dict]:
+    """The F^k-valued cochain rows of ``m``, on a base of dimension ``n``, as
+    one bilinear map into F^(rows k): int tables ``{op: {(i, j): {r k + t:
+    int}}}`` over one denominator, every operation in ``OPS`` order, each
+    table sorted by basis pair.  The one reader of cochain values."""
+    e = lcm(*[d for _, d in m._sparse])
+    tables: dict = {op: {} for op in OPS}
+    for idx, r, x in sorted((idx, r, x * (e // d)) for r, (row, d) in enumerate(m._sparse) for idx, x in row.items()):
+        pair, t = divmod(idx, k)
+        o, ij = divmod(pair, n * n)
+        tables[OPS[o]].setdefault(divmod(ij, n), {})[r * k + t] = x
+    return e, tables
+
+
 def _pullback(cochains: Matrix, pairs: Sequence[tuple[Matrix, Matrix]]) -> Matrix:
     """Each F-valued cochain row f of ``cochains`` at the pairs of rows
     (u_a, v_b) of each ``(us, vs)`` in ``pairs``: per operation one block
-    per pair, in list order, with f(op, u_a, v_b) at a |vs| + b.
-    By bilinearity, ``cochains`` times one matrix of the u_a[i] v_b[j], built
-    from the int rows of ``us`` and ``vs`` transposed over one denominator
-    per (i, j); the (i, j) that no pair reaches share one empty row."""
-    mod = _modulus(cochains.field)
-    blocks, width = [], 0  # per pair: its first column in an operation, |vs|, us and vs transposed
-    for us, vs in pairs:
-        blocks.append((width, vs.rows, us.transpose()._sparse, vs.transpose()._sparse))
-        width += us.rows * vs.rows
-    m = pairs[0][0].cols
-    cells = []  # per (i, j): its int row at the first operation
-    for i in range(m):
-        for j in range(m):
-            parts = [(start, nv, u[i], v[j]) for start, nv, u, v in blocks]
-            d = lcm(*[du * dv for _, _, (_, du), (_, dv) in parts])
-            cells.append(_row({start + a * nv + b: x * y * (d // (du * dv))
-                               for start, nv, (u, du), (v, dv) in parts
-                               for a, x in u.items() for b, y in v.items()}, d, mod))
-    empty = ({}, 1)
-    rows = tuple(({c + o * width: x for c, x in cell.items()}, d) if cell else empty
-                 for o in range(len(OPS)) for cell, d in cells)
-    return cochains @ Matrix._from_ints(cochains.field, rows, len(OPS) * width)
+    per pair, in list order, with f(op, u_a, v_b) at a |vs| + b.  The rows
+    are one bilinear map into F^rows, which the product kernel evaluates
+    at each pair; its (op, a, b) rows go in (op, pair) order, transposed."""
+    tables = _cochain_tables(cochains, pairs[0][0].cols, 1)
+    blocks = [(_product_matrix(tables, cochains.rows, us, vs)._sparse, us.rows * vs.rows) for us, vs in pairs]
+    rows = tuple(row for o in range(len(OPS)) for m, w in blocks for row in m[o * w : (o + 1) * w])
+    return Matrix._from_ints(cochains.field, rows, cochains.rows).transpose()
 
 
 def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
@@ -243,7 +230,7 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
     """
     base = f.base
     d, products = base._cleared_products()
-    e, forms = _cleared(base.field, f._decode())
+    e, forms = _cochain_tables(f._row, base.dim, f.coeff_dim)
     return [
         CocycleViolation(idx, triple, Matrix._from_ints(base.field, ((slot, d * e),), f.coeff_dim).row(0))
         for idx, triple, slot in _identity_defects(base.field, base.dim, products, _reader(forms))
@@ -301,23 +288,24 @@ def z2_space(b: TriAlgebra, k: int = 1) -> Subspace:
     return _expand_subspace(b._memo("z2_scalar", lambda: _kernel(b.field, _cocycle_rows(b), 3 * n * n)), k)
 
 
-def _b2_scalar(b: TriAlgebra) -> Subspace:
-    """Span of the coboundaries of the coordinate functionals: the rows of
-    the transposed product table (the sign of -eps does not change it)."""
-    n = b.dim
-    d, products = b._cleared_products()
-    table = [({}, 1)] * (3 * n * n)
-    for o, op in enumerate(OPS):
-        for (i, j), vec in products[op].items():
-            table[(o * n + i) * n + j] = (vec, d)
-    return Subspace._span(Matrix._from_ints(b.field, tuple(table), n).transpose())
+def _product_table(b: TriAlgebra) -> Matrix:
+    """The 3n^2 x n matrix whose row (op, i, j) is e_i op e_j, from the
+    cleared tables; built once per algebra and memoised on it."""
+
+    def build():
+        n, (d, products), empty = b.dim, b._cleared_products(), ({}, 1)
+        rows = {(o * n + i) * n + j: (vec, d) for o, op in enumerate(OPS) for (i, j), vec in products[op].items()}
+        return Matrix._from_ints(b.field, tuple(rows.get(c, empty) for c in range(3 * n * n)), n)
+
+    return b._memo("product_table", build)
 
 
 def b2_space(b: TriAlgebra, k: int = 1) -> Subspace:
-    """Coboundary space: image of eps -> (-eps(x*y)) over linear eps."""
+    """Coboundary space: image of eps -> (-eps(x*y)) over linear eps, spanned
+    by the rows of the transposed product table (the sign does not matter)."""
     if k < 1:
         raise ValueError("coefficient dimension must be >= 1")
-    return _expand_subspace(b._memo("b2_scalar", lambda: _b2_scalar(b)), k)
+    return _expand_subspace(b._memo("b2_scalar", lambda: Subspace._span(_product_table(b).transpose())), k)
 
 
 class CohomologyResult:
@@ -404,8 +392,7 @@ def _section_coordinates(
     if projection @ section != Matrix.identity(base.field, base.dim):
         raise NotASectionError("map is not a right inverse of the projection")
     mu = section.transpose()  # row i: mu(e_i)
-    unit = Matrix.identity(base.field, base.dim)
-    defects = _product_matrix(total, mu, mu) - _product_matrix(base, unit, unit) @ mu
+    defects = _product_matrix(total._cleared_products(), total.dim, mu, mu) - _product_table(base) @ mu
     try:
         return kernel_space._coordinates_of(defects)
     except ValueError:

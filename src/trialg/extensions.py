@@ -39,12 +39,13 @@ from .algebra import AlgSubspace, TriAlgebra, _center_rows, product_subspace
 from .cohomology import (
     CochainTriple,
     NotACocycleError,
+    _cochain_tables,
     cocycle_defects,
     h2,
     section_cocycle,
     z2_space,
 )
-from .linalg import Matrix, Subspace, _kernel, random_combination, random_invertible, solve_right
+from .linalg import Matrix, Subspace, _kernel, _modulus, _scalars, random_combination, random_invertible, solve_right
 
 __all__ = [
     "CentralExtension",
@@ -98,11 +99,12 @@ def extension_algebra(b: TriAlgebra, f: CochainTriple) -> TriAlgebra:
     """
     if f.base != b:
         raise ValueError("cochain base differs from the extension base")
-    n = b.dim
+    n, mod = b.dim, _modulus(b.field)
     products = {op: {key: dict(vec) for key, vec in table.items()} for op, table in b.products.items()}
-    for op, table in f._decode().items():
+    e, tables = _cochain_tables(f._row, n, f.coeff_dim)
+    for op, table in tables.items():
         for key, slot in table.items():
-            products[op].setdefault(key, {}).update({n + t: v for t, v in slot.items()})
+            products[op].setdefault(key, {}).update({n + t: v for t, v in _scalars(slot, e, mod).items()})
     return TriAlgebra(n + f.coeff_dim, b.field, products)
 
 

@@ -7,9 +7,9 @@ For a central ideal Z of L and trivial coefficients F, the maps
 (inflation, restriction, transgression, second inflation) are realized as
 matrices between canonical coordinate spaces, along with the evaluation
 map from H^2(L, F) into the paired blocks (L/L' (x) Z + Z (x) L/L')^3;
-that map and second inflation both go through the cochain pull-back.
-Exactness and the dimension statements they imply are checked by exact
-subspace equality; every report is computed, never assumed.  A report's
+that map and second inflation go through the cochain pull-back, on the
+one bilinear kernel.  Exactness and the dimension statements they imply
+are checked by exact subspace equality, never assumed.  A report's
 fields, in order, are its keys in ``trialg verify``, followed by its
 verdict (``ok``, or ``agree`` for the criteria) when that is not a field.
 Coefficients F^k would give the k-fold direct sum of these sequences, so

@@ -13,6 +13,7 @@ from trialg.algebra import (
     PERP,
     TriAlgebra,
     VDASH,
+    _product_matrix,
     change_basis,
     check_dim_bounds,
     dimension_bound_table,
@@ -26,11 +27,12 @@ from trialg.extensions import cover
 from trialg.fields import GF, QQ
 from trialg.generators import (
     abelian,
+    cover_abelian,
     dim2_single_product,
     random_extension,
     unital_dim1,
 )
-from trialg.linalg import Subspace, random_invertible
+from trialg.linalg import Matrix, Subspace, random_invertible
 
 from oracles import (
     dense_change_basis,
@@ -408,6 +410,40 @@ def test_random_valid_algebra_sweep():
         alg = random_valid_algebra(rng, QQ, max_dim=6)
         assert alg.axiom_report().ok
         assert alg.dim <= 6
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_product_matrix_rows_are_the_dense_products(field):
+    """Row (op, r, s) of the bilinear kernel at an algebra's cleared tables
+    is ``multiply(a, u_r, v_s, op)``, on the algebras of the pull-back test:
+    random rebasing rows (one of them zero), the unit rows, a side with no
+    rows, and the images of the basis in the quotient by the center."""
+    rng = random.Random(32)
+    ext = random_extension(abelian(2, field), 2, seed=5).total
+    rebased = change_basis(ext, random_invertible(rng, ext.dim, field))
+    if field == QQ:
+        assert rebased._cleared_products()[0] > 1
+    checked = 0
+    for a in (cover_abelian(1, field), ext, rebased):
+        n = a.dim
+        rebase = random_invertible(rng, n, field)
+        with_zero = rebase.vstack(Matrix.zeros(field, 1, n))
+        none = Matrix.zeros(field, 0, n)
+        quot = quotient_algebra(a, a.center().space)
+        images = quot.projection.transpose()  # row i: P e_i, on the quotient
+        cases = [
+            (a, with_zero, rebase),
+            (a, rebase, Matrix.identity(field, n)),
+            (a, none, with_zero),
+            (a, with_zero, none),
+            (quot.algebra, images, images),
+        ]
+        for b, us, vs in cases:
+            got = _product_matrix(b._cleared_products(), b.dim, us, vs)
+            assert (got.rows, got.cols) == (len(OPS) * us.rows * vs.rows, b.dim)
+            assert got.data == tuple(multiply(b, u, v, op) for op in OPS for u in us.data for v in vs.data)
+            checked += not got.is_zero()
+    assert checked >= 6
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])

@@ -264,18 +264,23 @@ def test_stdout_and_output_file_are_the_same_bytes(capsys, tmp_path, dim2_file, 
     assert written.read_bytes() == out.encode("utf-8")
 
 
+def _trialg(argv, **kwargs):
+    """``trialg <argv>`` started as a fresh process on this tree's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.Popen([sys.executable, "-c", "import sys, trialg.cli; sys.exit(trialg.cli.main())", *argv],
+                            env=env, **kwargs)
+
+
 def _read_100_bytes_then_close(argv):
     """Run ``trialg <argv>`` with stdout on a one-page pipe, read 100 bytes
     and close the pipe while the command is still writing."""
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("the pipe size cannot be set on this platform")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     read_end, write_end = os.pipe()
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)  # far less than the output
-    proc = subprocess.Popen([sys.executable, "-c", "import sys, trialg.cli; sys.exit(trialg.cli.main())", *argv],
-                            stdout=write_end, stderr=subprocess.PIPE, env=env)
+    proc = _trialg(argv, stdout=write_end, stderr=subprocess.PIPE)
     os.close(write_end)
     head = b""
     while len(head) < 100:
@@ -465,6 +470,36 @@ def test_hostile_input_is_echoed_as_a_short_prefix(capsys, tmp_path, dim2_file, 
     err = capsys.readouterr().err
     assert code == 2 and "internal error" not in err
     assert len(err.encode()) < 300, err[:400]
+
+
+LONG_PATH = "/" + LONG_TEXT  # a file name past the length limit of common file systems
+
+
+@pytest.mark.parametrize(
+    "argv, short",
+    [
+        pytest.param(["validate", LONG_PATH], None, id="validate-path-long"),
+        pytest.param(["gen", "random-ext", "--base", LONG_PATH, "-k", "1"], None, id="gen-base-path-long"),
+        pytest.param(["gen", "abelian", "-n", "2", "-o", "/nonexistent" + LONG_PATH], None, id="gen-output-path-long"),
+        pytest.param([LONG_TEXT], ["xxxxx"], id="command-long"),
+        pytest.param(["gen", LONG_TEXT], ["gen", "xxxxx"], id="gen-kind-long"),
+        pytest.param(["validate", "a.json", "--" + LONG_TEXT], ["validate", "a.json", "--xxxxx"], id="option-long"),
+    ],
+)
+def test_long_paths_and_tokens_are_echoed_as_a_short_prefix(argv, short):
+    """In a fresh process, a file name or a bad argument token is quoted
+    only as a short prefix: a long one exits 2 with no internal error, a
+    file error with under 300 bytes of stderr, and an argument error with
+    at most the 10 bytes of a cut prefix more than the 5-character token."""
+    proc = _trialg(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (2, b"") and b"internal error" not in err
+    if short is None:
+        assert err.startswith(b"error: ") and len(err) < 300, err[:400]
+        return
+    ref = _trialg(short, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    _, ref_err = ref.communicate(timeout=120)
+    assert ref.returncode == 2 and len(ref_err) <= len(err) <= len(ref_err) + 10, err[:400]
 
 
 def test_verify_all_central_builds_each_quotient_once_and_no_cover(capsys, monkeypatch, tmp_path):

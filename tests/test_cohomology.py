@@ -308,6 +308,28 @@ def test_cocycle_defect_values_match_dense_rows(field):
     assert nonzero > 0
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_fractional_cochain_defects_match_the_forced_extension(k):
+    """Over Q, a cochain with non-unit denominators on a rebased base: its
+    forced extension holds its vector in the last k coordinates, and its
+    defects are the last k coordinates of that extension's violations, at
+    the same (identity, triple), in the same order."""
+    rng = random.Random(35)
+    nonzero = 0
+    for base in _rebased_extensions(QQ, 5)[:3]:
+        vec = [Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 5, 7])) for _ in range(3 * base.dim**2 * k)]
+        f = CochainTriple.from_vector(base, k, vec)
+        assert f._row._sparse[0][1] > 1
+        total, n = extension_algebra(base, f), base.dim
+        assert [total.products[op].get((i, j), {}).get(n + t, 0)
+                for op in OPS for i in range(n) for j in range(n) for t in range(k)] == list(f.vectorize())
+        report = total.axiom_report()
+        got = [(v.axiom, v.triple, v.defect) for v in cocycle_defects(f)]
+        assert got == [(v.axiom, v.triple, v.defect[n:]) for v in report.violations]
+        nonzero += len(got)
+    assert nonzero > 0
+
+
 # ------------------------------------------------------ section cocycles
 
 

@@ -162,6 +162,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # and README.md does not name, each with the reason it stays.
 KEEP = {
     "_make": "NamedTuple hook: AlgSubspace._replace calls it",
+    "_check_value": "argparse hook: cli._Parser quotes a bad choice through fields._echo",
     "cover_fingerprint": "ROADMAP item 7: criterion 7's pre-filter until an isomorphism certificate replaces it",
     "stem_center_image_check": "the paper's center-image criterion, run by the acceptance suite",
     "delta_map": "one accessor API with inf1, res, tra and inf2",
