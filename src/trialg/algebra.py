@@ -56,6 +56,7 @@ __all__ = [
     "MalformedAlgebraError",
     "InvalidAlgebraError",
     "NotAnIdealError",
+    "NotCentralIdealError",
     "product_subspace",
     "is_ideal",
     "quotient_algebra",

@@ -159,18 +159,23 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_h2(args) -> int:
-    alg = _read_algebra(args.path)
-    res = cohomology.h2(alg, args.k)
+    """H^2(L, F^k) as k copies of H^2(L, F): k times each dimension, and as
+    representatives each F representative in each of the k coordinates."""
+    alg, k = _read_algebra(args.path), args.k
+    res = cohomology.h2(alg)
     out = _Report()
-    out.add("coeff_dim", args.k)
-    out.add("z2_dim", res.z2.dim)
-    out.add("b2_dim", res.b2.dim)
-    out.add("h2_dim", res.h2_dim)
-    if args.k == 1:
+    out.add("coeff_dim", k)
+    out.add("z2_dim", k * res.z2.dim)
+    out.add("b2_dim", k * res.b2.dim)
+    out.add("h2_dim", k * res.h2_dim)
+    if k == 1:
         out.add("multiplier_dim", res.h2_dim)
     if args.reps:
-        for idx, rep in enumerate(res.h2_reps):
-            out.add(f"rep[{idx}]", _vector_str(alg.field, rep.vectorize()))
+        zero = cohomology.CochainTriple.zero(alg, 1)
+        stack = cohomology.CochainTriple.stack
+        rows = (stack(alg, [zero] * t + [rep] + [zero] * (k - 1 - t)) for rep in res.h2_reps for t in range(k))
+        for idx, row in enumerate(rows):
+            out.add(f"rep[{idx}]", _vector_str(alg.field, row.vectorize()))
     out.print(args.json)
     return EXIT_OK
 
@@ -421,8 +426,8 @@ def main(argv=None) -> int:
         # flush at exit reports nothing (the recipe of Python's signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except _INPUT_ERRORS as exc:  # a file name is quoted only as a short prefix
-        return _fail_input(f"{exc.strerror}: {_echo(exc.filename)}" if getattr(exc, "filename", None) else str(exc))
+    except _INPUT_ERRORS as exc:  # a file name is quoted up to 200 characters, whole unless hostile
+        return _fail_input(f"{exc.strerror}: {_echo(exc.filename, 200)}" if getattr(exc, "filename", None) else str(exc))
     except InvalidAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

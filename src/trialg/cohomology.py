@@ -1,4 +1,4 @@
-"""Second cohomology with trivial coefficients F^k.
+"""Second cohomology with trivial coefficients in the ground field F.
 
 A 2-cochain on an algebra B is a triple of bilinear forms B x B -> F^k,
 one per operation.  Cocycles are the triples satisfying the eleven
@@ -21,20 +21,24 @@ of 3n^2 values is held.  The sweep yields one (family, i) block at a
 time, and the Z^2 system goes from it into the elimination one row at a
 time; no constraint matrix is built.
 
-A cochain is stored as its vector in F^(3 n^2 k), the space Z^2, B^2 and
-H^2 live in, as a one-row ``Matrix``, so a basis row of those spaces is a
-cochain as it stands.  The entries are indexed in a fixed order --
-operation ("vdash", "dashv", "perp"), then the basis pair (i, j)
-row-major, then the coefficient coordinate, so (op o, i, j, t) sits at
-((o n + i) n + j) k + t.  Its values are read in one place,
+A cochain is stored as its vector in F^(3 n^2 k), as a one-row
+``Matrix``; Z^2, B^2 and H^2 live in F^(3 n^2), so a basis row of those
+spaces is an F-valued cochain as it stands.  The entries are indexed in a
+fixed order -- operation ("vdash", "dashv", "perp"), then the basis pair
+(i, j) row-major, then the coefficient coordinate, so (op o, i, j, t)
+sits at ((o n + i) n + j) k + t.  Its values are read in one place,
 ``_cochain_tables``, as int tables like the cleared products, and the
 pull-back ``_pullback`` evaluates F-valued cochain rows at pairs of
 vectors with the kernel that multiplies vectors (the dense evaluation is
-a test oracle).  Two cocycles f, g are cohomologous exactly when
-``b2_space(b, k).contains_vector(f.sub(g).vectorize())``.  The
-constraint system splits per coefficient coordinate, so the k > 1 spaces
-are the k-fold coordinate expansions of the k = 1 spaces; canonicity of
-RREF bases makes that expansion exact, not a convention.
+a test oracle).
+
+Z^2, B^2 and H^2 are built over F only, once per algebra.  Two F-valued
+cocycles f, g are cohomologous exactly when
+``b2_space(b).contains_vector(f.sub(g).vectorize())``.  The constraint
+system splits per coefficient coordinate, so H^2(B, F^k) is k copies of
+H^2(B, F): an F^k-valued cochain is a cocycle (a coboundary) exactly when
+each of its k coordinate cochains is, and ``CochainTriple.stack`` places
+an F-valued cochain in one coordinate.
 """
 
 from __future__ import annotations
@@ -238,7 +242,7 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
 
 
 def _cocycle_rows(b: TriAlgebra) -> Iterator[dict]:
-    """The rows of the k = 1 cocycle system, as a stream of int rows.
+    """The rows of the cocycle system of Z^2(B, F), as a stream of int rows.
 
     The rows are the defects of the universal cochain, whose value at
     (op, i, j) is the unknown at column (o*n + i)*n + j: its defect at a
@@ -260,32 +264,12 @@ def _cocycle_rows(b: TriAlgebra) -> Iterator[dict]:
     return (slot for _, _, slot in _identity_defects(b.field, n, products, universal))
 
 
-def _expand_subspace(sub: Subspace, k: int) -> Subspace:
-    """k-fold coordinate expansion: w -> w (x) e_t, coefficient-minor order.
-
-    Built directly as an echelon map: row (w, t) of an RREF basis has its
-    pivot at p*k + t for w's pivot p, so the rows in (w, t) order have
-    ascending pivots, and a row is nonzero only in coordinate t of each
-    block, where w is zero at every other pivot.  That is the RREF of the
-    expanded span.
-    """
-    if k == 1:
-        return sub
-    echelon = {
-        p * k + t: (lead, {j * k + t: x for j, x in tail.items()})
-        for p, (lead, tail) in sub._echelon.items()
-        for t in range(k)
-    }
-    return Subspace(sub.field, sub.ambient_dim * k, echelon)
-
-
-def z2_space(b: TriAlgebra, k: int = 1) -> Subspace:
-    """Canonical basis of the cocycle space Z^2(B, F^k)."""
-    if k < 1:
-        raise ValueError("coefficient dimension must be >= 1")
+def z2_space(b: TriAlgebra) -> Subspace:
+    """Canonical basis of the cocycle space Z^2(B, F), built once per
+    algebra and memoised on it."""
     b.require_valid()
     n = b.dim
-    return _expand_subspace(b._memo("z2_scalar", lambda: _kernel(b.field, _cocycle_rows(b), 3 * n * n)), k)
+    return b._memo("z2", lambda: _kernel(b.field, _cocycle_rows(b), 3 * n * n))
 
 
 def _product_table(b: TriAlgebra) -> Matrix:
@@ -300,12 +284,10 @@ def _product_table(b: TriAlgebra) -> Matrix:
     return b._memo("product_table", build)
 
 
-def b2_space(b: TriAlgebra, k: int = 1) -> Subspace:
+def b2_space(b: TriAlgebra) -> Subspace:
     """Coboundary space: image of eps -> (-eps(x*y)) over linear eps, spanned
     by the rows of the transposed product table (the sign does not matter)."""
-    if k < 1:
-        raise ValueError("coefficient dimension must be >= 1")
-    return _expand_subspace(b._memo("b2_scalar", lambda: Subspace._span(_product_table(b).transpose())), k)
+    return b._memo("b2", lambda: Subspace._span(_product_table(b).transpose()))
 
 
 class CohomologyResult:
@@ -317,15 +299,14 @@ class CohomologyResult:
     class against that complement.
     """
 
-    __slots__ = ("base", "coeff_dim", "z2", "b2", "h2_reps", "_complement", "_coords")
+    __slots__ = ("base", "z2", "b2", "h2_reps", "_complement", "_coords")
 
-    def __init__(self, base, coeff_dim, z2, b2, complement):
+    def __init__(self, base, z2, b2, complement):
         self.base = base
-        self.coeff_dim = coeff_dim
         self.z2 = z2
         self.b2 = b2
         rows = complement.basis
-        self.h2_reps = tuple(CochainTriple._from_row(base, coeff_dim, rows, i) for i in range(rows.rows))
+        self.h2_reps = tuple(CochainTriple._from_row(base, 1, rows, i) for i in range(rows.rows))
         self._complement = complement
         self._coords = None
 
@@ -352,16 +333,15 @@ class CohomologyResult:
         return self._classes(cochain._row).row(0)
 
 
-def h2(b: TriAlgebra, k: int = 1) -> CohomologyResult:
-    """Second cohomology with coefficients in F^k, computed once per
-    algebra and k and memoised on the algebra."""
+def h2(b: TriAlgebra) -> CohomologyResult:
+    """Second cohomology H^2(B, F), computed once per algebra and memoised
+    on it.  H^2(B, F^k) is its k-fold copy (see the module docstring)."""
 
     def build():
-        z2 = z2_space(b, k)
-        b2 = b2_space(b, k)
-        return CohomologyResult(b, k, z2, b2, b2.complement_in(z2))
+        z2, b2 = z2_space(b), b2_space(b)
+        return CohomologyResult(b, z2, b2, b2.complement_in(z2))
 
-    return b._memo(("h2", k), build)
+    return b._memo("h2", build)
 
 
 def section_cocycle(

@@ -53,6 +53,7 @@ __all__ = [
     "build_central_extension",
     "cover",
     "CoverResult",
+    "cover_fingerprint",
     "z_star",
     "is_unicentral",
     "stem_center_image_check",
@@ -147,7 +148,7 @@ def cover(l: TriAlgebra) -> CoverResult:
     l.require_valid()
 
     def build():
-        res = h2(l, 1)
+        res = h2(l)
         return CoverResult(_cover_from_reps(l, res.h2_reps), res.h2_dim)
 
     return l._memo("cover", build)
@@ -185,13 +186,13 @@ def cover_fingerprint(l: TriAlgebra, reps=None) -> tuple[int, int, int, int, int
         center.dim,
         derived.space.intersection(center.space).dim,
         product_subspace(derived, derived).dim,
-        h2(k, 1).h2_dim,
+        h2(k).h2_dim,
     )
 
 
 def z_star(l: TriAlgebra) -> AlgSubspace:
     """Z*(L): the central z with g(z, e_y) = g(e_y, z) = 0 for every row g
-    of the k = 1 Z^2 basis, every operation and every basis vector e_y.
+    of the Z^2(L, F) basis, every operation and every basis vector e_y.
 
     That is the image of the cover's center (see the module docstring), so
     no cover is built.  Each g gives one row per (op, side, y) over the n
@@ -201,7 +202,7 @@ def z_star(l: TriAlgebra) -> AlgSubspace:
 
     def build():
         n = l.dim
-        z2 = z2_space(l, 1)
+        z2 = z2_space(l)
 
         def rows():
             for g, _ in z2.basis._sparse:
@@ -254,7 +255,7 @@ def stem_center_image_check(l: TriAlgebra, trials: int = 5, seed: int = 0) -> St
     """
     l.require_valid()
     rng = random.Random(seed)
-    res = h2(l, 1)
+    res = h2(l)
     m = res.h2_dim
     fld = l.field
     zs = z_star(l)

@@ -30,15 +30,19 @@ _SCALAR_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
 _RANDOM_BOUND = 3
 
 
-def _echo(value) -> str:
+def _echo(value, limit: int = 12) -> str:
     """``value`` as an error message quotes it, cut to a short prefix so that
-    hostile input gives a short message: a string as the repr of its first
-    12 characters, anything else as the first 12 characters of its repr,
-    then ``...`` when cut."""
+    hostile input gives a short message: a string as the repr of its longest
+    prefix that prints as at most ``limit`` characters between the quotes,
+    anything else as the first ``limit`` characters of its repr, then
+    ``...`` when cut."""
     if isinstance(value, str):
-        return repr(value[:12]) + ("..." if len(value) > 12 else "")
+        cut = value[:limit]
+        while len(repr(cut)) > limit + 2:  # an escape prints as up to 10 characters
+            cut = cut[:-1]
+        return repr(cut) + ("..." if len(cut) < len(value) else "")
     text = repr(value)
-    return text[:12] + ("..." if len(text) > 12 else "")
+    return text[:limit] + ("..." if len(text) > limit else "")
 
 
 class FieldMismatchError(ValueError):

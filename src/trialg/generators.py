@@ -64,7 +64,7 @@ def unital_dim1(field: Field = QQ) -> TriAlgebra:
 
 def random_cocycles(base: TriAlgebra, k: int, rng: random.Random) -> list[CochainTriple]:
     """k nonzero cocycles sampled inside Z^2(base, F) with small coefficients."""
-    z2 = z2_space(base, 1)
+    z2 = z2_space(base)
     if z2.dim == 0:
         raise NoCocyclesError("base has no nonzero cocycles to sample")
     out = []

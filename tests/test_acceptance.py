@@ -64,7 +64,7 @@ def _cocycle_extension_sweep(field, trials=100, seed=101):
     bases = [abelian(2, field), dim2_single_product(field), cover_abelian(1, field)]
     valid_extensions = []
     for base in bases:
-        z2 = z2_space(base, 1)
+        z2 = z2_space(base)
         n_valid = 0
         n_invalid = 0
         for trial in range(trials):
@@ -102,7 +102,7 @@ def test_criterion_1_cover_regression():
     start = time.monotonic()
     for n in range(1, 5):
         base = abelian(n)
-        res = h2(base, 1)
+        res = h2(base)
         assert res.h2_dim == 3 * n * n
         result = cover(base)
         k = result.extension.total
@@ -216,7 +216,7 @@ def test_criterion_7_cover_fingerprint_uniqueness():
     rng = random.Random(303)
     for alg in (dim2_single_product(), abelian(1), abelian(2), cover_abelian(1)):
         base_fp = cover_fingerprint(alg)
-        res = h2(alg, 1)
+        res = h2(alg)
         for _ in range(2):
             reps = list(res.h2_reps)
             rng.shuffle(reps)

@@ -391,7 +391,7 @@ def test_basis_change_invariance(dim2, example_cover_1):
         assert moved.axiom_report().ok
         assert moved.center().dim == alg.center().dim
         assert moved.derived().dim == alg.derived().dim
-        assert h2(moved, 1).h2_dim == h2(alg, 1).h2_dim
+        assert h2(moved).h2_dim == h2(alg).h2_dim
 
 
 def test_basis_change_over_prime_field():

@@ -120,6 +120,16 @@ def test_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_missing_files_are_named_in_full():
+    """In a fresh process, two missing files under one directory exit 2,
+    each message naming its own whole path."""
+    for path in ("/nonexistent/alg.json", "/nonexistent/other.json"):
+        proc = _trialg(["validate", path], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, out) == (2, b"")
+        assert err == f"error: No such file or directory: {path!r}\n".encode()
+
+
 LONG_INT = "9" * 5000  # past CPython's default limit of 4,300 digits
 
 
@@ -161,7 +171,7 @@ def test_base_without_cocycles_exit_2(capsys):
 def test_internal_error_exit_3(capsys, monkeypatch, dim2_file):
     """A library bug surfacing as ValueError is not reported as bad input."""
 
-    def broken(alg, k):
+    def broken(alg):
         raise ValueError("invariant broken")
 
     monkeypatch.setattr("trialg.cohomology.h2", broken)
@@ -217,6 +227,47 @@ def test_h2_and_multiplier(capsys, dim2_file, abelian2_file):
 
     _, out, _ = run(capsys, "h2", dim2_file, "--reps")
     assert "rep[0]" in kv(out)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_h2_k_output_matches_the_dense_oracle(capsys, tmp_path, field, k):
+    """``h2 -k K`` against dense elimination over F^K: ``z2_dim`` is the
+    dense Z^2(F^K) dimension, and the ``rep[..]`` rows are the canonical
+    complement of the dense B^2(F^K) rows, eps -> -eps(x * y) for each
+    (basis vector, coordinate), in the dense Z^2(F^K) basis."""
+    import random
+
+    from trialg.algebra import OPS, change_basis
+    from trialg.generators import random_extension
+    from trialg.linalg import random_invertible
+
+    from oracles import dense_complement, dense_cocycle_rows, dense_kernel, dense_z2_dim, product_vector
+
+    ext = random_extension(abelian(2, field), 2, seed=3).total
+    rebased = change_basis(ext, random_invertible(random.Random(8), ext.dim, field))
+    for alg in (dim2_single_product(field), cover_abelian(1, field), rebased):
+        n, width = alg.dim, 3 * alg.dim**2 * k
+        path = tmp_path / "alg.json"
+        path.write_text(emit(alg))
+        code, out, _ = run(capsys, "h2", str(path), "-k", str(k), "--reps")
+        pairs = kv(out)
+        assert code == 0 and pairs["z2_dim"] == str(dense_z2_dim(alg, k))
+        b2 = []
+        for m in range(n):
+            for t in range(k):
+                row = [field.zero] * width
+                for o, op in enumerate(OPS):
+                    for i in range(n):
+                        for j in range(n):
+                            row[((o * n + i) * n + j) * k + t] = field.sub(field.zero, product_vector(alg, op, i, j)[m])
+                b2.append(row)
+        z2, _ = dense_kernel(field, dense_cocycle_rows(alg, k), width)
+        reps, _ = dense_complement(field, b2, z2, width)
+        assert int(pairs["h2_dim"]) == len(reps) > 0
+        assert [pairs[f"rep[{idx}]"] for idx in range(len(reps))] == [
+            ",".join(field.to_str(x) for x in row) for row in reps]
+        assert f"rep[{len(reps)}]" not in pairs
 
 
 def test_h2_json_output(capsys, dim2_file):

@@ -44,7 +44,7 @@ def test_zero_cocycle_over_abelian_gives_abelian():
 
 def test_unit_forms_over_point_give_example_cover(example_cover_1):
     base = abelian(1)
-    res = h2(base, 1)
+    res = h2(base)
     stacked = CochainTriple.stack(base, list(res.h2_reps))
     ext = build_central_extension(base, 3, stacked)
     assert ext.total == example_cover_1
@@ -75,7 +75,7 @@ def test_non_cocycle_rejected_with_matching_axioms(dim2):
 def test_extension_invariants(random_corpus):
     rng = random.Random(6)
     for base in random_corpus[:5]:
-        res = h2(base, 1)
+        res = h2(base)
         if res.h2_dim == 0:
             continue
         rep = res.h2_reps[rng.randrange(res.h2_dim)]
@@ -118,7 +118,7 @@ def test_cover_of_dim2(dim2):
 
 def test_cover_contract(random_corpus, dim2, unital):
     for alg in [dim2, unital] + random_corpus[:4]:
-        res = h2(alg, 1)
+        res = h2(alg)
         result = cover(alg)
         ext = result.extension
         assert result.multiplier_dim == res.h2_dim
@@ -136,7 +136,7 @@ def test_cover_fingerprint_stable_under_rep_permutation(dim2, example_cover_1):
     rng = random.Random(41)
     for alg in (dim2, abelian(1), example_cover_1):
         base_fp = cover_fingerprint(alg)
-        res = h2(alg, 1)
+        res = h2(alg)
         for _ in range(3):
             reps = list(res.h2_reps)
             rng.shuffle(reps)
@@ -145,7 +145,7 @@ def test_cover_fingerprint_stable_under_rep_permutation(dim2, example_cover_1):
 
 def test_cover_fingerprint_stable_under_cohomologous_shift(dim2):
     # replace a representative by a coboundary-shifted one
-    res = h2(dim2, 1)
+    res = h2(dim2)
     shift_vec = res.b2.basis_rows()[0]
     reps = []
     for idx, rep in enumerate(res.h2_reps):
@@ -256,7 +256,7 @@ def test_stem_reduction_matches_the_quotient_oracle(field):
     ]
     reduced = dropped_before_last = 0
     for l in bases:
-        res = h2(l, 1)
+        res = h2(l)
         rep_vectors = Matrix(field, [rep.vectorize() for rep in res.h2_reps], cols=3 * l.dim**2)
         for _ in range(5):
             vectors = random_invertible(rng, res.h2_dim, field) @ rep_vectors
@@ -294,7 +294,7 @@ def test_stem_reduction_checks_the_cocycle_once(monkeypatch, dim2):
     checked build on the kept sub-list, and the quotient oracle's."""
     import trialg.extensions
 
-    res = h2(dim2, 1)
+    res = h2(dim2)
     rep0, rep1 = res.h2_reps
     extra = CochainTriple.from_vector(  # rep0 + rep1 + a coboundary
         dim2, 1, [a + b + c for a, b, c in zip(rep0.vectorize(), rep1.vectorize(), res.b2.basis_rows()[0])])
@@ -320,7 +320,7 @@ def test_stem_reduction_checks_the_cocycle_once(monkeypatch, dim2):
 
 
 def test_equivalent_cocycles_give_same_class(dim2):
-    res = h2(dim2, 1)
+    res = h2(dim2)
     rep = res.h2_reps[0]
     shifted_vec = [a + b for a, b in zip(rep.vectorize(), res.b2.basis_rows()[0])]
     shifted = CochainTriple.from_vector(dim2, 1, shifted_vec)
@@ -328,7 +328,7 @@ def test_equivalent_cocycles_give_same_class(dim2):
     e2 = build_central_extension(dim2, 1, shifted)
     c1 = e1.section_cocycle()
     c2 = e2.section_cocycle()
-    assert b2_space(dim2, 1).contains_vector(c1.sub(c2).vectorize())
+    assert b2_space(dim2).contains_vector(c1.sub(c2).vectorize())
     assert res.class_of(c1) == res.class_of(c2)
 
 
@@ -362,10 +362,10 @@ def test_invariants_survive_a_change_of_basis(field, seed):
     def rebased(space):  # coordinates against the new basis, the rows of p
         return Subspace.from_rows(field, alg.dim, (space.basis @ pinv).data)
 
-    assert h2(moved, 1).h2_dim == h2(alg, 1).h2_dim
+    assert h2(moved).h2_dim == h2(alg).h2_dim
     assert moved.center().space == rebased(alg.center().space)
     assert moved.derived().space == rebased(alg.derived().space)
     assert z_star(moved).space == rebased(z_star(alg).space)
     assert cover_fingerprint(moved) == cover_fingerprint(alg)
-    assert h2(moved, 1).base is moved and cover(moved).extension.base is moved
+    assert h2(moved).base is moved and cover(moved).extension.base is moved
     assert z_star(moved).parent is moved and moved.center().parent is moved

@@ -147,6 +147,14 @@ def test_public_names_are_unchanged():
     assert trialg.__version__ == "0.1.0"
 
 
+def test_module_all_lists_hold_the_package_exports():
+    """``from trialg.<module> import *`` gives every name the package
+    exports from that module."""
+    missing = [f"{module_name}.{name}" for module_name, names in trialg._EXPORTS.items()
+               for name in names if name not in importlib.import_module(f"trialg.{module_name}").__all__]
+    assert not missing, missing
+
+
 def test_exceptions_keep_their_public_homes():
     import trialg.generators
     import trialg.sequences

@@ -138,7 +138,7 @@ def evaluate_delta(l, z):
     us = l.derived().space.complement_in(Subspace.full(l.field, l.dim)).basis_rows()
     ws = z.basis_rows()
     cols = []
-    for rep in h2(l, 1).h2_reps:
+    for rep in h2(l).h2_reps:
         col = []
         for op in OPS:
             col += [evaluate(rep, u, w, op)[0] for u in us for w in ws]
@@ -197,7 +197,7 @@ def test_delta_examples(dim2, dim2_z):
 
 def test_delta_kills_coboundaries(dim2, dim2_z):
     # evaluate the raw pairing blocks on a coboundary representative
-    resu = h2(dim2, 1)
+    resu = h2(dim2)
     cob = CochainTriple.from_vector(dim2, 1, resu.b2.basis_rows()[0])
     derived = dim2.derived().space
     comp = derived.complement_in(Subspace.full(QQ, 2))
