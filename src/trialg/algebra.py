@@ -327,9 +327,10 @@ class TriAlgebra:
 
     def center(self) -> "AlgSubspace":
         """Elements z with z * x = x * z = 0 for all x and all products: the
-        null space of :func:`_center_rows`, streamed into the elimination."""
+        null space of the :func:`_annihilator_rows` of the cleared products."""
         return self._memo(
-            "center", lambda: AlgSubspace(self, _kernel(self.field, _center_rows(self), self.dim))
+            "center",
+            lambda: AlgSubspace(self, _kernel(self.field, _annihilator_rows(self._cleared_products()[1]), self.dim)),
         )
 
     def __eq__(self, other):
@@ -347,14 +348,15 @@ class TriAlgebra:
         return f"TriAlgebra(dim {self.dim} over {self.field.name}{label})"
 
 
-def _center_rows(a: TriAlgebra) -> Iterable[dict]:
-    """The left/right multiplication constraints of the center as fresh int
-    rows, assembled from the denominator-cleared sparse tables: row (op,
-    left, j, k) holds the coordinate k of e_i op e_j at column i, and (op,
-    right, i, k) that of e_i op e_j at column j, each entry from one
-    product.  Their null space is Z(a)."""
+def _annihilator_rows(tables: Mapping[str, Mapping]) -> Iterable[dict]:
+    """The two-sided annihilator constraints of a bilinear map f held as int
+    tables ``{op: {(i, j): {k: int}}}``, as fresh int rows: row (op, left,
+    j, k) holds the coordinate k of f(op, e_i, e_j) at column i, and (op,
+    right, i, k) that of f(op, e_i, e_j) at column j, each entry from one
+    table value.  Their null space is the z with f(op, z, y) = f(op, y, z)
+    = 0 for every op and y: Z(a) for the products of a."""
     rows: dict[tuple, dict] = {}
-    for op, table in a._cleared_products()[1].items():
+    for op, table in tables.items():
         for (i, j), vec in table.items():
             for k, s in vec.items():
                 rows.setdefault((op, 0, j, k), {})[i] = s

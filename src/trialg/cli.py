@@ -170,12 +170,12 @@ def cmd_h2(args) -> int:
     out.add("h2_dim", k * res.h2_dim)
     if k == 1:
         out.add("multiplier_dim", res.h2_dim)
-    if args.reps:
-        zero = cohomology.CochainTriple.zero(alg, 1)
-        stack = cohomology.CochainTriple.stack
-        rows = (stack(alg, [zero] * t + [rep] + [zero] * (k - 1 - t)) for rep in res.h2_reps for t in range(k))
+    if args.reps:  # entry c of a representative in coordinate t sits at c k + t
+        width = 3 * alg.dim**2 * k
+        reps = _scalar_rows(res._complement.basis)
+        rows = ({c * k + t: x for c, x in rep.items()} for rep in reps for t in range(k))
         for idx, row in enumerate(rows):
-            out.add(f"rep[{idx}]", _vector_str(alg.field, row.vectorize()))
+            out.add(f"rep[{idx}]", ",".join(algfile.scalar_strings(alg.field, width, row)))
     out.print(args.json)
     return EXIT_OK
 

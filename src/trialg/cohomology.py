@@ -27,8 +27,9 @@ spaces is an F-valued cochain as it stands.  The entries are indexed in a
 fixed order -- operation ("vdash", "dashv", "perp"), then the basis pair
 (i, j) row-major, then the coefficient coordinate, so (op o, i, j, t)
 sits at ((o n + i) n + j) k + t.  Its values are read in one place,
-``_cochain_tables``, as int tables like the cleared products, and the
-pull-back ``_pullback`` evaluates F-valued cochain rows at pairs of
+``_cochain_tables``, as int tables like the cleared products: the defect
+sweep, the forced extension and ``extensions.z_star`` read through it, and
+the pull-back ``_pullback`` evaluates F-valued cochain rows at pairs of
 vectors with the kernel that multiplies vectors (the dense evaluation is
 a test oracle).
 
@@ -136,10 +137,6 @@ class CochainTriple:
         c._row = Matrix._from_ints(m.field, (m._sparse[i],), m.cols)
         c._forms = None
         return c
-
-    @classmethod
-    def zero(cls, base: TriAlgebra, coeff_dim: int) -> "CochainTriple":
-        return cls(base, coeff_dim, {})
 
     @classmethod
     def from_vector(cls, base: TriAlgebra, coeff_dim: int, vec: Sequence) -> "CochainTriple":

@@ -17,7 +17,9 @@ second extension is built without checking the cocycle again.
 The stable center Z*(L) is the image of the cover's center under the
 covering projection; L is unicentral when that image is all of Z(L).  It
 is computed without the cover, as the central z with g(z, y) = g(y, z) =
-0 for every cocycle g in Z^2(L, F), every operation and every y.  In the
+0 for every cocycle g in Z^2(L, F), every operation and every y: like
+Z(L), the two-sided annihilator of bilinear maps, here the products and
+the Z^2 basis read as one map into F^(dim Z^2).  In the
 extension by the stacked representatives f, a lift s(z) of a central z
 has s(z) * s(y) = f(z, y) and s(y) * s(z) = f(y, z), both in M n K'; the
 stem reduction divides by a complement of M n K' in M, so it is
@@ -35,7 +37,7 @@ import random
 from itertools import chain
 from typing import NamedTuple
 
-from .algebra import AlgSubspace, TriAlgebra, _center_rows, product_subspace
+from .algebra import AlgSubspace, TriAlgebra, _annihilator_rows, product_subspace
 from .cohomology import (
     CochainTriple,
     NotACocycleError,
@@ -195,26 +197,17 @@ def z_star(l: TriAlgebra) -> AlgSubspace:
     of the Z^2(L, F) basis, every operation and every basis vector e_y.
 
     That is the image of the cover's center (see the module docstring), so
-    no cover is built.  Each g gives one row per (op, side, y) over the n
-    coordinates of z; they are streamed per g into the elimination after
-    the center's own rows, whose null space is Z(L).  Memoised on ``l``.
+    no cover is built.  The Z^2 basis rows are one bilinear map into
+    F^(dim Z^2), read through ``_cochain_tables``; Z* is the null space of
+    the annihilator rows of the products and of that map, streamed into the
+    elimination in that order.  Memoised on ``l``.
     """
 
     def build():
         n = l.dim
-        z2 = z2_space(l)
-
-        def rows():
-            for g, _ in z2.basis._sparse:
-                block: dict = {}
-                for c, x in g.items():
-                    pair, j = divmod(c, n)
-                    o, i = divmod(pair, n)
-                    block.setdefault((o, 0, j), {})[i] = x  # g(e_i, e_j), z = e_i
-                    block.setdefault((o, 1, i), {})[j] = x  # g(e_i, e_j), z = e_j
-                yield from block.values()
-
-        return AlgSubspace(l, _kernel(l.field, chain(_center_rows(l), rows()), n))
+        z2 = _cochain_tables(z2_space(l).basis, n, 1)[1]
+        rows = chain(_annihilator_rows(l._cleared_products()[1]), _annihilator_rows(z2))
+        return AlgSubspace(l, _kernel(l.field, rows, n))
 
     return l._memo("z_star", build)
 

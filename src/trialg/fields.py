@@ -2,9 +2,10 @@
 
 Scalars are plain Python values (``fractions.Fraction`` over the rationals,
 ``int`` residues in ``[0, p)`` over a prime field).  A field descriptor
-supplies arithmetic, parsing, and canonical formatting; every matrix,
-subspace, and algebra in this package carries exactly one descriptor, and
-mixing descriptors raises :class:`FieldMismatchError`.
+supplies coercion, parsing, and canonical formatting; the package computes
+on int rows, so no descriptor carries arithmetic.  Every matrix, subspace,
+and algebra in this package carries exactly one descriptor, and mixing
+descriptors raises :class:`FieldMismatchError`.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def check_same_field(a: "Field", b: "Field") -> None:
 
 
 class Field:
-    """Base descriptor. Concrete fields implement the arithmetic hooks."""
+    """Base descriptor. Concrete fields implement the coercion hooks."""
 
     name = "?"
 
@@ -77,6 +78,9 @@ class Field:
 
     def from_quotient(self, num: int, den: int):
         raise NotImplementedError
+
+    def to_str(self, value) -> str:
+        return str(value)
 
     def __repr__(self):
         return f"<field {self.name}>"
@@ -102,23 +106,6 @@ class RationalField(Field):
         if den == 0:
             raise ValueError("zero denominator")
         return Fraction(num, den)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
-    def to_str(self, value) -> str:
-        return str(value)
 
     def random_scalar(self, rng):
         return Fraction(rng.randint(-_RANDOM_BOUND, _RANDOM_BOUND))
@@ -159,23 +146,6 @@ class PrimeField(Field):
         if d == 0:
             raise ValueError(f"denominator {den} is 0 mod {self.p}")
         return (num % self.p) * pow(d, self.p - 2, self.p) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def to_str(self, value) -> str:
-        return str(value)
 
     def random_scalar(self, rng):
         return rng.randrange(self.p)
@@ -218,10 +188,7 @@ def _is_prime(n: int) -> bool:
 
 
 QQ = RationalField()
-
-
-def GF(p: int) -> PrimeField:
-    return PrimeField(p)
+GF = PrimeField
 
 
 def parse_field(name: str) -> Field:

@@ -17,9 +17,9 @@ from the package's public constructors.
 
 import json
 from fractions import Fraction
-from functools import reduce
 from itertools import product
 from math import lcm
+from operator import mul
 
 from trialg.algebra import IDENTITIES, OPS, AlgSubspace, TriAlgebra, quotient_algebra
 from trialg.cohomology import CochainTriple, section_cocycle
@@ -40,10 +40,10 @@ def multiply(alg, x, y, op):
     f = alg.field
     out = [f.zero] * alg.dim
     for (i, j), vec in alg.products[op].items():
-        c = f.mul(x[i], y[j])
+        c = f.coerce(x[i] * y[j])
         if c:
             for k, v in vec.items():
-                out[k] = f.add(out[k], f.mul(c, v))
+                out[k] = f.coerce(out[k] + c * v)
     return tuple(out)
 
 
@@ -65,9 +65,9 @@ def evaluate(cochain, x, y, op):
     f = cochain.base.field
     acc = [f.zero] * cochain.coeff_dim
     for (i, j), val in cochain.forms[op].items():
-        c = f.mul(x[i], y[j])
+        c = f.coerce(x[i] * y[j])
         if c:
-            acc = [f.add(a, f.mul(c, v)) for a, v in zip(acc, val)]
+            acc = [f.coerce(a + c * v) for a, v in zip(acc, val)]
     return tuple(acc)
 
 
@@ -220,7 +220,7 @@ def direct_identity_defects(alg):
             lhs = multiply(alg, multiply(alg, basis[i], basis[j], op_a), basis[l], op_b)
             rhs = multiply(alg, basis[i], multiply(alg, basis[j], basis[l], op_d), op_c)
             if lhs != rhs:
-                bad.append((idx, (i, j, l), tuple(alg.field.sub(a, b) for a, b in zip(lhs, rhs))))
+                bad.append((idx, (i, j, l), tuple(alg.field.coerce(a - b) for a, b in zip(lhs, rhs))))
     return bad
 
 
@@ -238,7 +238,7 @@ def dense_cocycle_defects(f):
     for idx, triple, t, row in _labelled_cocycle_rows(f.base, f.coeff_dim):
         acc = fld.zero
         for a, x in zip(row, vec):
-            acc = fld.add(acc, fld.mul(a, x))
+            acc = fld.coerce(acc + a * x)
         values.setdefault((idx, triple), [fld.zero] * f.coeff_dim)[t] = acc
     return [(idx, triple, tuple(v)) for (idx, triple), v in values.items() if any(v)]
 
@@ -258,11 +258,11 @@ def _labelled_cocycle_rows(base, k):
                 for m in range(n):
                     if ca[m]:
                         col = ((ob * n + m) * n + l) * k + t
-                        row[col] = base.field.add(row[col], ca[m])
+                        row[col] = base.field.coerce(row[col] + ca[m])
                 for m in range(n):
                     if cd[m]:
                         col = ((oc * n + i) * n + m) * k + t
-                        row[col] = base.field.sub(row[col], cd[m])
+                        row[col] = base.field.coerce(row[col] - cd[m])
                 rows.append((idx, (i, j, l), t, row))
     return rows
 
@@ -294,7 +294,7 @@ def dense_rref(field, rows, ncols):
     from the topmost such row, scaled to 1 with full elimination above and
     below.  Zero rows stay, at the bottom.
     """
-    mul, sub, inv = field.mul, field.sub, field.inv
+    coerce = field.coerce
     rows = [list(r) for r in rows]
     nr = len(rows)
     pivots = []
@@ -307,13 +307,13 @@ def dense_rref(field, rows, ncols):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pivot_row = rows[r]
-        s = inv(pivot_row[c])
+        s = field.from_quotient(1, pivot_row[c])
         for cc in range(c, ncols):
-            pivot_row[cc] = mul(s, pivot_row[cc])
+            pivot_row[cc] = coerce(s * pivot_row[cc])
         for i in range(nr):
             t = rows[i][c]
             if i != r and t:
-                rows[i] = [a if cc < c else sub(a, mul(t, pivot_row[cc]))
+                rows[i] = [a if cc < c else coerce(a - t * pivot_row[cc])
                            for cc, a in enumerate(rows[i])]
         pivots.append(c)
         r += 1
@@ -334,7 +334,7 @@ def dense_kernel(field, rows, ncols):
         v = [field.zero] * ncols
         v[fc] = field.one
         for r, pc in enumerate(pivots):
-            v[pc] = field.sub(field.zero, red[r][fc])
+            v[pc] = field.coerce(-red[r][fc])
         basis.append(v)
     return dense_span(field, basis, ncols)
 
@@ -357,13 +357,13 @@ def dense_residual(field, basis, pivots, v):
     for row, pc in zip(basis, pivots):
         c = w[pc]
         if c:
-            w = [field.sub(a, field.mul(c, e)) for a, e in zip(w, row)]
+            w = [field.coerce(a - c * e) for a, e in zip(w, row)]
     return tuple(w)
 
 
 def dense_matvec(field, rows, v):
     """``M v`` for the dense rows of M."""
-    return tuple(reduce(field.add, map(field.mul, row, v), field.zero) for row in rows)
+    return tuple(field.coerce(sum(map(mul, row, v), field.zero)) for row in rows)
 
 
 def dense_matmul(field, a, b, ncols):

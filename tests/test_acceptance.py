@@ -54,7 +54,7 @@ def _z2_sample(base, z2, rng):
     for row in z2.basis_rows():
         c = base.field.random_scalar(rng)
         if c:
-            vec = [base.field.add(a, base.field.mul(c, b)) for a, b in zip(vec, row)]
+            vec = [base.field.coerce(a + c * b) for a, b in zip(vec, row)]
     return CochainTriple.from_vector(base, 1, vec)
 
 

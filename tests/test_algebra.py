@@ -126,7 +126,7 @@ def test_axiom_defect_values_match_direct_evaluation(field):
         algebras.append(alg)
         products = {op: {key: dict(vec) for key, vec in alg.products[op].items()} for op in OPS}
         vec = products[VDASH].setdefault((0, 0), {})
-        vec[0] = field.add(vec.get(0, field.zero), field.from_quotient(1, 3))
+        vec[0] = field.coerce(vec.get(0, field.zero) + field.from_quotient(1, 3))
         algebras.append(TriAlgebra(alg.dim, field, products))
     fractional = 0
     for alg in algebras:
@@ -174,16 +174,10 @@ def test_multiply_bilinear(dim2):
     y = (Fraction(1), Fraction(-1))
     z = (Fraction(3), Fraction(5))
     for op in OPS:
-        two_x = tuple(f.mul(Fraction(2), c) for c in x)
-        y_plus_z = tuple(f.add(a, b) for a, b in zip(y, z))
+        two_x = tuple(f.coerce(2 * c) for c in x)
+        y_plus_z = tuple(f.coerce(a + b) for a, b in zip(y, z))
         left = multiply(dim2, two_x, y_plus_z, op)
-        right = tuple(
-            f.add(
-                f.mul(Fraction(2), a),
-                f.mul(Fraction(2), b),
-            )
-            for a, b in zip(multiply(dim2, x, y, op), multiply(dim2, x, z, op))
-        )
+        right = tuple(f.coerce(2 * a + 2 * b) for a, b in zip(multiply(dim2, x, y, op), multiply(dim2, x, z, op)))
         assert left == right
 
 

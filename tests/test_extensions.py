@@ -35,7 +35,7 @@ from oracles import check_extension, quotient_stem_reduce, random_valid_algebra
 
 def test_zero_cocycle_over_abelian_gives_abelian():
     base = abelian(2)
-    ext = build_central_extension(base, 3, CochainTriple.zero(base, 3))
+    ext = build_central_extension(base, 3, CochainTriple(base, 3, {}))
     assert ext.total.dim == 5
     assert all(not ext.total.products[op] for op in OPS)
     assert ext.kernel.dim == 3

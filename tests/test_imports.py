@@ -179,8 +179,6 @@ KEEP = {
     "matvec": "linalg.py's size holds peak_rss_mb (CHANGES.md)",
     "coordinates": "linalg.py's size holds peak_rss_mb (CHANGES.md)",
     "column": "linalg.py's size holds peak_rss_mb (CHANGES.md)",
-    "inv": "the reference arithmetic of tests/oracles.py",
-    "mul": "the reference arithmetic of tests/oracles.py",
 }
 
 

@@ -275,7 +275,7 @@ def field_matrices(draw, scalars=SMALL_SCALARS):
         for _ in range(draw(st.integers(0, 2))):
             a, b = draw(st.integers(0, nrows - 1)), draw(st.integers(0, nrows - 1))
             c = field.coerce(draw(scalar))
-            rows.append([field.add(x, field.mul(c, y)) for x, y in zip(rows[a], rows[b])])
+            rows.append([field.coerce(x + c * y) for x, y in zip(rows[a], rows[b])])
     return field, ncols, rows
 
 
@@ -303,7 +303,7 @@ def test_complement_matches_repeated_span_definition(case, data):
     coeffs = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=sup.dim, max_size=sup.dim),
                                 max_size=3))
     sub_rows = [
-        [sum((field.mul(field.coerce(c), r[j]) for c, r in zip(cs, sup.basis_rows())), field.zero)
+        [field.coerce(sum(field.coerce(c) * r[j] for c, r in zip(cs, sup.basis_rows())))
          for j in range(ncols)]
         for cs in coeffs
     ]
@@ -332,7 +332,7 @@ def test_wide_coefficients_match_dense_reference(case, data):
         assert sup.reduce_vector(v) == dense_residual(field, sup.basis.data, sup.pivots, v)
     coeffs = data.draw(st.lists(st.lists(scalar, min_size=sup.dim, max_size=sup.dim), max_size=3))
     sub_rows = [
-        [sum((field.mul(field.coerce(c), r[j]) for c, r in zip(cs, sup.basis_rows())), field.zero)
+        [field.coerce(sum(field.coerce(c) * r[j] for c, r in zip(cs, sup.basis_rows())))
          for j in range(ncols)]
         for cs in coeffs
     ]
@@ -396,7 +396,7 @@ def test_subspace_equality_is_equality_of_spans(case, data):
     field, ncols, rows = case
     a = Subspace.from_rows(field, ncols, rows)
     # The same span from negated basis rows in reverse order.
-    negated = [[field.sub(field.zero, x) for x in row] for row in reversed(a.basis_rows())]
+    negated = [[field.coerce(-x) for x in row] for row in reversed(a.basis_rows())]
     same = Subspace.from_rows(field, ncols, negated)
     assert same == a and hash(same) == hash(a)
     part = Subspace.from_rows(field, ncols, rows[: data.draw(st.integers(0, len(rows)))])
@@ -406,7 +406,7 @@ def test_subspace_equality_is_equality_of_spans(case, data):
     free = [j for j in range(ncols) if j not in a.pivots]
     if a.dim and free and free[-1] > a.pivots[0]:
         moved = [list(row) for row in a.basis_rows()]
-        moved[0][free[-1]] = field.add(moved[0][free[-1]], field.one)
+        moved[0][free[-1]] = field.coerce(moved[0][free[-1]] + 1)
         other = Subspace.from_rows(field, ncols, moved)
         assert other.pivots == a.pivots and other != a and a != other
     # Every constructor stores the same echelon map as a span of its rows.
@@ -436,7 +436,7 @@ def test_random_combination_draws_one_scalar_per_row(case, seed):
     else:
         expected = [field.zero] * ncols
         for c, row in zip(coeffs, rows):
-            expected = [field.add(a, field.mul(c, x)) for a, x in zip(expected, row)]
+            expected = [field.coerce(a + c * x) for a, x in zip(expected, row)]
         assert combo.data == (tuple(expected),)
 
 
