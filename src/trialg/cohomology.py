@@ -21,12 +21,13 @@ of 3n^2 values is held.  The sweep yields one (family, i) block at a
 time, and the Z^2 system goes from it into the elimination one row at a
 time; no constraint matrix is built.
 
-A cochain is stored as its vector in F^(3 n^2 k), as a one-row
-``Matrix``; Z^2, B^2 and H^2 live in F^(3 n^2), so a basis row of those
-spaces is an F-valued cochain as it stands.  The entries are indexed in a
-fixed order -- operation ("vdash", "dashv", "perp"), then the basis pair
-(i, j) row-major, then the coefficient coordinate, so (op o, i, j, t)
-sits at ((o n + i) n + j) k + t.  Its values are read in one place,
+An F^k-valued cochain is stored as its k coordinate cochains, the rows
+of a k x 3n^2 ``Matrix``; Z^2, B^2 and H^2 live in F^(3 n^2), so a basis
+row of those spaces is an F-valued cochain as it stands.  A row is indexed
+by operation ("vdash", "dashv", "perp"), then the basis pair (i, j)
+row-major, so (op o, i, j) sits at (o n + i) n + j.  Only the dense edge,
+``from_vector`` and ``vectorize``, interleaves the coordinates: (op o, i,
+j, t) at ((o n + i) n + j) k + t.  The values are read in one place,
 ``_cochain_tables``, as int tables like the cleared products: the defect
 sweep, the forced extension and ``extensions.z_star`` read through it, and
 the pull-back ``_pullback`` evaluates F-valued cochain rows at pairs of
@@ -38,8 +39,9 @@ cocycles f, g are cohomologous exactly when
 ``b2_space(b).contains_vector(f.sub(g).vectorize())``.  The constraint
 system splits per coefficient coordinate, so H^2(B, F^k) is k copies of
 H^2(B, F): an F^k-valued cochain is a cocycle (a coboundary) exactly when
-each of its k coordinate cochains is, and ``CochainTriple.stack`` places
-an F-valued cochain in one coordinate.
+each of its k coordinate cochains is.  ``CochainTriple.stack`` takes the
+components' rows as the coordinate cochains, and a section cocycle is the
+transposed matrix of the kernel coordinates of its values.
 """
 
 from __future__ import annotations
@@ -89,11 +91,11 @@ class CocycleViolation(NamedTuple):
 
 
 class CochainTriple:
-    """Three F^k-valued bilinear forms on a base algebra, held as their
-    vector: ``_row``, a one-row ``Matrix`` of width 3n^2k (see the module
-    docstring for the index order)."""
+    """Three F^k-valued bilinear forms on a base algebra, held as their k
+    coordinate cochains: ``_rows``, a k x 3n^2 ``Matrix`` whose row t is
+    the F-valued cochain of coordinate t (see the module docstring)."""
 
-    __slots__ = ("base", "coeff_dim", "_row", "_forms")
+    __slots__ = ("base", "coeff_dim", "_rows", "_forms")
 
     def __init__(
         self,
@@ -105,7 +107,7 @@ class CochainTriple:
             raise ValueError("coefficient dimension must be >= 0")
         n = base.dim
         coerce = base.field.coerce
-        entries: dict = {}
+        rows: list[dict] = [{} for _ in range(coeff_dim)]
         for op, table in (forms or {}).items():
             if op not in OPS:
                 raise ValueError(f"unknown operation {op!r}")
@@ -119,22 +121,23 @@ class CochainTriple:
                     raise ValueError(
                         f"value at {op}{key} has length {len(vec)}, expected {coeff_dim}"
                     )
-                start = ((o * n + i) * n + j) * coeff_dim
-                for t, x in enumerate(vec):
+                c = (o * n + i) * n + j
+                for row, x in zip(rows, vec):
                     if x:
-                        entries[start + t] = x
+                        row[c] = x
         self.base = base
         self.coeff_dim = coeff_dim
-        self._row = Matrix._from_scalars(base.field, (entries,), 3 * n * n * coeff_dim)
+        self._rows = Matrix._from_scalars(base.field, rows, 3 * n * n)
         self._forms = None
 
     @classmethod
-    def _from_row(cls, base: TriAlgebra, coeff_dim: int, m: Matrix, i: int = 0) -> "CochainTriple":
-        """The cochain whose vector is row ``i`` of ``m``; the int row is shared."""
+    def _from_rows(cls, base: TriAlgebra, m: Matrix) -> "CochainTriple":
+        """The cochain whose coordinate cochains are the rows of ``m``; the
+        matrix is shared."""
         c = object.__new__(cls)
         c.base = base
-        c.coeff_dim = coeff_dim
-        c._row = Matrix._from_ints(m.field, (m._sparse[i],), m.cols)
+        c.coeff_dim = m.rows
+        c._rows = m
         c._forms = None
         return c
 
@@ -145,21 +148,17 @@ class CochainTriple:
         n = base.dim
         if len(vec) != 3 * n * n * coeff_dim:
             raise ValueError("vector length does not match 3*n^2*k")
-        return cls._from_row(base, coeff_dim, Matrix(base.field, [vec]))
+        return cls._from_rows(base, Matrix(base.field, [vec[t::coeff_dim] for t in range(coeff_dim)], 3 * n * n))
 
     @classmethod
     def stack(cls, base: TriAlgebra, components: Sequence["CochainTriple"]) -> "CochainTriple":
-        """Combine k scalar-valued cochains into one F^k-valued cochain:
-        entry idx of component t goes to idx k + t, over the lcm of the
-        components' denominators."""
-        k = len(components)
+        """Combine k scalar-valued cochains into one F^k-valued cochain,
+        component t its coordinate t."""
         for c in components:
             if c.base != base or c.coeff_dim != 1:
                 raise ValueError("stack expects scalar cochains on the same base")
-        rows = [c._row._sparse[0] for c in components]
-        e = lcm(*[d for _, d in rows])
-        row = {idx * k + t: x * (e // d) for t, (xs, d) in enumerate(rows) for idx, x in xs.items()}
-        return cls._from_row(base, k, Matrix._from_ints(base.field, ((row, e),), 3 * base.dim**2 * k))
+        rows = tuple(c._rows._sparse[0] for c in components)
+        return cls._from_rows(base, Matrix._from_ints(base.field, rows, 3 * base.dim**2))
 
     @property
     def forms(self) -> dict:
@@ -168,25 +167,25 @@ class CochainTriple:
         values as ``coeff_dim``-tuples.  Built on first read."""
         if self._forms is None:
             field, k = self.base.field, self.coeff_dim
-            e, tables = _cochain_tables(self._row, self.base.dim, k)
+            e, tables = _cochain_tables(self._rows, self.base.dim)
             self._forms = {op: {key: Matrix._from_ints(field, ((slot, e),), k).row(0) for key, slot in table.items()}
                            for op, table in tables.items()}
         return self._forms
 
     def vectorize(self) -> tuple:
-        return self._row.row(0)
+        return tuple(x for xs in zip(*self._rows.data) for x in xs)
 
     def sub(self, other: "CochainTriple") -> "CochainTriple":
         if self.base != other.base or self.coeff_dim != other.coeff_dim:
             raise ValueError("cochains live on different bases")
-        return CochainTriple._from_row(self.base, self.coeff_dim, self._row - other._row)
+        return CochainTriple._from_rows(self.base, self._rows - other._rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, CochainTriple)
             and self.base == other.base
             and self.coeff_dim == other.coeff_dim
-            and self._row == other._row
+            and self._rows == other._rows
         )
 
     __hash__ = None
@@ -196,17 +195,16 @@ class CochainTriple:
         return f"CochainTriple(base dim {self.base.dim}, k={self.coeff_dim}, {nnz} entries)"
 
 
-def _cochain_tables(m: Matrix, n: int, k: int) -> tuple[int, dict]:
-    """The F^k-valued cochain rows of ``m``, on a base of dimension ``n``, as
-    one bilinear map into F^(rows k): int tables ``{op: {(i, j): {r k + t:
-    int}}}`` over one denominator, every operation in ``OPS`` order, each
-    table sorted by basis pair.  The one reader of cochain values."""
+def _cochain_tables(m: Matrix, n: int) -> tuple[int, dict]:
+    """The F-valued cochain rows of ``m``, on a base of dimension ``n``, as
+    one bilinear map into F^rows: int tables ``{op: {(i, j): {r: int}}}``
+    over one denominator, every operation in ``OPS`` order, each table
+    sorted by basis pair.  The one reader of cochain values."""
     e = lcm(*[d for _, d in m._sparse])
     tables: dict = {op: {} for op in OPS}
     for idx, r, x in sorted((idx, r, x * (e // d)) for r, (row, d) in enumerate(m._sparse) for idx, x in row.items()):
-        pair, t = divmod(idx, k)
-        o, ij = divmod(pair, n * n)
-        tables[OPS[o]].setdefault(divmod(ij, n), {})[r * k + t] = x
+        o, ij = divmod(idx, n * n)
+        tables[OPS[o]].setdefault(divmod(ij, n), {})[r] = x
     return e, tables
 
 
@@ -216,7 +214,7 @@ def _pullback(cochains: Matrix, pairs: Sequence[tuple[Matrix, Matrix]]) -> Matri
     per pair, in list order, with f(op, u_a, v_b) at a |vs| + b.  The rows
     are one bilinear map into F^rows, which the product kernel evaluates
     at each pair; its (op, a, b) rows go in (op, pair) order, transposed."""
-    tables = _cochain_tables(cochains, pairs[0][0].cols, 1)
+    tables = _cochain_tables(cochains, pairs[0][0].cols)
     blocks = [(_product_matrix(tables, cochains.rows, us, vs)._sparse, us.rows * vs.rows) for us, vs in pairs]
     rows = tuple(row for o in range(len(OPS)) for m, w in blocks for row in m[o * w : (o + 1) * w])
     return Matrix._from_ints(cochains.field, rows, cochains.rows).transpose()
@@ -231,7 +229,7 @@ def cocycle_defects(f: CochainTriple) -> list[CocycleViolation]:
     """
     base = f.base
     d, products = base._cleared_products()
-    e, forms = _cochain_tables(f._row, base.dim, f.coeff_dim)
+    e, forms = _cochain_tables(f._rows, base.dim)
     return [
         CocycleViolation(idx, triple, Matrix._from_ints(base.field, ((slot, d * e),), f.coeff_dim).row(0))
         for idx, triple, slot in _identity_defects(base.field, base.dim, products, _reader(forms))
@@ -303,7 +301,8 @@ class CohomologyResult:
         self.z2 = z2
         self.b2 = b2
         rows = complement.basis
-        self.h2_reps = tuple(CochainTriple._from_row(base, 1, rows, i) for i in range(rows.rows))
+        self.h2_reps = tuple(CochainTriple._from_rows(base, Matrix._from_ints(base.field, (row,), rows.cols))
+                             for row in rows._sparse)
         self._complement = complement
         self._coords = None
 
@@ -327,7 +326,10 @@ class CohomologyResult:
         return self._classes(self.z2._as_row(vec)).row(0)
 
     def class_of(self, cochain: CochainTriple) -> tuple:
-        return self._classes(cochain._row).row(0)
+        """Class coordinates of an F-valued cocycle; ValueError otherwise."""
+        if cochain.coeff_dim != 1:
+            raise ValueError(f"class_of takes an F-valued cochain, not k = {cochain.coeff_dim}")
+        return self._classes(cochain._rows).row(0)
 
 
 def h2(b: TriAlgebra) -> CohomologyResult:
@@ -342,37 +344,25 @@ def h2(b: TriAlgebra) -> CohomologyResult:
 
 
 def section_cocycle(
-    total: TriAlgebra,
-    base: TriAlgebra,
-    projection: Matrix,
-    kernel_space: Subspace,
-    section: Matrix,
+    total: TriAlgebra, base: TriAlgebra, projection: Matrix, kernel_space: Subspace, section: Matrix
 ) -> CochainTriple:
     """Cocycle induced by a section of a central extension.
 
     For basis vectors x, y of the base the value is
-    mu(x) * mu(y) - mu(x * y), expressed in the kernel's canonical basis.
-    Raises ``NotASectionError`` unless projection @ section is the identity.
+    mu(x) * mu(y) - mu(x * y), expressed in the kernel's canonical basis:
+    the values' coordinates, one row per (op, i, j), transposed into the k
+    coordinate cochains.  Raises ``NotASectionError`` unless projection @
+    section is the identity.
     """
-    coords = _section_coordinates(total, base, projection, kernel_space, section).transpose()
-    # row t holds coordinate t of every value: the scalar cochain stacked at t
-    return CochainTriple.stack(base, [CochainTriple._from_row(base, 1, coords, t) for t in range(coords.rows)])
-
-
-def _section_coordinates(
-    total: TriAlgebra, base: TriAlgebra, projection: Matrix, kernel_space: Subspace, section: Matrix
-) -> Matrix:
-    """The values of :func:`section_cocycle` as the int rows of a matrix:
-    row (op, i, j) holds the kernel coordinates of mu(e_i) op mu(e_j) -
-    mu(e_i op e_j)."""
     check_same_field(total.field, base.field)
     if projection @ section != Matrix.identity(base.field, base.dim):
         raise NotASectionError("map is not a right inverse of the projection")
     mu = section.transpose()  # row i: mu(e_i)
     defects = _product_matrix(total._cleared_products(), total.dim, mu, mu) - _product_table(base) @ mu
     try:
-        return kernel_space._coordinates_of(defects)
+        coords = kernel_space._coordinates_of(defects)
     except ValueError:
         raise NotASectionError(
             "section defect escapes the kernel; extension is not central over this kernel"
         ) from None
+    return CochainTriple._from_rows(base, coords.transpose())

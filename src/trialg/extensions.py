@@ -6,13 +6,14 @@ result satisfies the defining identities exactly when f is a cocycle, and
 identity i fails exactly when constraint family i does.
 
 A cover of L is constructed cohomologically: extend L by the canonical
-H^2 representatives stacked into one vector-valued cocycle, then
-stem-reduce.  The kernel M of that extension is the block of its last
-coordinates, so the pivot complement of M n K' in M (K' the derived
-subalgebra) is spanned by unit vectors of M: dividing by it is extending
-again along the representatives whose kernel unit vectors are not in it.
-A stack is a cocycle exactly when each of its components is one, so that
-second extension is built without checking the cocycle again.
+H^2 representatives, the rows of the complement basis taken as the
+coordinate cochains of one vector-valued cocycle, then stem-reduce.  The
+kernel M of that extension is the block of its last coordinates, so the
+pivot complement of M n K' in M (K' the derived subalgebra) is spanned by
+unit vectors of M: dividing by it is extending again along the rows whose
+kernel unit vectors are not in it.  A cochain is a cocycle exactly when
+each of its rows is one, so that second extension is built without
+checking the cocycle again.
 
 The stable center Z*(L) is the image of the cover's center under the
 covering projection; L is unicentral when that image is all of Z(L).  It
@@ -44,10 +45,9 @@ from .cohomology import (
     _cochain_tables,
     cocycle_defects,
     h2,
-    section_cocycle,
     z2_space,
 )
-from .linalg import Matrix, Subspace, _kernel, _modulus, _scalars, random_combination, random_invertible, solve_right
+from .linalg import Matrix, Subspace, _kernel, _modulus, _scalars, random_combination, random_invertible
 
 __all__ = [
     "CentralExtension",
@@ -79,15 +79,6 @@ class CentralExtension(NamedTuple):
     def is_stem(self) -> bool:
         return self.total.derived().space.contains(self.kernel.space)
 
-    def canonical_section(self) -> Matrix:
-        """Deterministic right inverse of the projection (free vars zero)."""
-        return solve_right(self.projection, Matrix.identity(self.base.field, self.base.dim))
-
-    def section_cocycle(self, section: Matrix | None = None) -> CochainTriple:
-        if section is None:
-            section = self.canonical_section()
-        return section_cocycle(self.total, self.base, self.projection, self.kernel.space, section)
-
     def center_image(self) -> Subspace:
         """Image of the total algebra's center under the projection."""
         return Subspace._span(self.total.center().space.basis @ self.projection.transpose())
@@ -104,7 +95,7 @@ def extension_algebra(b: TriAlgebra, f: CochainTriple) -> TriAlgebra:
         raise ValueError("cochain base differs from the extension base")
     n, mod = b.dim, _modulus(b.field)
     products = {op: {key: dict(vec) for key, vec in table.items()} for op, table in b.products.items()}
-    e, tables = _cochain_tables(f._row, n, f.coeff_dim)
+    e, tables = _cochain_tables(f._rows, n)
     for op, table in tables.items():
         for key, slot in table.items():
             products[op].setdefault(key, {}).update({n + t: v for t, v in _scalars(slot, e, mod).items()})
@@ -142,31 +133,32 @@ class CoverResult(NamedTuple):
 def cover(l: TriAlgebra) -> CoverResult:
     """Cover of ``l``: a stem extension with kernel of maximal dimension.
 
-    Built by extending along the stacked canonical H^2 representatives and
-    stem-reducing.  The kernel then has the multiplier dimension and sits
-    inside both the center and the derived subalgebra of the cover.  Built
-    once per algebra and memoised on it.
+    Built by extending along the canonical H^2 representatives, the rows
+    of the complement basis, and stem-reducing.  The kernel then has the
+    multiplier dimension and sits inside both the center and the derived
+    subalgebra of the cover.  Built once per algebra and memoised on it.
     """
     l.require_valid()
 
     def build():
         res = h2(l)
-        return CoverResult(_cover_from_reps(l, res.h2_reps), res.h2_dim)
+        return CoverResult(_cover_from_rows(l, res._complement.basis), res.h2_dim)
 
     return l._memo("cover", build)
 
 
-def _cover_from_reps(l: TriAlgebra, reps) -> CentralExtension:
-    """The extension by the stacked scalar cocycles ``reps``, stem-reduced
+def _cover_from_rows(l: TriAlgebra, rows: Matrix) -> CentralExtension:
+    """The extension by the F-valued cocycle rows of ``rows``, stem-reduced
     as the module docstring says; returned as built when M lies in K'."""
-    ext = build_central_extension(l, len(reps), CochainTriple.stack(l, reps))
+    ext = build_central_extension(l, rows.rows, CochainTriple._from_rows(l, rows))
     derived = ext.total.derived().space._echelon  # M n K': its rows with a pivot in M's block
     m_in_derived = Subspace(l.field, ext.total.dim, {p: row for p, row in derived.items() if p >= l.dim})
     drop = m_in_derived.complement_in(ext.kernel.space).pivots
     if not drop:
         return ext
-    kept = [f for c, f in enumerate(reps, l.dim) if c not in drop]  # c: the rep's kernel coordinate
-    return _extension(l, CochainTriple.stack(l, kept))  # a sub-list of a cocycle stack is one
+    # c: the row's kernel coordinate; rows of a cocycle make one, so it is not checked again
+    kept = tuple(row for c, row in enumerate(rows._sparse, l.dim) if c not in drop)
+    return _extension(l, CochainTriple._from_rows(l, Matrix._from_ints(l.field, kept, rows.cols)))
 
 
 def cover_fingerprint(l: TriAlgebra, reps=None) -> tuple[int, int, int, int, int, int]:
@@ -178,7 +170,7 @@ def cover_fingerprint(l: TriAlgebra, reps=None) -> tuple[int, int, int, int, int
     if reps is None:
         ext = cover(l).extension
     else:
-        ext = _cover_from_reps(l, reps)
+        ext = _cover_from_rows(l, CochainTriple.stack(l, reps)._rows)
     k = ext.total
     derived = k.derived()
     center = k.center()
@@ -205,7 +197,7 @@ def z_star(l: TriAlgebra) -> AlgSubspace:
 
     def build():
         n = l.dim
-        z2 = _cochain_tables(z2_space(l).basis, n, 1)[1]
+        z2 = _cochain_tables(z2_space(l).basis, n)[1]
         rows = chain(_annihilator_rows(l._cleared_products()[1]), _annihilator_rows(z2))
         return AlgSubspace(l, _kernel(l.field, rows, n))
 
@@ -267,8 +259,7 @@ def stem_center_image_check(l: TriAlgebra, trials: int = 5, seed: int = 0) -> St
             extra = random_combination(rng, reps_and_b2)
             if extra is not None:
                 vectors = vectors.vstack(extra)
-        reps = [CochainTriple._from_row(l, 1, vectors, i) for i in range(vectors.rows)]
-        ext = _cover_from_reps(l, reps)
+        ext = _cover_from_rows(l, vectors)
         if not ext.is_stem():
             all_stem = False
         kernel_dims.append(ext.kernel_dim)

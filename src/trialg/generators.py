@@ -72,7 +72,7 @@ def random_cocycles(base: TriAlgebra, k: int, rng: random.Random) -> list[Cochai
         combo = None
         while combo is None:
             combo = random_combination(rng, z2.basis)
-        out.append(CochainTriple._from_row(base, 1, combo))
+        out.append(CochainTriple._from_rows(base, combo))
     return out
 
 

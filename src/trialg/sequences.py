@@ -13,7 +13,9 @@ are checked by exact subspace equality, never assumed.  A report's
 fields, in order, are its keys in ``trialg verify``, followed by its
 verdict (``ok``, or ``agree`` for the criteria) when that is not a field.
 Coefficients F^k would give the k-fold direct sum of these sequences, so
-only F is built.
+only F is built.  Each map is a ``SeqMap`` record; its rank, image and
+kernel are computed from its matrix when asked, and each report reads an
+image it needs once.
 
 All of them read from one analysis of (L, Z), made the first time any
 map or report asks for it and memoised on L under the canonical basis of
@@ -34,7 +36,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .algebra import NotCentralIdealError, TriAlgebra, as_subspace, hom_to_field, quotient_algebra
-from .cohomology import _pullback, _section_coordinates, h2
+from .cohomology import _pullback, h2, section_cocycle
 from .extensions import z_star
 from .linalg import Matrix, Subspace, kernel
 
@@ -72,57 +74,25 @@ def _require_central(l: TriAlgebra, z: Subspace) -> None:
             )
 
 
-class SeqMap:
-    """A linear map between two canonical coordinate spaces.
+class SeqMap(NamedTuple):
+    """A linear map between two canonical coordinate spaces: ``matrix`` is
+    codomain_dim x domain_dim.  Its rank, image and kernel are computed
+    from the matrix each time they are read."""
 
-    Its four fields are fixed at construction and make up its equality,
-    hash and repr.  Its image and kernel are each computed once, the first
-    time they are read; its rank is the dimension of the image.
-    """
-
-    def __init__(self, label: str, matrix: Matrix, domain_dim: int, codomain_dim: int):
-        # matrix is codomain_dim x domain_dim
-        vars(self).update(label=label, matrix=matrix, domain_dim=domain_dim,
-                          codomain_dim=codomain_dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.label, self.matrix, self.domain_dim, self.codomain_dim)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"SeqMap(label={self.label!r}, matrix={self.matrix!r}, "
-                f"domain_dim={self.domain_dim!r}, codomain_dim={self.codomain_dim!r})")
-
-    @cached_property
-    def _image(self) -> Subspace:
-        return Subspace._span(self.matrix.transpose())
-
-    @cached_property
-    def _kernel(self) -> Subspace:
-        return kernel(self.matrix)
+    label: str
+    matrix: Matrix
+    domain_dim: int
+    codomain_dim: int
 
     @property
     def rank(self) -> int:
-        return self._image.dim
+        return self.image().dim
 
     def image(self) -> Subspace:
-        return self._image
+        return Subspace._span(self.matrix.transpose())
 
     def kernel_space(self) -> Subspace:
-        return self._kernel
+        return kernel(self.matrix)
 
     def is_zero(self) -> bool:
         return self.matrix.is_zero()
@@ -173,8 +143,8 @@ class _CentralIdealAnalysis:
         """The class in H^2(L/Z, F) of each Z coordinate of the cocycle of
         0 -> Z -> L -> L/Z -> 0 along the canonical pivot section."""
         quot = self.quot
-        coords = _section_coordinates(self.alg, quot.algebra, quot.projection, self.z, quot.section)
-        return _seq_map("tra", self.coh_q._classes(coords.transpose()))
+        cocycle = section_cocycle(self.alg, quot.algebra, quot.projection, self.z, quot.section)
+        return _seq_map("tra", self.coh_q._classes(cocycle._rows))
 
     @cached_property
     def inf2(self) -> SeqMap:
@@ -205,15 +175,16 @@ class _CentralIdealAnalysis:
     @cached_property
     def five_term(self) -> "FiveTermReport":
         m1, m2, m3, m4 = self.inf1, self.res, self.tra, self.inf2
+        im1, im2, im3 = m1.image(), m2.image(), m3.image()
         dims = (self.hom_q.dim, self.hom_l.dim, self.z.dim, self.coh_q.h2_dim, self.coh_l.h2_dim)
-        ranks = (m1.rank, m2.rank, m3.rank, m4.rank)
+        ranks = (im1.dim, im2.dim, im3.dim, m4.rank)
         return FiveTermReport(
             dims=dims,
             ranks=ranks,
             inf1_injective=ranks[0] == dims[0],
-            exact_at_hom_l=m1.image() == m2.kernel_space(),
-            exact_at_hom_z=m2.image() == m3.kernel_space(),
-            exact_at_h2_quotient=m3.image() == m4.kernel_space(),
+            exact_at_hom_l=im1 == m2.kernel_space(),
+            exact_at_hom_z=im2 == m3.kernel_space(),
+            exact_at_h2_quotient=im3 == m4.kernel_space(),
         )
 
 
@@ -221,7 +192,6 @@ def _seq_map(label: str, cols: Matrix) -> SeqMap:
     """The map whose matrix has the rows of ``cols`` as its columns, one per
     basis vector of the domain."""
     return SeqMap(label, cols.transpose(), cols.rows, cols.cols)
-
 
 
 def inf1(l: TriAlgebra, z) -> SeqMap:
@@ -279,13 +249,14 @@ class InfDeltaReport(NamedTuple):
 def verify_inf_delta(l: TriAlgebra, z) -> InfDeltaReport:
     """im(Inf2) = ker(delta) inside H^2(L, F)."""
     an = _analysis(l, z)
+    image = an.inf2.image()
     return InfDeltaReport(
         h2_quotient_dim=an.coh_q.h2_dim,
         h2_dim=an.coh_l.h2_dim,
         block_dim=an.delta.codomain_dim,
-        inf2_rank=an.inf2.rank,
+        inf2_rank=image.dim,
         delta_rank=an.delta.rank,
-        ok=an.inf2.image() == an.delta.kernel_space(),
+        ok=image == an.delta.kernel_space(),
     )
 
 

@@ -12,7 +12,9 @@ vectors (``evaluate``) and the central-extension check
 ``check_extension`` work on dense vectors and these oracles only, so they
 too stay independent of the package's sparse elimination.
 ``random_valid_algebra`` draws the random corpus of the property tests
-from the package's public constructors.
+from the package's public constructors, and ``section_cocycle_of`` reads
+the cocycle of an extension along a section, by default
+``canonical_section``.
 """
 
 import json
@@ -420,6 +422,20 @@ def dense_change_basis(a, rows):
     ``rows[i]``: new coordinates are old ones times the inverse."""
     to_new = list(zip(*dense_inverse(a.field, rows)))
     return dense_transport(a, rows, lambda x: dense_matvec(a.field, to_new, x), a.name)
+
+
+def canonical_section(ext):
+    """The right inverse of the projection of the central extension ``ext``
+    that solves it with free variables zero."""
+    return solve_right(ext.projection, Matrix.identity(ext.base.field, ext.base.dim))
+
+
+def section_cocycle_of(ext, section=None):
+    """The cocycle of the central extension ``ext`` along ``section``, by
+    default the canonical one."""
+    if section is None:
+        section = canonical_section(ext)
+    return section_cocycle(ext.total, ext.base, ext.projection, ext.kernel.space, section)
 
 
 def quotient_stem_reduce(ext):

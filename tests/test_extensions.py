@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from trialg.algebra import OPS, change_basis, quotient_algebra
 from trialg.cohomology import CochainTriple, NotACocycleError, b2_space, h2
 from trialg.extensions import (
-    _cover_from_reps,
+    _cover_from_rows,
     build_central_extension,
     cover,
     cover_fingerprint,
@@ -27,7 +27,7 @@ from trialg.generators import (
 from trialg.linalg import Matrix, Subspace, inverse, random_combination, random_invertible
 from trialg.algebra import TriAlgebra
 
-from oracles import check_extension, quotient_stem_reduce, random_valid_algebra
+from oracles import check_extension, quotient_stem_reduce, random_valid_algebra, section_cocycle_of
 
 
 # ------------------------------------------------------------- building
@@ -238,7 +238,7 @@ def test_stem_center_image_random(random_corpus):
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(2)], ids=lambda f: f.name)
 def test_stem_reduction_matches_the_quotient_oracle(field):
-    """``_cover_from_reps`` keeps the representatives whose kernel unit
+    """``_cover_from_rows`` keeps the representatives whose kernel unit
     vectors lie outside the complement of M n K'; dividing the extension by
     that complement in the quotient algebra must give the same total
     algebra, kernel, projection and cocycle.  Each list mixes the H^2
@@ -272,8 +272,9 @@ def test_stem_reduction_matches_the_quotient_oracle(field):
                         continue
                     extra = CochainTriple.from_vector(l, 1, combo.row(0))
                 reps.insert(rng.randint(0, len(reps)), extra)
-            ext = _cover_from_reps(l, reps)
-            ref = quotient_stem_reduce(build_central_extension(l, len(reps), CochainTriple.stack(l, reps)))
+            stacked = CochainTriple.stack(l, reps)
+            ext = _cover_from_rows(l, stacked._rows)
+            ref = quotient_stem_reduce(build_central_extension(l, len(reps), stacked))
             assert ext.total == ref.total
             assert ext.kernel.space == ref.kernel.space
             assert ext.projection == ref.projection
@@ -288,18 +289,18 @@ def test_stem_reduction_matches_the_quotient_oracle(field):
 
 
 def test_stem_reduction_checks_the_cocycle_once(monkeypatch, dim2):
-    """With a dependent cocycle appended, ``_cover_from_reps`` drops one of
+    """With a dependent cocycle appended, ``_cover_from_rows`` drops one of
     the three and extends along the kept ones without a second cocycle
-    check: a sub-list of a checked stack is a cocycle.  The cover is the
-    checked build on the kept sub-list, and the quotient oracle's."""
+    check: rows of a checked cocycle make a cocycle.  The cover is the
+    checked build on the kept rows, and the quotient oracle's."""
     import trialg.extensions
 
     res = h2(dim2)
     rep0, rep1 = res.h2_reps
     extra = CochainTriple.from_vector(  # rep0 + rep1 + a coboundary
         dim2, 1, [a + b + c for a, b, c in zip(rep0.vectorize(), rep1.vectorize(), res.b2.basis_rows()[0])])
-    reps = [rep0, rep1, extra]
-    ref = quotient_stem_reduce(build_central_extension(dim2, 3, CochainTriple.stack(dim2, reps)))
+    stacked = CochainTriple.stack(dim2, [rep0, rep1, extra])
+    ref = quotient_stem_reduce(build_central_extension(dim2, 3, stacked))
     calls = []
     checked = trialg.extensions.cocycle_defects
 
@@ -308,7 +309,7 @@ def test_stem_reduction_checks_the_cocycle_once(monkeypatch, dim2):
         return checked(f)
 
     monkeypatch.setattr(trialg.extensions, "cocycle_defects", counting)
-    ext = _cover_from_reps(dim2, reps)
+    ext = _cover_from_rows(dim2, stacked._rows)
     assert calls == [3]
     assert ext.kernel_dim == 2
     assert (ext.total, ext.kernel.space, ext.projection, ext.cocycle) == (
@@ -326,8 +327,8 @@ def test_equivalent_cocycles_give_same_class(dim2):
     shifted = CochainTriple.from_vector(dim2, 1, shifted_vec)
     e1 = build_central_extension(dim2, 1, rep)
     e2 = build_central_extension(dim2, 1, shifted)
-    c1 = e1.section_cocycle()
-    c2 = e2.section_cocycle()
+    c1 = section_cocycle_of(e1)
+    c2 = section_cocycle_of(e2)
     assert b2_space(dim2).contains_vector(c1.sub(c2).vectorize())
     assert res.class_of(c1) == res.class_of(c2)
 

@@ -173,7 +173,7 @@ KEEP = {
     "_check_value": "argparse hook: cli._Parser quotes a bad choice through fields._echo",
     "cover_fingerprint": "ROADMAP item 7: criterion 7's pre-filter until an isomorphism certificate replaces it",
     "stem_center_image_check": "the paper's center-image criterion, run by the acceptance suite",
-    "delta_map": "one accessor API with inf1, res, tra and inf2",
+    **dict.fromkeys(("inf1", "res", "tra", "inf2", "delta_map"), "one accessor API of the five sequence maps"),
     # Test-only, but linalg.py keeps its size: without these two the module
     # compiles into a heap that leaves h2's peak RSS 0.3 MB higher.
     "matvec": "linalg.py's size holds peak_rss_mb (CHANGES.md)",
@@ -190,20 +190,44 @@ def _bound(function) -> set:
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
 
 
-def _used(node, bound=frozenset()) -> set:
-    """The names read as code under ``node``: attributes, and names that no
-    enclosing function binds (a local variable calls nothing)."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        bound = bound | _bound(node)
-    if isinstance(node, ast.Attribute):
-        used = {node.attr}
-    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
-        used = {node.id}
-    else:
-        used = set()
-    for child in ast.iter_child_nodes(node):
-        used |= _used(child, bound)
-    return used
+def _owner(node: ast.Attribute) -> str | None:
+    """The last name of what ``node`` reads from: ``m`` in ``m.f`` and ``a.m.f``."""
+    value = node.value
+    return value.id if isinstance(value, ast.Name) else value.attr if isinstance(value, ast.Attribute) else None
+
+
+class _Uses:
+    """What trees read as code: bare names that no enclosing function binds
+    (a local variable calls nothing), imported names, ``(owner, name)`` of
+    attribute reads and of attribute calls, and the names of data
+    attributes: assigned on an object or in a class body (NamedTuple fields
+    included)."""
+
+    def __init__(self, trees):
+        self.names, self.imported, self.data, self.reads, self.calls = set(), set(), set(), set(), set()
+        for tree in trees:
+            self._scan(tree, frozenset())
+
+    def _scan(self, node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            bound = bound | _bound(node)
+        if isinstance(node, ast.ImportFrom):
+            self.imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+                self.data |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            self.calls.add((_owner(node.func), node.func.attr))
+        elif isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Store):
+                self.data.add(node.attr)
+            else:
+                self.reads.add((_owner(node), node.attr))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            self.names.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            self._scan(child, bound)
 
 
 def _readme_name(span: str) -> str | None:
@@ -224,20 +248,41 @@ def test_every_function_has_a_caller_or_a_reason():
     """Each function or method of ``src/trialg`` (dunders aside) is used as
     code in the package or in ``perfbench/``, named by a code span of
     README.md, or listed in KEEP: helpers only the tests call live in the
-    tests.  A name that the enclosing function binds is a local variable,
-    not a use."""
+    tests.
+
+    A function is used through a bare name that no enclosing function
+    binds, an import of its name or ``<module>.name``.  A method of class
+    C is used through ``C.name``, which counts for C alone, or an attribute
+    of any other receiver; when the name is also a data attribute, only a
+    call ``x.name(...)`` counts there, though a property is read, not
+    called.  Methods that share a name on receivers the source does not
+    type (``Matrix.is_zero``, ``Subspace.is_zero``) still pass for each
+    other."""
     package = sorted((ROOT / "src" / "trialg").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in package}
-    used = set()
-    for tree in [*trees.values(), *(ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py"))]:
-        used |= _used(tree)
+    uses = _Uses([*trees.values(), *(ast.parse(p.read_text()) for p in (ROOT / "perfbench").glob("*.py"))])
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    qualifiers = classes | {path.stem for path in package}
+
+    def used(function, cls, module) -> bool:
+        name = function.name
+        if cls is None:
+            return name in uses.names or name in uses.imported or (module, name) in uses.reads
+        if (cls, name) in uses.reads:
+            return True
+        prop = any(getattr(d, "id", None) in ("property", "cached_property") for d in function.decorator_list)
+        pool = uses.calls if name in uses.data and not prop else uses.reads
+        return any(attr == name and owner not in qualifiers for owner, attr in pool)
+
     readme = {_readme_name(span) for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())}
-    uncalled = [
-        f"{path.name}:{node.lineno} {node.name}"
-        for path, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in used and node.name not in readme and node.name not in KEEP
-    ]
+    uncalled = []
+    for path, tree in trees.items():
+        methods = {id(item): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                    and not used(node, methods.get(id(node)), path.stem)
+                    and node.name not in readme and node.name not in KEEP):
+                uncalled.append(f"{path.name}:{node.lineno} {node.name}")
     assert not uncalled, uncalled
