@@ -24,9 +24,9 @@ from . import algebra, algfile, fields, linalg
 # Public names, by the module that defines them.
 _EXPORTS = {
     "algebra": (
-        "AlgSubspace", "AxiomReport", "AxiomViolation", "DASHV", "IDENTITIES",
-        "InvalidAlgebraError", "MalformedAlgebraError", "NotAnIdealError",
-        "NotCentralIdealError", "OPS", "PERP", "QuotientAlgebra", "TriAlgebra", "VDASH",
+        "AxiomReport", "AxiomViolation", "DASHV", "IDENTITIES", "InvalidAlgebraError",
+        "MalformedAlgebraError", "NotAnIdealError", "NotCentralIdealError", "OPS", "PERP",
+        "QuotientAlgebra", "TriAlgebra", "VDASH",
         "change_basis", "check_dim_bounds", "dimension_bound_table", "hom_to_field",
         "identity_str", "is_ideal", "product_subspace", "quotient_algebra",
     ),

@@ -8,6 +8,8 @@ trilinearity.  One kernel, ``_product_matrix``, evaluates a bilinear map
 held as int tables over a denominator at every pair of rows of two
 matrices: the products, from the denominator-cleared tables, and the
 cochains of the cohomology module.  The dense evaluation is a test oracle.
+A subspace of an algebra (its center, L', an ideal) is a plain
+``Subspace`` of F^n; ``as_subspace`` checks one that a caller passes in.
 
 Identity indexing is fixed once and for all (reading order of the usual
 two-column display, 1-based):
@@ -50,7 +52,6 @@ __all__ = [
     "IDENTITIES",
     "identity_str",
     "TriAlgebra",
-    "AlgSubspace",
     "AxiomViolation",
     "AxiomReport",
     "MalformedAlgebraError",
@@ -310,27 +311,23 @@ class TriAlgebra:
                 f"algebra fails {len(report.violations)} identity instance(s); first: {first}"
             )
 
-    # subspace helpers -------------------------------------------------
+    # subspaces ---------------------------------------------------------
 
-    def full_subspace(self) -> "AlgSubspace":
-        return AlgSubspace(self, Subspace.full(self.field, self.dim))
-
-    def derived(self) -> "AlgSubspace":
+    def derived(self) -> Subspace:
         """Span of all products of basis pairs, over all three operations."""
 
         def build():
             d, products = self._cleared_products()
             rows = tuple((vec, d) for op in OPS for vec in products[op].values())
-            return AlgSubspace(self, Subspace._span(Matrix._from_ints(self.field, rows, self.dim)))
+            return Subspace._span(Matrix._from_ints(self.field, rows, self.dim))
 
         return self._memo("derived", build)
 
-    def center(self) -> "AlgSubspace":
+    def center(self) -> Subspace:
         """Elements z with z * x = x * z = 0 for all x and all products: the
         null space of the :func:`_annihilator_rows` of the cleared products."""
         return self._memo(
-            "center",
-            lambda: AlgSubspace(self, _kernel(self.field, _annihilator_rows(self._cleared_products()[1]), self.dim)),
+            "center", lambda: _kernel(self.field, _annihilator_rows(self._cleared_products()[1]), self.dim)
         )
 
     def __eq__(self, other):
@@ -364,43 +361,16 @@ def _annihilator_rows(tables: Mapping[str, Mapping]) -> Iterable[dict]:
     return rows.values()
 
 
-class _AlgSubspaceFields(NamedTuple):
-    parent: TriAlgebra
-    space: Subspace
-
-
-class AlgSubspace(_AlgSubspaceFields):
-    """A linear subspace attached to its parent algebra; constructing one
-    checks that the two match."""
-
-    __slots__ = ()
-
-    def __new__(cls, parent: TriAlgebra, space: Subspace):
-        if space.ambient_dim != parent.dim:
-            raise ValueError("subspace ambient dimension differs from the parent algebra")
-        check_same_field(space.field, parent.field)
-        return super().__new__(cls, parent, space)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks its result too
-        return cls(*iterable)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-
-def as_subspace(parent: TriAlgebra, z) -> Subspace:
-    """Accept either a bare Subspace or an AlgSubspace of ``parent``."""
-    if isinstance(z, AlgSubspace):
-        if z.parent != parent:
-            raise ValueError("subspace belongs to a different algebra")
-        return z.space
-    if isinstance(z, Subspace):
-        if z.ambient_dim != parent.dim:
-            raise ValueError("subspace ambient dimension differs from the algebra")
-        return z
-    raise TypeError(f"expected Subspace or AlgSubspace, got {type(z).__name__}")
+def as_subspace(a: TriAlgebra, z) -> Subspace:
+    """``z``, checked to be a ``Subspace`` of F^dim over the field of ``a``;
+    each function here and in ``sequences`` that takes a caller's subspace runs this.
+    A ``Subspace`` names no algebra: one of another algebra of this dimension and field passes."""
+    if not isinstance(z, Subspace):
+        raise TypeError(f"expected a Subspace, got {type(z).__name__}")
+    if z.ambient_dim != a.dim:
+        raise ValueError("subspace ambient dimension differs from the algebra")
+    check_same_field(z.field, a.field)
+    return z
 
 
 def _product_matrix(cleared: tuple[int, dict], cols: int, us: Matrix, vs: Matrix) -> Matrix:
@@ -426,17 +396,15 @@ def _product_matrix(cleared: tuple[int, dict], cols: int, us: Matrix, vs: Matrix
     return Matrix._from_ints(us.field, tuple(rows), cols)
 
 
-def product_subspace(s: AlgSubspace, t: AlgSubspace) -> AlgSubspace:
-    """Span of all products of ``s`` by ``t`` under the three operations."""
-    a = s.parent
-    if a != t.parent:
-        raise ValueError("subspaces have different parent algebras")
-    return AlgSubspace(a, Subspace._span(_product_matrix(a._cleared_products(), a.dim, s.space.basis, t.space.basis)))
+def product_subspace(a: TriAlgebra, s: Subspace, t: Subspace) -> Subspace:
+    """Span of all products of ``s`` by ``t`` in ``a`` under the three operations."""
+    us, vs = as_subspace(a, s).basis, as_subspace(a, t).basis
+    return Subspace._span(_product_matrix(a._cleared_products(), a.dim, us, vs))
 
 
-def is_ideal(s: AlgSubspace) -> bool:
-    full = s.parent.full_subspace()
-    return all(s.space.contains(product_subspace(x, y).space) for x, y in ((full, s), (s, full)))
+def is_ideal(a: TriAlgebra, s: Subspace) -> bool:
+    s, full = as_subspace(a, s), Subspace.full(a.field, a.dim)
+    return all(s.contains(product_subspace(a, x, y)) for x, y in ((full, s), (s, full)))
 
 
 class QuotientAlgebra(NamedTuple):
@@ -454,8 +422,7 @@ class QuotientAlgebra(NamedTuple):
 
 def quotient_algebra(a: TriAlgebra, ideal) -> QuotientAlgebra:
     space = as_subspace(a, ideal)
-    alg_sub = AlgSubspace(a, space)
-    if not is_ideal(alg_sub):
+    if not is_ideal(a, space):
         raise NotAnIdealError("subspace is not an ideal of the algebra")
     full = Subspace.full(a.field, a.dim)
     comp = space.complement_in(full)
@@ -480,7 +447,7 @@ def _transport(a: TriAlgebra, rows: Matrix, to_coords: Matrix, name: str | None)
 def hom_to_field(a: TriAlgebra) -> Subspace:
     """Hom(L, F): the linear forms on L that vanish on the derived
     subalgebra, as the annihilator of L'; memoised on the algebra."""
-    return a._memo("hom_to_field", lambda: a.derived().space.annihilator())
+    return a._memo("hom_to_field", lambda: a.derived().annihilator())
 
 
 class BoundReport(NamedTuple):

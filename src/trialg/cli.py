@@ -143,8 +143,8 @@ def cmd_validate(args) -> int:
 def cmd_invariants(args) -> int:
     alg = _read_algebra(args.path)
     alg.require_valid()
-    derived = alg.derived().space
-    center = alg.center().space
+    derived = alg.derived()
+    center = alg.center()
     out = _Report()
     out.add("dim", alg.dim)
     out.add("derived_dim", derived.dim)
@@ -190,9 +190,9 @@ def cmd_cover(args) -> int:
         out = _Report()
         out.add("multiplier_dim", result.multiplier_dim)
         out.add("cover_dim", ext.total.dim)
-        out.add("kernel_dim", ext.kernel_dim)
+        out.add("kernel_dim", ext.kernel.dim)
         out.add("stem", ext.is_stem())
-        for idx, line in enumerate(_basis_strs(ext.kernel.space)):
+        for idx, line in enumerate(_basis_strs(ext.kernel)):
             out.add(f"kernel.basis[{idx}]", line)
         out.add("output", args.output)
         out.print(args.json)
@@ -206,7 +206,7 @@ def cmd_zstar(args) -> int:
     zs = extensions.z_star(alg)
     out = _Report()
     out.add("z_star_dim", zs.dim)
-    for idx, line in enumerate(_basis_strs(zs.space)):
+    for idx, line in enumerate(_basis_strs(zs)):
         out.add(f"z_star.basis[{idx}]", line)
     out.print(args.json)
     return EXIT_OK
@@ -223,7 +223,7 @@ def cmd_unicentral(args) -> int:
 def _central_ideal_samples(alg: TriAlgebra, seed: int) -> list[tuple[str, Subspace]]:
     """Central ideals for --all-central: zero, each center basis line, up to
     two random central lines, and the full center."""
-    center = alg.center().space
+    center = alg.center()
     fld = alg.field
     samples = [("zero", Subspace.zero(fld, alg.dim))]
     for idx, (p, row) in enumerate(center._echelon.items()):  # an RREF basis row is its line's RREF

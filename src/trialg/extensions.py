@@ -3,7 +3,8 @@
 A central extension of F^k by B is built on the space B + F^k with
 products (x, a) * (y, c) = (x * y, f(x, y)) for a cochain triple f; the
 result satisfies the defining identities exactly when f is a cocycle, and
-identity i fails exactly when constraint family i does.
+identity i fails exactly when constraint family i does.  Its kernel is a
+plain ``Subspace`` of the total algebra, spanned by the last k unit vectors.
 
 A cover of L is constructed cohomologically: extend L by the canonical
 H^2 representatives, the rows of the complement basis taken as the
@@ -38,7 +39,7 @@ import random
 from itertools import chain
 from typing import NamedTuple
 
-from .algebra import AlgSubspace, TriAlgebra, _annihilator_rows, product_subspace
+from .algebra import TriAlgebra, _annihilator_rows, product_subspace
 from .cohomology import (
     CochainTriple,
     NotACocycleError,
@@ -68,20 +69,16 @@ class CentralExtension(NamedTuple):
 
     total: TriAlgebra
     base: TriAlgebra
-    kernel: AlgSubspace          # subspace of total
+    kernel: Subspace             # of total
     projection: Matrix           # base.dim x total.dim
     cocycle: CochainTriple | None = None
 
-    @property
-    def kernel_dim(self) -> int:
-        return self.kernel.dim
-
     def is_stem(self) -> bool:
-        return self.total.derived().space.contains(self.kernel.space)
+        return self.total.derived().contains(self.kernel)
 
     def center_image(self) -> Subspace:
         """Image of the total algebra's center under the projection."""
-        return Subspace._span(self.total.center().space.basis @ self.projection.transpose())
+        return Subspace._span(self.total.center().basis @ self.projection.transpose())
 
 
 def extension_algebra(b: TriAlgebra, f: CochainTriple) -> TriAlgebra:
@@ -122,7 +119,7 @@ def _extension(b: TriAlgebra, f: CochainTriple) -> CentralExtension:
     n = b.dim
     proj = Matrix.identity(fld, n).hstack(Matrix.zeros(fld, n, k))  # drops the F^k coordinates
     units = Subspace(fld, n + k, {n + t: (1, {}) for t in range(k)})  # its kernel: e_n, ..., e_{n+k-1}
-    return CentralExtension(total, b, AlgSubspace(total, units), proj, f)
+    return CentralExtension(total, b, units, proj, f)
 
 
 class CoverResult(NamedTuple):
@@ -151,9 +148,9 @@ def _cover_from_rows(l: TriAlgebra, rows: Matrix) -> CentralExtension:
     """The extension by the F-valued cocycle rows of ``rows``, stem-reduced
     as the module docstring says; returned as built when M lies in K'."""
     ext = build_central_extension(l, rows.rows, CochainTriple._from_rows(l, rows))
-    derived = ext.total.derived().space._echelon  # M n K': its rows with a pivot in M's block
+    derived = ext.total.derived()._echelon  # M n K': its rows with a pivot in M's block
     m_in_derived = Subspace(l.field, ext.total.dim, {p: row for p, row in derived.items() if p >= l.dim})
-    drop = m_in_derived.complement_in(ext.kernel.space).pivots
+    drop = m_in_derived.complement_in(ext.kernel).pivots
     if not drop:
         return ext
     # c: the row's kernel coordinate; rows of a cocycle make one, so it is not checked again
@@ -178,13 +175,13 @@ def cover_fingerprint(l: TriAlgebra, reps=None) -> tuple[int, int, int, int, int
         k.dim,
         derived.dim,
         center.dim,
-        derived.space.intersection(center.space).dim,
-        product_subspace(derived, derived).dim,
+        derived.intersection(center).dim,
+        product_subspace(k, derived, derived).dim,
         h2(k).h2_dim,
     )
 
 
-def z_star(l: TriAlgebra) -> AlgSubspace:
+def z_star(l: TriAlgebra) -> Subspace:
     """Z*(L): the central z with g(z, e_y) = g(e_y, z) = 0 for every row g
     of the Z^2(L, F) basis, every operation and every basis vector e_y.
 
@@ -199,13 +196,13 @@ def z_star(l: TriAlgebra) -> AlgSubspace:
         n = l.dim
         z2 = _cochain_tables(z2_space(l).basis, n)[1]
         rows = chain(_annihilator_rows(l._cleared_products()[1]), _annihilator_rows(z2))
-        return AlgSubspace(l, _kernel(l.field, rows, n))
+        return _kernel(l.field, rows, n)
 
     return l._memo("z_star", build)
 
 
 def is_unicentral(l: TriAlgebra) -> bool:
-    return z_star(l).space == l.center().space
+    return z_star(l) == l.center()
 
 
 class StemImageReport(NamedTuple):
@@ -262,19 +259,19 @@ def stem_center_image_check(l: TriAlgebra, trials: int = 5, seed: int = 0) -> St
         ext = _cover_from_rows(l, vectors)
         if not ext.is_stem():
             all_stem = False
-        kernel_dims.append(ext.kernel_dim)
+        kernel_dims.append(ext.kernel.dim)
         images.append(ext.center_image())
     images_agree = all(img == images[0] for img in images[1:]) if images else True
-    image = images[0] if images else zs.space
-    center = l.center().space
-    unicentral = zs.space == center
+    image = images[0] if images else zs
+    center = l.center()
+    unicentral = zs == center
     return StemImageReport(
         trials=trials,
         kernel_dims=tuple(kernel_dims),
         all_stem=all_stem,
         images_agree=images_agree,
         image_dim=image.dim,
-        equals_z_star=image == zs.space,
+        equals_z_star=image == zs,
         unicentral=unicentral,
         center_recovered=image == center,
         identity_extension_image_dim=center.dim,

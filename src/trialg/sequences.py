@@ -62,7 +62,7 @@ __all__ = [
 
 
 def _require_central(l: TriAlgebra, z: Subspace) -> None:
-    center = l.center().space
+    center = l.center()
     if center.contains(z):
         return
     for idx in range(z.dim):
@@ -163,14 +163,14 @@ class _CentralIdealAnalysis:
         alg = self.alg
         comp = alg._memo(
             "derived_complement",
-            lambda: alg.derived().space.complement_in(Subspace.full(alg.field, alg.dim)),
+            lambda: alg.derived().complement_in(Subspace.full(alg.field, alg.dim)),
         )
         pairs = [(comp.basis, self.z.basis), (self.z.basis, comp.basis)]
         return _seq_map("delta", _pullback(self.coh_l._complement.basis, pairs))
 
     @cached_property
     def derived_cap_z(self) -> Subspace:
-        return self.alg.derived().space.intersection(self.z)
+        return self.alg.derived().intersection(self.z)
 
     @cached_property
     def five_term(self) -> "FiveTermReport":
@@ -309,7 +309,7 @@ def unicentrality_criteria(l: TriAlgebra, z) -> UnicentralityReport:
         delta_trivial=an.delta.is_zero(),
         inf2_surjective=an.inf2.rank == an.coh_l.h2_dim,
         multiplier_dims_match=an.coh_l.h2_dim == an.coh_q.h2_dim - an.derived_cap_z.dim,
-        z_in_z_star=z_star(l).space.contains(an.z),
+        z_in_z_star=z_star(l).contains(an.z),
     )
 
 
@@ -343,7 +343,7 @@ class StallingsReport(NamedTuple):
 def stallings_check(l: TriAlgebra, z) -> StallingsReport:
     an = _analysis(l, z)
     five = an.five_term
-    derived = l.derived().space
+    derived = l.derived()
     z_plus_derived = an.z.plus(derived)
     node_dims = (
         an.coh_l.h2_dim,

@@ -23,7 +23,7 @@ from itertools import product
 from math import lcm
 from operator import mul
 
-from trialg.algebra import IDENTITIES, OPS, AlgSubspace, TriAlgebra, quotient_algebra
+from trialg.algebra import IDENTITIES, OPS, TriAlgebra, quotient_algebra
 from trialg.cohomology import CochainTriple, section_cocycle
 from trialg.extensions import CentralExtension, build_central_extension
 from trialg.fields import QQ, PrimeField, RationalField
@@ -79,14 +79,14 @@ def check_extension(ext):
     homomorphism with that kernel as its null space."""
     total, base, field = ext.total, ext.base, ext.total.field
     units = [unit_vector(field, total.dim, i) for i in range(total.dim)]
-    for z in ext.kernel.space.basis_rows():
+    for z in ext.kernel.basis_rows():
         for op in OPS:
             for e in units:
                 assert not any(multiply(total, z, e, op)) and not any(multiply(total, e, z, op)), \
                     "kernel is not central in the total algebra"
     proj = ext.projection.data
     assert oracle_rank(field, proj) == base.dim, "projection is not surjective"
-    assert dense_kernel(field, proj, total.dim)[0] == ext.kernel.space.basis_rows(), \
+    assert dense_kernel(field, proj, total.dim)[0] == ext.kernel.basis_rows(), \
         "projection kernel differs from the stored kernel"
     images = list(zip(*proj))  # images[i]: P e_i
     for op in OPS:
@@ -387,10 +387,9 @@ def dense_inverse(field, rows):
 # multiplied through ``multiply``.
 
 
-def dense_product_subspace(s, t):
-    """Span of every ``u op v`` for u, v dense basis rows of ``s`` and ``t``."""
-    a = s.parent
-    rows = [multiply(a, u, v, op) for u in s.space.basis_rows() for v in t.space.basis_rows() for op in OPS]
+def dense_product_subspace(a, s, t):
+    """Span of every ``u op v`` in ``a`` for u, v dense basis rows of ``s`` and ``t``."""
+    rows = [multiply(a, u, v, op) for u in s.basis_rows() for v in t.basis_rows() for op in OPS]
     return Subspace.from_rows(a.field, a.dim, rows)
 
 
@@ -435,7 +434,7 @@ def section_cocycle_of(ext, section=None):
     default the canonical one."""
     if section is None:
         section = canonical_section(ext)
-    return section_cocycle(ext.total, ext.base, ext.projection, ext.kernel.space, section)
+    return section_cocycle(ext.total, ext.base, ext.projection, ext.kernel, section)
 
 
 def quotient_stem_reduce(ext):
@@ -444,8 +443,8 @@ def quotient_stem_reduce(ext):
     (kernel n derived) in the kernel, carry the projection and the kernel
     through the quotient, and read the cocycle off the section that solves
     the projection with free variables zero.  ``ext`` itself when E is zero."""
-    total, base, kern = ext.total, ext.base, ext.kernel.space
-    e_space = kern.intersection(total.derived().space).complement_in(kern)
+    total, base, kern = ext.total, ext.base, ext.kernel
+    e_space = kern.intersection(total.derived()).complement_in(kern)
     if e_space.dim == 0:
         return ext
     quot = quotient_algebra(total, e_space)
@@ -455,4 +454,4 @@ def quotient_stem_reduce(ext):
     new_kernel = Subspace.from_rows(total.field, new_total.dim, kernel_rows)
     section = solve_right(proj, Matrix.identity(base.field, base.dim))
     cocycle = section_cocycle(new_total, base, proj, new_kernel, section)
-    return CentralExtension(new_total, base, AlgSubspace(new_total, new_kernel), proj, cocycle)
+    return CentralExtension(new_total, base, new_kernel, proj, cocycle)

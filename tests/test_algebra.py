@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from trialg.algebra import (
-    AlgSubspace,
     DASHV,
     IDENTITIES,
     MalformedAlgebraError,
@@ -24,7 +23,7 @@ from trialg.algebra import (
 )
 from trialg.cohomology import h2
 from trialg.extensions import cover
-from trialg.fields import GF, QQ
+from trialg.fields import GF, QQ, FieldMismatchError
 from trialg.generators import (
     abelian,
     cover_abelian,
@@ -33,6 +32,7 @@ from trialg.generators import (
     unital_dim1,
 )
 from trialg.linalg import Matrix, Subspace, random_invertible
+from trialg.sequences import verify_five_term
 
 from oracles import (
     dense_change_basis,
@@ -185,15 +185,14 @@ def test_multiply_bilinear(dim2):
 
 
 def test_product_subspace_examples(dim2, example_cover_1):
-    zero = AlgSubspace(dim2, Subspace.zero(QQ, 2))
-    assert product_subspace(zero, dim2.full_subspace()).dim == 0
+    full2 = Subspace.full(QQ, 2)
+    assert product_subspace(dim2, Subspace.zero(QQ, 2), full2).dim == 0
 
-    full_k = example_cover_1.full_subspace()
-    kk = product_subspace(full_k, full_k)
-    assert kk.space == Subspace.from_rows(QQ, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    full_k = Subspace.full(QQ, 4)
+    kk = product_subspace(example_cover_1, full_k, full_k)
+    assert kk == Subspace.from_rows(QQ, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 
-    dd = product_subspace(dim2.full_subspace(), dim2.full_subspace())
-    assert dd.space == Subspace.from_rows(QQ, 2, [[0, 1]])
+    assert product_subspace(dim2, full2, full2) == Subspace.from_rows(QQ, 2, [[0, 1]])
 
 
 def test_derived_enumeration_oracle(dim2):
@@ -205,14 +204,14 @@ def test_derived_enumeration_oracle(dim2):
                 rows.append(
                     multiply(dim2, unit_vector(QQ, 2, i), unit_vector(QQ, 2, j), op)
                 )
-    assert dim2.derived().space == Subspace.from_rows(QQ, 2, rows)
+    assert dim2.derived() == Subspace.from_rows(QQ, 2, rows)
 
 
 def test_center_examples(dim2, example_cover_1):
-    assert abelian(3).center().space == Subspace.full(QQ, 3)
+    assert abelian(3).center() == Subspace.full(QQ, 3)
     assert example_cover_1.center().dim == 3
-    assert example_cover_1.center().space == example_cover_1.derived().space
-    assert dim2.center().space == Subspace.from_rows(QQ, 2, [[0, 1]])
+    assert example_cover_1.center() == example_cover_1.derived()
+    assert dim2.center() == Subspace.from_rows(QQ, 2, [[0, 1]])
     assert unital_dim1().center().dim == 0
 
 
@@ -220,23 +219,46 @@ def test_derived_in_kernel_for_central_extension_of_abelian():
     from trialg.generators import random_extension
 
     ext = random_extension(abelian(2), 2, seed=5)
-    kernel_space = ext.kernel.space
-    assert kernel_space.contains(ext.total.derived().space)
+    assert ext.kernel.contains(ext.total.derived())
 
 
 def test_is_ideal(dim2, small_corpus):
-    assert is_ideal(AlgSubspace(dim2, Subspace.from_rows(QQ, 2, [[0, 1]])))
-    assert not is_ideal(AlgSubspace(dim2, Subspace.from_rows(QQ, 2, [[1, 0]])))
+    assert is_ideal(dim2, Subspace.from_rows(QQ, 2, [[0, 1]]))
+    assert not is_ideal(dim2, Subspace.from_rows(QQ, 2, [[1, 0]]))
     for alg in small_corpus:
-        assert is_ideal(alg.center())
-        assert is_ideal(alg.derived())
+        assert is_ideal(alg, alg.center())
+        assert is_ideal(alg, alg.derived())
 
 
-def test_alg_subspace_replace_checks_like_the_constructor(dim2, example_cover_1):
-    z = dim2.center()
-    assert z._replace(space=dim2.full_subspace().space).dim == 2
-    with pytest.raises(ValueError, match="ambient dimension"):
-        z._replace(parent=example_cover_1)
+# Every public function that takes a caller's subspace of an algebra, called
+# with ``z`` in that place.
+SUBSPACE_ENTRIES = {
+    "product_subspace": lambda a, z: product_subspace(a, z, Subspace.full(a.field, a.dim)),
+    "is_ideal": is_ideal,
+    "quotient_algebra": quotient_algebra,
+    "check_dim_bounds": lambda a, z: check_dim_bounds(a, pair_kernel=z),
+    "verify_five_term": verify_five_term,
+}
+
+# A zero subspace that is wrong in one way, and the error it raises.
+BAD_SUBSPACES = {
+    "ambient_dim": (lambda f, n: Subspace.zero(f, n + 1), ValueError, "ambient dimension"),
+    "field": (lambda f, n: Subspace.zero(GF(7) if f == QQ else GF(5), n), FieldMismatchError, "field mismatch"),
+    "type": (lambda f, n: Subspace.zero(f, n).basis, TypeError, "expected a Subspace, got Matrix"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SUBSPACES)
+@pytest.mark.parametrize("entry", SUBSPACE_ENTRIES)
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "Fp7"])
+def test_public_entries_check_the_subspace(field, entry, bad):
+    """A subspace of the wrong ambient dimension, over another field or not
+    a ``Subspace`` at all is refused, and a right one is taken."""
+    a = dim2_single_product(field)
+    make, error, message = BAD_SUBSPACES[bad]
+    with pytest.raises(error, match=message):
+        SUBSPACE_ENTRIES[entry](a, make(field, a.dim))
+    SUBSPACE_ENTRIES[entry](a, Subspace.zero(field, a.dim))
 
 
 def test_product_subspace_monotone(random_corpus):
@@ -244,18 +266,16 @@ def test_product_subspace_monotone(random_corpus):
     for alg in random_corpus[:6]:
         n = alg.dim
         rows = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(2)]
-        small = AlgSubspace(alg, Subspace.from_rows(QQ, n, rows[:1]))
-        big = AlgSubspace(alg, Subspace.from_rows(QQ, n, rows))
-        lhs = product_subspace(small, small)
-        rhs = product_subspace(big, big)
-        assert rhs.space.contains(lhs.space)
+        small = Subspace.from_rows(QQ, n, rows[:1])
+        big = Subspace.from_rows(QQ, n, rows)
+        assert product_subspace(alg, big, big).contains(product_subspace(alg, small, small))
 
 
 # ------------------------------------------------------------ quotients
 
 
 def test_quotient_example_cover_by_kernel(example_cover_1):
-    ideal = AlgSubspace(example_cover_1, Subspace.from_rows(QQ, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    ideal = Subspace.from_rows(QQ, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     quot = quotient_algebra(example_cover_1, ideal)
     assert quot.algebra.dim == 1
     assert all(not quot.algebra.products[op] for op in OPS)
@@ -311,7 +331,7 @@ def test_hom_to_field_is_span_of_block_rows(field):
         products = [product_vector(alg, op, i, j) for op in OPS for i in range(n) for j in range(n)]
         hom = hom_to_field(alg)
         assert (hom.basis.data, hom.pivots) == dense_kernel(field, products, n)
-        assert hom.dim == n - alg.derived().space.dim
+        assert hom.dim == n - alg.derived().dim
         assert hom_to_field(alg) is hom
 
 
@@ -323,7 +343,7 @@ def test_bounds_tight_on_example_cover(example_cover_1):
     assert rep.central_quotient_dim == 1
     assert rep.derived_dim == 3 == rep.derived_bound
     assert rep.ok
-    kernel = AlgSubspace(example_cover_1, Subspace.from_rows(QQ, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    kernel = Subspace.from_rows(QQ, 4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     rep2 = check_dim_bounds(example_cover_1, pair_kernel=kernel)
     assert rep2.pair_base_dim == 1
     assert rep2.total_bound == 4 == example_cover_1.dim
@@ -423,7 +443,7 @@ def test_product_matrix_rows_are_the_dense_products(field):
         rebase = random_invertible(rng, n, field)
         with_zero = rebase.vstack(Matrix.zeros(field, 1, n))
         none = Matrix.zeros(field, 0, n)
-        quot = quotient_algebra(a, a.center().space)
+        quot = quotient_algebra(a, a.center())
         images = quot.projection.transpose()  # row i: P e_i, on the quotient
         cases = [
             (a, with_zero, rebase),
@@ -453,18 +473,18 @@ def test_products_quotients_and_rebasing_match_the_dense_constructions(field):
     quotients = 0
     for a in valid + rebased + covers:
         row = [field.coerce(rng.randint(-2, 2)) for _ in range(a.dim)]
-        line = AlgSubspace(a, Subspace.from_rows(field, a.dim, [row]))
-        spaces = [a.full_subspace(), AlgSubspace(a, Subspace.zero(field, a.dim)), a.derived(), a.center(), line]
+        line = Subspace.from_rows(field, a.dim, [row])
+        spaces = [Subspace.full(field, a.dim), Subspace.zero(field, a.dim), a.derived(), a.center(), line]
         for s in spaces:
             for t in spaces:
-                got, ref = product_subspace(s, t).space, dense_product_subspace(s, t)
+                got, ref = product_subspace(a, s, t), dense_product_subspace(a, s, t)
                 assert (got.basis.data, got.pivots) == (ref.basis.data, ref.pivots)
                 assert got == ref
         for ideal in spaces:
-            if not is_ideal(ideal):
+            if not is_ideal(a, ideal):
                 continue
             quot = quotient_algebra(a, ideal)
-            ref_alg, ref_proj, ref_section = dense_quotient_algebra(a, ideal.space)
+            ref_alg, ref_proj, ref_section = dense_quotient_algebra(a, ideal)
             assert quot.algebra == ref_alg and quot.algebra.name is None
             assert quot.projection.data == ref_proj
             assert quot.section.data == ref_section

@@ -440,7 +440,7 @@ def test_center_lines_are_the_spans_of_the_center_rows(field):
 
     ext = random_extension(abelian(2, field), 2, seed=3).total
     alg = change_basis(ext, random_invertible(random.Random(8), ext.dim, field))
-    center = alg.center().space
+    center = alg.center()
     assert center.dim >= 2
     if field == QQ:
         assert any(lead != 1 for lead, _ in center._echelon.values())
@@ -621,7 +621,7 @@ def test_verify_all_central_complements_the_derived_subalgebra_once(capsys, monk
     monkeypatch.setattr(Subspace, "complement_in", counting_complement)
     code, out, _ = run(capsys, "verify", str(path), "--all-central")
     assert code == 0 and kv(out)["ok"] == "true"
-    derived = [c for c in calls if c[0] == alg.derived().space and c[1] == Subspace.full(alg.field, alg.dim)]
+    derived = [c for c in calls if c[0] == alg.derived() and c[1] == Subspace.full(alg.field, alg.dim)]
     assert len(derived) == 1
 
 
@@ -738,8 +738,8 @@ def test_cover_quotient_reproduces_invariants(capsys, tmp_path, dim2_file):
     quot = quotient_algebra(cover_alg, kernel).algebra
 
     def invariants(alg):
-        derived = alg.derived().space
-        center = alg.center().space
+        derived = alg.derived()
+        center = alg.center()
         return (
             alg.dim,
             derived.dim,
@@ -780,9 +780,9 @@ def test_vector_lines_match_the_dense_views(capsys, tmp_path):
         path.write_text(emit(alg))
         f = alg.field
         _, out, _ = run(capsys, "cover", str(path), "-o", str(tmp_path / "c.json"))
-        assert lines(out, "kernel.basis") == dense(f, cover(alg).extension.kernel.space.basis_rows())
+        assert lines(out, "kernel.basis") == dense(f, cover(alg).extension.kernel.basis_rows())
         _, out, _ = run(capsys, "zstar", str(path))
-        assert lines(out, "z_star.basis") == dense(f, z_star(alg).space.basis_rows())
+        assert lines(out, "z_star.basis") == dense(f, z_star(alg).basis_rows())
 
 
 def test_only_the_cli_reads_the_dense_views(capsys, monkeypatch, tmp_path):
@@ -820,7 +820,7 @@ def test_only_the_cli_reads_the_dense_views(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(Subspace, "basis_rows", probe("basis_rows", Subspace.basis_rows))
     monkeypatch.setattr(CochainTriple, "vectorize", probe("vectorize", CochainTriple.vectorize))
     # The probes fire on a read and a dense construction in this test.
-    cover_abelian(1).center().space.basis_rows()
+    cover_abelian(1).center().basis_rows()
     Matrix(GF(7), [[1]])
     assert readers == {("basis_rows", __name__, "test_only_the_cli_reads_the_dense_views"),
                        ("data", "trialg.linalg", "basis_rows"),

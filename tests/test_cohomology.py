@@ -353,7 +353,7 @@ def _split_extension(base, k):
 def test_split_extension_subalgebra_section_gives_zero(dim2):
     ext = _split_extension(dim2, 2)
     mu = canonical_section(ext)
-    f = section_cocycle(ext.total, dim2, ext.projection, ext.kernel.space, mu)
+    f = section_cocycle(ext.total, dim2, ext.projection, ext.kernel, mu)
     assert all(not f.forms[op] for op in OPS)
 
 
@@ -464,7 +464,7 @@ def test_sparse_systems_match_dense_kernels(field):
         n = alg.dim
         z2 = z2_space(alg)
         assert (z2.basis.data, z2.pivots) == dense_kernel(field, dense_cocycle_rows(alg, 1), 3 * n * n)
-        center = alg.center().space
+        center = alg.center()
         assert (center.basis.data, center.pivots) == dense_kernel(field, dense_center_rows(alg), n)
 
 
@@ -596,9 +596,9 @@ def test_pullback_matches_the_evaluate_construction(field):
     checked = 0
     for l in algebras:
         n = l.dim
-        z = l.center().space
+        z = l.center()
         quot = quotient_algebra(l, z)
-        comp = l.derived().space.complement_in(Subspace.full(field, n)).basis
+        comp = l.derived().complement_in(Subspace.full(field, n)).basis
         none = Matrix.zeros(field, 0, n)
         rebase = random_invertible(rng, n, field)
         images = quot.projection.transpose()  # row i: P e_i, on the quotient
@@ -623,7 +623,7 @@ def test_pullback_matches_the_evaluate_construction(field):
     # cochains have no columns, and the pulled-back rows still have width
     # 3 n^2; at the unit pairs the pull-back is the identity.
     a = abelian(2, field)
-    images = quotient_algebra(a, a.center().space).projection.transpose()  # 2 x 0
+    images = quotient_algebra(a, a.center()).projection.transpose()  # 2 x 0
     assert _pullback(Matrix.zeros(field, 3, 0), [(images, images)]) == Matrix.zeros(field, 3, 12)
     unit = Matrix.identity(field, 2)
     cochains = Matrix(field, [random_cochain(a, 1, random.Random(1)).vectorize()], 12)

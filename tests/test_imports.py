@@ -99,8 +99,8 @@ def test_commands_execute_the_modules_they_use(tmp_path):
 # Every name trialg exports, by the module that defines it.
 PUBLIC = {
     "algebra": [
-        "AlgSubspace", "AxiomReport", "AxiomViolation", "DASHV", "IDENTITIES",
-        "InvalidAlgebraError", "MalformedAlgebraError", "NotAnIdealError", "OPS", "PERP",
+        "AxiomReport", "AxiomViolation", "DASHV", "IDENTITIES", "InvalidAlgebraError",
+        "MalformedAlgebraError", "NotAnIdealError", "OPS", "PERP",
         "QuotientAlgebra", "TriAlgebra", "VDASH", "change_basis", "check_dim_bounds",
         "dimension_bound_table", "hom_to_field", "identity_str", "is_ideal",
         "product_subspace", "quotient_algebra",
@@ -169,7 +169,6 @@ ROOT = Path(__file__).resolve().parents[1]
 # Functions and methods that neither the package nor the benchmark calls
 # and README.md does not name, each with the reason it stays.
 KEEP = {
-    "_make": "NamedTuple hook: AlgSubspace._replace calls it",
     "_check_value": "argparse hook: cli._Parser quotes a bad choice through fields._echo",
     "cover_fingerprint": "ROADMAP item 7: criterion 7's pre-filter until an isomorphism certificate replaces it",
     "stem_center_image_check": "the paper's center-image criterion, run by the acceptance suite",
@@ -286,3 +285,18 @@ def test_every_function_has_a_caller_or_a_reason():
                     and node.name not in readme and node.name not in KEEP):
                 uncalled.append(f"{path.name}:{node.lineno} {node.name}")
     assert not uncalled, uncalled
+
+
+def test_compare_trees_commands_stand_in_the_ci_step():
+    """Each CI command that ``tests/compare_trees.py`` runs is still in the
+    console-script step of the CI workflow, once its ``$RUNNER_TEMP/``
+    paths are read as files of the working directory."""
+    import compare_trees
+
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    step = workflow.split("- name: Console script", 1)[1].split("- name:", 1)[0]
+    step = re.sub(r'"\$RUNNER_TEMP/([^"]*)"', r"\1", step).replace("$RUNNER_TEMP/", "")
+    step = step.replace("$nines", compare_trees.NINES).replace("$long", compare_trees.LONG)
+    missing = [cmd for cmd in compare_trees.CI_COMMANDS if cmd not in step]
+    missing += [args for args in compare_trees.CI_INPUT_ERRORS if f'"{args}"' not in step]
+    assert not missing, missing

@@ -56,7 +56,7 @@ def test_inf1_injective_random_sweep(random_corpus):
     ]
     count = 0
     for alg in algebras:
-        center = alg.center().space
+        center = alg.center()
         if center.dim == 0:
             continue
         take = rng.randint(1, center.dim)
@@ -135,7 +135,7 @@ def evaluate_delta(l, z):
     """Pairing-block columns through ``evaluate``: each representative at
     every (u, w) pair, then every (w, u) pair, per operation, for u the
     complement basis of L' and w the basis of Z."""
-    us = l.derived().space.complement_in(Subspace.full(l.field, l.dim)).basis_rows()
+    us = l.derived().complement_in(Subspace.full(l.field, l.dim)).basis_rows()
     ws = z.basis_rows()
     cols = []
     for rep in h2(l).h2_reps:
@@ -158,7 +158,7 @@ def test_delta_matches_the_evaluate_construction(field):
     algebras.append(change_basis(algebras[1], random_invertible(rng, algebras[1].dim, field)))
     checked = 0
     for l in algebras:
-        center = l.center().space
+        center = l.center()
         ideals = [Subspace.from_rows(field, l.dim, [row]) for row in center.basis_rows()]
         for z in ideals + [center, Subspace.zero(field, l.dim)]:
             d = delta_map(l, z)
@@ -174,7 +174,7 @@ def test_tra_inf2_match_the_forms_construction(field):
     algebras.append(change_basis(algebras[1], random_invertible(rng, algebras[1].dim, field)))
     checked = 0
     for l in algebras:
-        center = l.center().space
+        center = l.center()
         ideals = [Subspace.from_rows(field, l.dim, [row]) for row in center.basis_rows()]
         ideals.append(center)
         for z in ideals:
@@ -199,7 +199,7 @@ def test_delta_kills_coboundaries(dim2, dim2_z):
     # evaluate the raw pairing blocks on a coboundary representative
     resu = h2(dim2)
     cob = CochainTriple.from_vector(dim2, 1, resu.b2.basis_rows()[0])
-    derived = dim2.derived().space
+    derived = dim2.derived()
     comp = derived.complement_in(Subspace.full(QQ, 2))
     for op in ("vdash", "dashv", "perp"):
         for u in comp.basis_rows():
@@ -215,7 +215,7 @@ def test_maps_require_central_ideal(dim2):
 
 def test_reports_repeat_on_equal_inputs():
     alg = random_extension(abelian(2), 2, seed=0).total
-    rows = alg.center().space.basis_rows()[:1]
+    rows = alg.center().basis_rows()[:1]
     for report in (verify_five_term, verify_inf_delta, tra_image_check,
                    unicentrality_criteria, stallings_check):
         first = report(alg, Subspace.from_rows(QQ, alg.dim, rows))
@@ -258,7 +258,7 @@ def test_five_term_random_extensions_sweep():
         except ValueError:
             continue
         total = ext.total
-        z = ext.kernel.space
+        z = ext.kernel
         report = verify_five_term(total, z)
         assert report.ok, (base.name, trial)
         count += 1
@@ -314,7 +314,7 @@ def test_stallings_examples(dim2, dim2_z):
 def test_composites_vanish_on_corpus(small_corpus):
     rng = random.Random(61)
     for alg in small_corpus:
-        center = alg.center().space
+        center = alg.center()
         ideals = [Subspace.zero(QQ, alg.dim)]
         if center.dim:
             ideals.append(center)
@@ -337,7 +337,7 @@ def test_theorem_equivalence_agreement_sweep(small_corpus, random_corpus):
     rng = random.Random(71)
     pairs = 0
     for alg in small_corpus + random_corpus[:4]:
-        center = alg.center().space
+        center = alg.center()
         ideals = [Subspace.zero(QQ, alg.dim)]
         for row in center.basis_rows():
             ideals.append(Subspace.from_rows(QQ, alg.dim, [row]))
